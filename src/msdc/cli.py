@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from . import experiments as exp_mod
 from .core import CsaParams, InputPattern, ModelGeometry, W_MAX_DEFAULT
 from .errors import MsdcError, PatternError
 from .memory import MemoryModel
@@ -173,6 +172,10 @@ def cmd_query(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    # Imported here: experiments pulls in scipy, which would otherwise slow
+    # the start of every command.
+    from . import experiments as exp_mod
+
     spec = exp_mod.load_scenario(args.spec_path)
     if args.seed is not None:
         # Shift the whole seed list so one flag re-randomizes a run.

@@ -459,17 +459,19 @@ def hard_max_winners(
     pure function of geometry.
     """
     u_norm = np.asarray(u_norm)
-    q, k = u_norm.shape
+    q, _ = u_norm.shape
     tied = u_norm == u_norm.max(axis=1, keepdims=True)
+    n = tied.sum(axis=1)
+    if not n.all():  # a NaN in a CM makes its max NaN, equal to no unit
+        raise ValueError("normalized summations must not be NaN")
     r = rng.random(q)
     if counter is not None:
         counter.rng_draws += q
         counter.element_ops += u_norm.size
-    winners = np.empty(q, dtype=np.int64)
-    for i in range(q):
-        idx = np.flatnonzero(tied[i])
-        winners[i] = idx[min(int(r[i] * idx.size), idx.size - 1)]
-    return winners
+    # The winner is tied unit number floor(r * n) of the n tied units, found
+    # as the first unit whose running count of tied units exceeds it.
+    pick = np.minimum((r * n).astype(np.int64), n - 1)
+    return (np.cumsum(tied, axis=1) > pick[:, None]).argmax(axis=1)
 
 
 def apply_learning(

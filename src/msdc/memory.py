@@ -14,12 +14,16 @@
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
-held.  Only the belief report's final loop walks the ledger.
+held.  The ledger is append-only.  The belief readout is one vectorised
+O(N) pass over array copies of the ledger's codes and pixels, which the
+first belief call builds and later calls extend by the items stored since.
 
-Concurrency contract: a model is single-writer.  ``store`` mutates weights
-and the model RNG and must be externally serialized; ``retrieve`` and
-``belief_update`` with a caller-supplied RNG are read-only on model state
-and may run concurrently with other readers.
+Concurrency contract: a model is single-writer.  ``store`` mutates weights,
+the model RNG and the op counter, and must be externally serialized;
+``retrieve`` and ``belief_update`` with a caller-supplied RNG are read-only
+on model state and may run concurrently with other readers.  A belief call
+may replace the model's cached array copy of the ledger, but never changes
+it in place, so concurrent readers at worst build it twice.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .core import (
     W_MAX_DEFAULT,
     WeightMatrix,
     apply_learning,
-    code_intersection,
     compute_u,
     draw_winners,
     eta_for_familiarity,
@@ -83,8 +86,27 @@ class BeliefReport:
         return max(self.entries, key=lambda e: e.likelihood)
 
 
+@dataclass(frozen=True)
+class _LedgerArrays:
+    """Array copy of the first ``len(labels)`` items of one ledger list.
+
+    Row ``i`` of ``codes`` (N, Q) and ``pixels`` (N, S) holds ledger item
+    ``i``'s winners and active pixels.  ``tail`` is the last item copied.
+    """
+
+    source: list[LedgerEntry]
+    tail: LedgerEntry
+    labels: tuple[str, ...]
+    codes: np.ndarray
+    pixels: np.ndarray
+
+
 class MemoryModel:
     """A coding field plus its weights, parameters, and seeded RNG."""
+
+    # Built by the first belief call, so store, clone and snapshot loading
+    # never pay for it and a model that is never read holds none.
+    _ledger_arrays: _LedgerArrays | None = None
 
     def __init__(
         self,
@@ -110,9 +132,12 @@ class MemoryModel:
         self.rng = np.random.default_rng(seed)
 
     def _select(
-        self, pattern: InputPattern, mode: str, rng: np.random.Generator
+        self,
+        pattern: InputPattern,
+        mode: str,
+        rng: np.random.Generator,
+        counter: OpCounter | None,
     ) -> tuple[np.ndarray, CsaTrace]:
-        counter = self.op_counter
         u = compute_u(pattern, self.weights, self.geometry, counter)
         u_norm = normalize_u(u, self.geometry.num_active, self.w_max, counter)
         g = familiarity(u_norm, counter)
@@ -137,7 +162,7 @@ class MemoryModel:
         state, so a failed store leaves the model unchanged.
         """
         self.geometry.validate_pattern(pattern)
-        code, trace = self._select(pattern, "soft", self.rng)
+        code, trace = self._select(pattern, "soft", self.rng, self.op_counter)
         apply_learning(pattern, code, self.weights, self.geometry, self.op_counter)
         self.num_stored += 1
         if self.ledger is not None:
@@ -154,12 +179,16 @@ class MemoryModel:
         """Run the selection pipeline without learning.
 
         Weights and ledger are untouched.  Pass ``rng`` to leave the model's
-        own RNG state untouched as well (required for concurrent readers).
+        own RNG state and op counter untouched as well (required for
+        concurrent readers); without it the call draws from the model RNG
+        and counts its operations on ``op_counter``.
         """
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:
             raise ValueError(f"unknown retrieval mode {mode!r}")
-        return self._select(pattern, mode, rng if rng is not None else self.rng)
+        if rng is None:
+            return self._select(pattern, mode, self.rng, self.op_counter)
+        return self._select(pattern, mode, rng, None)
 
     def belief_update(
         self,
@@ -170,8 +199,8 @@ class MemoryModel:
         """Retrieve a code, then read out every stored item's likelihood.
 
         Likelihood of item Y is |code(X) ∩ code(Y)| / Q; input similarity is
-        reported alongside as |X ∩ Y| / S.  Requires the ledger (the report
-        loop is the only part of the system that iterates stored items).
+        reported alongside as |X ∩ Y| / S.  Requires the ledger (the readout
+        is the only part of the system whose cost grows with stored items).
         """
         if self.ledger is None:
             raise LedgerUnavailableError(
@@ -180,26 +209,61 @@ class MemoryModel:
         if not self.ledger:
             raise LedgerUnavailableError("belief_update requires at least one stored item")
         code, trace = self.retrieve(pattern, mode=mode, rng=rng)
-        q = self.geometry.num_cms
-        s = self.geometry.num_active
-        entries = []
-        for entry in self.ledger:
-            inter = code_intersection(code, np.asarray(entry.code))
-            entries.append(
-                BeliefEntry(
-                    label=entry.label,
-                    input_similarity=pattern.overlap(entry.pattern) / s,
-                    code_intersection=inter,
-                    likelihood=inter / q,
-                )
+        items = self._ledger_view()
+        inter = (items.codes == code).sum(axis=1)
+        probe = np.zeros(self.geometry.num_pixels, dtype=bool)
+        probe[list(pattern.active)] = True
+        overlap = probe[items.pixels].sum(axis=1)
+        entries = tuple(
+            map(
+                BeliefEntry,
+                items.labels,
+                (overlap / self.geometry.num_active).tolist(),
+                inter.tolist(),
+                (inter / self.geometry.num_cms).tolist(),
             )
+        )
         return BeliefReport(
-            entries=tuple(entries),
+            entries=entries,
             code=code,
             familiarity=trace.familiarity,
             mode=mode,
             trace=trace,
         )
+
+    def _ledger_view(self) -> _LedgerArrays:
+        """The ledger as arrays, brought up to date with ``self.ledger``.
+
+        Extends the cached copy by the items appended since it was made, or
+        rebuilds it when the ledger is another list, has shrunk, or no longer
+        holds the last copied item where it was.  A new copy replaces the old
+        one whole; neither is written in place.  Requires a non-empty ledger.
+        """
+        ledger = self.ledger
+        view = self._ledger_arrays
+        done = 0 if view is None else len(view.labels)
+        if view is not None and not (
+            view.source is ledger and done <= len(ledger) and ledger[done - 1] is view.tail
+        ):
+            view, done = None, 0
+        if view is not None and done == len(ledger):
+            return view
+        new = ledger[done:]
+        g = self.geometry
+        labels = tuple(e.label for e in new)
+        codes = np.array(
+            [e.code for e in new], dtype=np.min_scalar_type(g.units_per_cm - 1)
+        ).reshape(len(new), g.num_cms)
+        pixels = np.array(
+            [e.pattern.active for e in new], dtype=np.min_scalar_type(g.num_pixels - 1)
+        ).reshape(len(new), g.num_active)
+        if view is not None:
+            labels = view.labels + labels
+            codes = np.concatenate([view.codes, codes])
+            pixels = np.concatenate([view.pixels, pixels])
+        view = _LedgerArrays(ledger, new[-1], labels, codes, pixels)
+        self._ledger_arrays = view
+        return view
 
     def clone(self) -> "MemoryModel":
         """Deep copy: weights, RNG state, ledger, and counters."""

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: subcommands, exit codes, atomicity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msdc
 from msdc import load_model
 from msdc.cli import main
 
@@ -221,3 +226,14 @@ def test_bench_writes_schema_valid_report(tmp_path, capsys):
     assert data["schema"] == "msdc-scaling-bench-v1"
     assert data["csa_ops_equal"] is True
     assert [cp["stored_items"] for cp in data["checkpoints"]] == [1, 5, 20]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Only `msdc experiment` needs scipy; the other commands start without it.
+    src = str(Path(msdc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, msdc.cli; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert result.returncode == 0

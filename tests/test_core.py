@@ -293,6 +293,13 @@ def test_hard_max_tie_break_is_uniform():
     assert all(hard_max_winners(u_norm, rng)[0] != 2 for _ in range(200))
 
 
+def test_hard_max_rejects_nan():
+    # A NaN equals no unit, so its CM has no maximum to pick from.
+    u_norm = np.array([[0.2, 0.4], [np.nan, 0.1]])
+    with pytest.raises(ValueError):
+        hard_max_winners(u_norm, np.random.default_rng(0))
+
+
 def test_hard_max_all_zero_is_uniform():
     u_norm = np.zeros((1, 4))
     rng = np.random.default_rng(7)

@@ -65,6 +65,20 @@ def test_retrieve_leaves_model_state_alone(geometry, rng):
     assert model.rng.bit_generator.state == rng_state_before
 
 
+def test_caller_rng_readers_leave_op_counter_alone(geometry, rng):
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng))
+    counts_before = model.op_counter.as_dict()
+    reader_rng = np.random.default_rng(5)
+    for mode in ("soft", "hard"):
+        model.retrieve(random_pattern(geometry, rng), mode=mode, rng=reader_rng)
+        model.belief_update(random_pattern(geometry, rng), mode=mode, rng=reader_rng)
+    assert model.op_counter.as_dict() == counts_before
+    # A retrieve on the model's own RNG is a use of the model and counts.
+    model.retrieve(random_pattern(geometry, rng))
+    assert model.op_counter.total() > counts_before["total"]
+
+
 def test_store_rejects_bad_pattern_and_leaves_model_unchanged(geometry, rng):
     model = make_model(geometry, seed=9)
     model.store(random_pattern(geometry, rng))

@@ -1,18 +1,26 @@
 """Property tests for the pipeline's structural invariants."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from msdc import (
+    BeliefEntry,
     CsaParams,
     MemoryModel,
     ModelGeometry,
+    code_intersection,
     draw_winners,
     eta_for_familiarity,
     familiarity,
+    hard_max_winners,
+    load_model,
     mu_from_u,
     random_pattern,
     rho_from_mu,
+    save_model,
 )
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
@@ -115,3 +123,122 @@ def test_weights_never_decrease_and_stores_replay(seed, n_stores):
         # Storage monotonicity: no weight ever drops.
         assert np.all(model.weights.bits >= previous)
         previous = model.weights.bits.copy()
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, r):
+        self.r = np.array(r)
+
+    def random(self, n):
+        assert n == self.r.size
+        return self.r
+
+
+def hard_max_reference(u_norm, rng):
+    """Per-CM tie-break loop: the reference for ``hard_max_winners``."""
+    q, _ = u_norm.shape
+    tied = u_norm == u_norm.max(axis=1, keepdims=True)
+    r = rng.random(q)
+    winners = np.empty(q, dtype=np.int64)
+    for i in range(q):
+        idx = np.flatnonzero(tied[i])
+        winners[i] = idx[min(int(r[i] * idx.size), idx.size - 1)]
+    return winners
+
+
+@st.composite
+def tied_u_norm_arrays(draw):
+    """(Q, K) arrays over at most three distinct values, so most CMs tie."""
+    q, k = draw(st.tuples(st.integers(1, 8), st.integers(1, 12)))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(levels), min_size=q * k, max_size=q * k))
+    return np.array(picks).reshape(q, k)
+
+
+@given(tied_u_norm_arrays(), st.integers(0, 2**32 - 1))
+def test_hard_max_matches_per_cm_loop(u_norm, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    winners = hard_max_winners(u_norm, rng)
+    assert winners.dtype == np.int64
+    assert np.array_equal(winners, hard_max_reference(u_norm, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(tied_u_norm_arrays().flatmap(
+    lambda u: st.tuples(
+        st.just(u),
+        st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0 - 2**-53, 1.0]),
+                 min_size=u.shape[0], max_size=u.shape[0]),
+    )
+))
+def test_hard_max_matches_per_cm_loop_at_any_uniform(case):
+    # Includes the closed end r = 1, where both clamp to the last tied unit.
+    u_norm, r = case
+    assert np.array_equal(
+        hard_max_winners(u_norm, _FixedUniforms(r)),
+        hard_max_reference(u_norm, _FixedUniforms(r)),
+    )
+
+
+def belief_reference(model, pattern, code):
+    """Per-item readout over the ledger, the reference for ``belief_update``."""
+    q, s = model.geometry.num_cms, model.geometry.num_active
+    entries = []
+    for entry in model.ledger:
+        inter = code_intersection(code, np.asarray(entry.code))
+        entries.append(BeliefEntry(entry.label, pattern.overlap(entry.pattern) / s,
+                                   inter, inter / q))
+    return tuple(entries)
+
+
+LEDGER_STEPS = ("store", "clone", "save_load", "new_list", "shorter_list",
+                "truncate_in_place", "truncate_and_refill")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.lists(st.tuples(st.sampled_from(LEDGER_STEPS), st.integers(1, 4)), max_size=8),
+)
+def test_belief_update_matches_per_item_loop(seed, steps):
+    # The readout reads an array copy of the ledger that it keeps up to date;
+    # every way the ledger can change between belief calls must show in it.
+    geometry = ModelGeometry(5, 4, 4, 6, 3)
+    gen = np.random.default_rng(seed)
+    model = MemoryModel(geometry, seed=seed, enable_ledger=True)
+    for _ in range(3):
+        model.store(random_pattern(geometry, gen))
+
+    def check():
+        for mode in ("soft", "hard"):
+            pattern = random_pattern(geometry, gen)
+            report = model.belief_update(pattern, mode, np.random.default_rng(seed))
+            # repr also tells Python floats and ints from numpy scalars.
+            assert repr(report.entries) == repr(belief_reference(model, pattern, report.code))
+
+    check()
+    with tempfile.TemporaryDirectory() as tmp:
+        for step, n in steps:
+            if step == "store":
+                for i in range(n):
+                    model.store(random_pattern(geometry, gen), f"s{len(model.ledger)}-{i}")
+            elif step == "clone":
+                model = model.clone()
+            elif step == "save_load":
+                path = Path(tmp) / "model.msdc"
+                save_model(model, path)
+                model = load_model(path)
+            elif step == "new_list":  # same length and last item, new order
+                ledger = model.ledger
+                model.ledger = ledger[1:-1] + ledger[:1] + ledger[-1:]
+            elif step == "shorter_list":
+                model.ledger = model.ledger[:max(1, len(model.ledger) - n)]
+            else:  # truncate in place, then maybe append as many as were cut
+                cut = min(n, len(model.ledger) - 1)
+                del model.ledger[len(model.ledger) - cut:]
+                if step == "truncate_and_refill":
+                    for _ in range(cut):
+                        model.store(random_pattern(geometry, gen))
+            check()

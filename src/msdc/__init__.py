@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import (
     GeometryError,
+    LabelError,
     LedgerUnavailableError,
     MsdcError,
     PatternError,
@@ -62,6 +63,7 @@ __all__ = [
     "CsaTrace",
     "GeometryError",
     "InputPattern",
+    "LabelError",
     "LedgerEntry",
     "LedgerUnavailableError",
     "MemoryModel",

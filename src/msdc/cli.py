@@ -172,8 +172,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # Imported here: experiments pulls in scipy, which would otherwise slow
-    # the start of every command.
+    # Imported here: only this command needs the scenario harness, so the
+    # other commands start without loading it.
     from . import experiments as exp_mod
 
     spec = exp_mod.load_scenario(args.spec_path)

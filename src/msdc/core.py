@@ -34,6 +34,7 @@ input, RNG state) reproduces the code and trace bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -220,6 +221,10 @@ class CsaParams:
     g_exponent: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise GeometryError(f"{f.name} must be finite, got {value}")
         if not self.eta_max > 0:
             raise GeometryError(f"eta_max must be positive, got {self.eta_max}")
         if not self.steepness > 0:
@@ -436,7 +441,7 @@ def draw_winners(
     rho = np.asarray(rho, dtype=np.float64)
     q, k = rho.shape
     sums = rho.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if not np.all(np.abs(sums - 1.0) <= 1e-9):
         raise ValueError("each CM's win probabilities must sum to 1")
     cum = np.cumsum(rho, axis=1)
     r = rng.random(q)

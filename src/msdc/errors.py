@@ -21,6 +21,10 @@ class LedgerUnavailableError(MsdcError, RuntimeError):
     """Belief readout was requested but the stored-item ledger is off or empty."""
 
 
+class LabelError(MsdcError, ValueError):
+    """A ledger label cannot be recorded in a model snapshot."""
+
+
 class SnapshotError(MsdcError):
     """Base class for model snapshot load failures."""
 

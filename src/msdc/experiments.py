@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import CsaParams, InputPattern, ModelGeometry, W_MAX_DEFAULT
 from .errors import ScheduleError
@@ -276,7 +275,18 @@ def similarity_rank_correlation(
     ]
     sims = [r["input_similarity"] for r in rows]
     inter = [r["mean_intersection"] for r in rows]
-    return float(stats.spearmanr(sims, inter).statistic)
+    # Spearman is undefined when either side is constant: NaN, with no warning.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(_average_ranks(sims), _average_ranks(inter))[1, 0])
+
+
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """Ranks from 1, with tied values sharing the mean of their positions."""
+    _, group, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    first = np.cumsum(counts) - counts
+    return (first + (counts + 1) / 2)[group]
 
 
 def _fmt(value) -> str:

@@ -15,8 +15,10 @@
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
 held.  The ledger is append-only.  The belief readout is one vectorised
-O(N) pass over array copies of the ledger's codes and pixels, which the
-first belief call builds and later calls extend by the items stored since.
+O(N) pass over module-major array copies of the ledger's codes (Q, N) and
+pixels (S, N), which the first belief call builds and later calls extend by
+the items stored since; each item's figures come back as one
+:class:`BeliefEntry` named tuple.
 
 Concurrency contract: a model is single-writer.  ``store`` mutates weights,
 the model RNG and the op counter, and must be externally serialized;
@@ -29,6 +31,7 @@ it in place, so concurrent readers at worst build it twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,9 +53,12 @@ from .core import (
     normalize_u,
     rho_from_mu,
 )
-from .errors import LedgerUnavailableError
+from .errors import LabelError, LedgerUnavailableError
 
 RETRIEVAL_MODES = ("soft", "hard")
+
+# A snapshot stores each ledger label's UTF-8 length as a u16.
+MAX_LABEL_BYTES = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,7 @@ class LedgerEntry:
     code: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BeliefEntry:
+class BeliefEntry(NamedTuple):
     """Readout for one stored item against the current input."""
 
     label: str
@@ -90,8 +95,9 @@ class BeliefReport:
 class _LedgerArrays:
     """Array copy of the first ``len(labels)`` items of one ledger list.
 
-    Row ``i`` of ``codes`` (N, Q) and ``pixels`` (N, S) holds ledger item
-    ``i``'s winners and active pixels.  ``tail`` is the last item copied.
+    Column ``i`` of ``codes`` (Q, N) and ``pixels`` (S, N) holds ledger item
+    ``i``'s winners and active pixels, so each readout reduction runs over
+    the short leading axis.  ``tail`` is the last item copied.
     """
 
     source: list[LedgerEntry]
@@ -99,6 +105,18 @@ class _LedgerArrays:
     labels: tuple[str, ...]
     codes: np.ndarray
     pixels: np.ndarray
+
+
+def _check_label(label: str) -> None:
+    try:
+        size = len(label.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise LabelError(f"ledger label is not valid UTF-8 text: {exc}") from exc
+    if size > MAX_LABEL_BYTES:
+        raise LabelError(
+            f"ledger label is {size} UTF-8 bytes; a snapshot holds at most "
+            f"{MAX_LABEL_BYTES}"
+        )
 
 
 class MemoryModel:
@@ -158,15 +176,18 @@ class MemoryModel:
     ) -> tuple[np.ndarray, CsaTrace]:
         """Select a code for the input and learn the mapping in one trial.
 
-        Rejects a pattern with the wrong active count before touching any
-        state, so a failed store leaves the model unchanged.
+        Rejects a pattern with the wrong active count, and with the ledger
+        on a label a snapshot cannot hold, before touching any state, so a
+        failed store leaves the model unchanged.
         """
         self.geometry.validate_pattern(pattern)
+        if self.ledger is not None:
+            name = label if label is not None else f"item-{self.num_stored + 1}"
+            _check_label(name)
         code, trace = self._select(pattern, "soft", self.rng, self.op_counter)
         apply_learning(pattern, code, self.weights, self.geometry, self.op_counter)
         self.num_stored += 1
         if self.ledger is not None:
-            name = label if label is not None else f"item-{self.num_stored}"
             self.ledger.append(LedgerEntry(name, pattern, tuple(int(c) for c in code)))
         return code, trace
 
@@ -210,17 +231,24 @@ class MemoryModel:
             raise LedgerUnavailableError("belief_update requires at least one stored item")
         code, trace = self.retrieve(pattern, mode=mode, rng=rng)
         items = self._ledger_view()
-        inter = (items.codes == code).sum(axis=1)
-        probe = np.zeros(self.geometry.num_pixels, dtype=bool)
+        g = self.geometry
+        inter = (items.codes == code[:, None]).sum(
+            axis=0, dtype=np.min_scalar_type(g.num_cms)
+        )
+        probe = np.zeros(g.num_pixels, dtype=bool)
         probe[list(pattern.active)] = True
-        overlap = probe[items.pixels].sum(axis=1)
+        overlap = probe.take(items.pixels).sum(
+            axis=0, dtype=np.min_scalar_type(g.num_active)
+        )
         entries = tuple(
             map(
-                BeliefEntry,
-                items.labels,
-                (overlap / self.geometry.num_active).tolist(),
-                inter.tolist(),
-                (inter / self.geometry.num_cms).tolist(),
+                BeliefEntry._make,
+                zip(
+                    items.labels,
+                    (overlap / g.num_active).tolist(),
+                    inter.tolist(),
+                    (inter / g.num_cms).tolist(),
+                ),
             )
         )
         return BeliefReport(
@@ -251,16 +279,19 @@ class MemoryModel:
         new = ledger[done:]
         g = self.geometry
         labels = tuple(e.label for e in new)
-        codes = np.array(
-            [e.code for e in new], dtype=np.min_scalar_type(g.units_per_cm - 1)
-        ).reshape(len(new), g.num_cms)
-        pixels = np.array(
-            [e.pattern.active for e in new], dtype=np.min_scalar_type(g.num_pixels - 1)
-        ).reshape(len(new), g.num_active)
+        code_dtype = np.min_scalar_type(g.units_per_cm - 1)
+        pixel_dtype = np.min_scalar_type(g.num_pixels - 1)
+        codes = np.ascontiguousarray(
+            np.array([e.code for e in new], dtype=code_dtype).reshape(len(new), g.num_cms).T
+        )
+        pixels = np.ascontiguousarray(
+            np.array([e.pattern.active for e in new], dtype=pixel_dtype)
+            .reshape(len(new), g.num_active).T
+        )
         if view is not None:
             labels = view.labels + labels
-            codes = np.concatenate([view.codes, codes])
-            pixels = np.concatenate([view.pixels, pixels])
+            codes = np.concatenate([view.codes, codes], axis=1)
+            pixels = np.concatenate([view.pixels, pixels], axis=1)
         view = _LedgerArrays(ledger, new[-1], labels, codes, pixels)
         self._ledger_arrays = view
         return view

@@ -92,6 +92,14 @@ def test_store_malformed_pattern_leaves_snapshot_untouched(model_path, tmp_path,
     assert model_path.read_bytes() == before
 
 
+def test_store_overlong_label_is_data_error(model_path, grid_pattern, capsys):
+    before = model_path.read_bytes()
+    argv = ["store", str(model_path), str(grid_pattern), "--label", "a" * 65536]
+    assert main(argv) == 3
+    assert "65536 UTF-8 bytes" in capsys.readouterr().err
+    assert model_path.read_bytes() == before
+
+
 def test_store_missing_pattern_file_is_io_error(model_path, tmp_path, capsys):
     assert main(["store", str(model_path), str(tmp_path / "nope.txt")]) == 4
 

@@ -1,5 +1,7 @@
 """Unit tests for the code selection pipeline, step by step."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -274,6 +276,13 @@ def test_draw_validates_distributions(rng):
         draw_winners(np.array([[0.5, 0.4]]), rng)
 
 
+def test_draw_rejects_nan_distributions(rng):
+    # NaN fails every comparison, so a check that only looks for sums far
+    # from 1 would let a NaN row through as winner 0.
+    with pytest.raises(ValueError):
+        draw_winners(np.array([[0.5, 0.5], [np.nan, np.nan]]), rng)
+
+
 # --------------------------------------------------------- hard_max_winners
 
 
@@ -386,6 +395,14 @@ def test_op_counter_fields_cover_pipeline(geometry, rng):
 
 
 # ------------------------------------------------------------ miscellaneous
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CsaParams)])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_values(name, value):
+    # eta_max=inf or steepness=inf would make rho NaN at G=1.
+    with pytest.raises(GeometryError, match="finite"):
+        CsaParams(**{name: value})
 
 
 def test_geometry_validation():

@@ -1,14 +1,22 @@
 """Scenario harness: corpus construction, trial runs, emission."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msdc
 from msdc import ScheduleError, oracle_nearest, oracle_similarity
 from msdc.experiments import (
     ProbeSpec,
     ScenarioSpec,
+    _average_ranks,
     aggregate_records,
     build_appendix_corpus,
     default_appendix_scenario,
@@ -96,6 +104,39 @@ def test_run_scenario_shape_and_determinism(spec_40, records_40):
 
 def test_similarity_ranking_holds_on_modest_seed_count(spec_40, records_40):
     assert similarity_rank_correlation(records_40, spec_40, "I7") >= 0.9
+
+
+def test_rank_correlation_of_the_appendix_probes_is_pinned():
+    # I9's similarities tie (two items at 6/12, four at 0); the values are
+    # scipy.stats.spearmanr's to the last bit.
+    spec = default_appendix_scenario(num_seeds=200)
+    records = run_scenario(spec)
+    rhos = [similarity_rank_correlation(records, spec, p) for p in ("I7", "I8", "I9")]
+    assert rhos == [0.9856107606091624, 0.819688599970537, 0.8280786712108251]
+
+
+def test_rank_correlation_ties_and_constant_input():
+    assert _average_ranks([0.5, 0.0, 0.5, 0.25, 0.0]).tolist() == [4.5, 1.5, 4.5, 3.0, 1.5]
+    assert _average_ranks([7.0] * 4).tolist() == [2.5] * 4
+    base = default_appendix_scenario(1)
+    flat = ScenarioSpec(
+        name="flat", geometry=base.geometry, params=base.params, w_max=127,
+        num_stored=6, probes=(ProbeSpec("P", (0,) * 6),), seeds=(0, 1),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = similarity_rank_correlation(run_scenario(flat), flat, "P")
+    assert math.isnan(rho)
+
+
+def test_experiments_import_leaves_scipy_unloaded():
+    src = str(Path(msdc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, msdc.experiments; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, timeout=120
+    )
+    assert result.returncode == 0
 
 
 def test_zero_overlap_items_sit_at_chance(spec_40, records_40):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from msdc import (
+    BeliefEntry,
     InputPattern,
+    LabelError,
     LedgerUnavailableError,
     MemoryModel,
     PatternError,
     random_pattern,
 )
+from msdc.snapshot import decode_model, encode_model
 
 
 def make_model(geometry, seed=0, ledger=True):
@@ -93,6 +96,30 @@ def test_store_rejects_bad_pattern_and_leaves_model_unchanged(geometry, rng):
     assert model.num_stored == 1
 
 
+@pytest.mark.parametrize("label", ["a" * 65536, "\u00e9" * 32768, "\udcff"])
+def test_store_rejects_unsnapshottable_label_and_leaves_model_unchanged(
+    geometry, rng, label
+):
+    # A snapshot holds a label as at most 65535 UTF-8 bytes; a lone
+    # surrogate, which a non-UTF-8 command-line byte decodes to, has none.
+    model = make_model(geometry, seed=9)
+    model.store(random_pattern(geometry, rng), "A")
+    bits = model.weights.bits.copy()
+    state = model.rng.bit_generator.state
+    counter = model.op_counter.copy()
+    ledger = list(model.ledger)
+    with pytest.raises(LabelError):
+        model.store(random_pattern(geometry, rng), label)
+    assert np.array_equal(model.weights.bits, bits)
+    assert model.rng.bit_generator.state == state
+    assert model.op_counter == counter
+    assert model.ledger == ledger
+    assert model.num_stored == 1
+    longest = "a" * 65535
+    model.store(random_pattern(geometry, rng), longest)
+    assert decode_model(encode_model(model)).ledger[-1].label == longest
+
+
 def test_retrieve_rejects_unknown_mode(geometry, rng):
     model = make_model(geometry)
     with pytest.raises(ValueError):
@@ -110,6 +137,27 @@ def test_belief_update_exact_match_has_likelihood_one(geometry, rng):
     assert entry.code_intersection == 24
     assert entry.input_similarity == 1.0
     assert report.best().label == "A"
+
+
+def test_belief_entry_is_an_immutable_named_tuple(geometry, rng):
+    assert BeliefEntry._fields == (
+        "label", "input_similarity", "code_intersection", "likelihood"
+    )
+    entry = BeliefEntry("A", 0.5, 12, 0.5)
+    with pytest.raises(AttributeError):
+        entry.likelihood = 1.0
+    assert repr(entry) == (
+        "BeliefEntry(label='A', input_similarity=0.5, code_intersection=12, "
+        "likelihood=0.5)"
+    )
+    model = make_model(geometry)
+    patterns = [random_pattern(geometry, rng) for _ in range(5)]
+    for i, pattern in enumerate(patterns):
+        model.store(pattern, f"P{i}")
+    report = model.belief_update(patterns[3], mode="hard")
+    best = report.best()
+    assert best.label == "P3"
+    assert best.likelihood == max(e.likelihood for e in report.entries) == 1.0
 
 
 def test_belief_likelihoods_are_q_quantized(geometry, rng):

@@ -242,3 +242,22 @@ def test_belief_update_matches_per_item_loop(seed, steps):
                     for _ in range(cut):
                         model.store(random_pattern(geometry, gen))
             check()
+
+
+def test_belief_update_counts_past_255():
+    # With Q and S above 255, intersections and overlaps must be summed in a
+    # dtype wide enough to hold them.
+    geometry = ModelGeometry(20, 20, 300, 300, 2)
+    gen = np.random.default_rng(0)
+    model = MemoryModel(geometry, seed=0, enable_ledger=True)
+    patterns = [random_pattern(geometry, gen) for _ in range(4)]
+    for pattern in patterns:
+        model.store(pattern)
+    entries = []
+    for probe in (patterns[1], random_pattern(geometry, gen)):
+        for mode in ("soft", "hard"):
+            report = model.belief_update(probe, mode, np.random.default_rng(1))
+            assert repr(report.entries) == repr(belief_reference(model, probe, report.code))
+            entries += report.entries
+    assert max(e.code_intersection for e in entries) > 255
+    assert max(e.input_similarity for e in entries) * geometry.num_active > 255

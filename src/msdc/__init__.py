@@ -32,6 +32,7 @@ from .core import (
     validate_code,
 )
 from .errors import (
+    ConfigError,
     GeometryError,
     LabelError,
     LedgerUnavailableError,
@@ -59,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BeliefEntry",
     "BeliefReport",
+    "ConfigError",
     "CsaParams",
     "CsaTrace",
     "GeometryError",

@@ -2,7 +2,7 @@
 
 Subcommands: ``init``, ``store``, ``query``, ``experiment``, ``bench``.
 Exit codes: 0 success, 2 usage error, 3 data error (bad pattern, geometry,
-schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
+config, schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
 a failed command never leaves a corrupt model behind.
 
 Every command is deterministic given its inputs and ``--seed``.  A JSON
@@ -21,8 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .core import CsaParams, InputPattern, ModelGeometry, W_MAX_DEFAULT
-from .errors import MsdcError, PatternError
+from .core import (
+    CsaParams,
+    InputPattern,
+    ModelGeometry,
+    W_MAX_DEFAULT,
+    _as_int,
+    _config_object,
+)
+from .errors import ConfigError, MsdcError, PatternError
 from .memory import MemoryModel
 from .snapshot import encode_model, atomic_write_bytes, load_model
 
@@ -33,14 +40,21 @@ EXIT_IO = 4
 
 _GEOMETRY_KEYS = ("input_width", "input_height", "num_active", "num_cms", "units_per_cm")
 _PARAM_KEYS = ("eta_max", "steepness", "midpoint", "g_floor", "g_exponent")
+_CONFIG_KEYS = ("geometry", "params", "w_max", "seed", "ledger")
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The --config file's object.  Its shape, seed and ledger flag are
+    checked here; geometry, params and ``w_max`` by the types they build."""
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise PatternError("config file must hold a JSON object")
+    data = _config_object(json.loads(Path(path).read_text()), "config", _CONFIG_KEYS)
+    _config_object(data.get("geometry", {}), "config geometry", _GEOMETRY_KEYS)
+    _config_object(data.get("params", {}), "config params", _PARAM_KEYS)
+    if "seed" in data and _as_int(data["seed"], "config seed", ConfigError) < 0:
+        raise ConfigError(f"config seed must be non-negative, got {data['seed']}")
+    if not isinstance(data.get("ledger", True), bool):
+        raise ConfigError(f"config ledger must be true or false, got {data['ledger']!r}")
     return data
 
 
@@ -95,10 +109,9 @@ def read_pattern_file(path: str | Path) -> InputPattern:
             data = data.get("active_pixels")
         if not isinstance(data, list):
             raise PatternError("JSON pattern must be a list of active pixel indices")
-        try:
-            return InputPattern.from_indices(int(i) for i in data)
-        except (TypeError, ValueError) as exc:
-            raise PatternError(f"invalid pixel index in pattern file: {exc}") from exc
+        for i in data:
+            _as_int(i, "pixel index in pattern file", PatternError)
+        return InputPattern.from_indices(data)
     return InputPattern.from_grid(text)
 
 

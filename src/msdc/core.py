@@ -35,18 +35,51 @@ input, RNG state) reproduces the code and trace bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .errors import GeometryError, PatternError
+from .errors import ConfigError, GeometryError, MsdcError, PatternError
 
 W_MAX_DEFAULT = 127
 
 # np.exp overflows float64 just above 709; clipping the argument keeps the
 # sigmoid exact in float64 wherever it is distinguishable from its limits.
 _EXP_CLIP = 700.0
+
+
+def _as_int(value, name: str, error: type[MsdcError]) -> int:
+    """``value`` as an int; ``error`` if it is not an integer.
+
+    Python and numpy integers pass.  A float (even 3.0), a bool or a string
+    raises, so no value is ever silently truncated.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _config_object(
+    data, where: str, keys: Iterable[str], required: Iterable[str] = ()
+) -> dict:
+    """``data``, if it is a JSON object holding only ``keys`` and every one of
+    ``required``; ``ConfigError`` otherwise.  Values are left to the types
+    they build, which check them."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigError(f"{where} lacks required key(s): {', '.join(missing)}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -66,7 +99,7 @@ class ModelGeometry:
 
     def __post_init__(self):
         for f in fields(self):
-            v = int(getattr(self, f.name))
+            v = _as_int(getattr(self, f.name), f.name, GeometryError)
             if v < 1:
                 raise GeometryError(f"{f.name} must be a positive integer, got {v}")
             object.__setattr__(self, f.name, v)
@@ -105,7 +138,10 @@ class InputPattern:
     active: tuple[int, ...]
 
     def __post_init__(self):
-        cells = tuple(sorted(int(p) for p in self.active))
+        try:
+            cells = tuple(sorted(map(operator.index, self.active)))
+        except TypeError as exc:
+            raise PatternError(f"pixel indices must be integers: {exc}") from None
         if len(set(cells)) != len(cells):
             raise PatternError("duplicate pixel indices in pattern")
         if cells and cells[0] < 0:
@@ -163,7 +199,7 @@ class WeightMatrix:
         w_max: int = W_MAX_DEFAULT,
         bits: np.ndarray | None = None,
     ):
-        if int(w_max) < 1:
+        if _as_int(w_max, "w_max", GeometryError) < 1:
             raise GeometryError(f"w_max must be a positive integer, got {w_max}")
         if bits is None:
             bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
@@ -223,6 +259,8 @@ class CsaParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise GeometryError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise GeometryError(f"{f.name} must be finite, got {value}")
         if not self.eta_max > 0:
@@ -499,6 +537,65 @@ def apply_learning(
     if counter is not None:
         counter.weight_writes += rows.size * cols.size
     return weights
+
+
+def _select_batch(
+    bits: np.ndarray,
+    active: np.ndarray,
+    geometry: ModelGeometry,
+    params: CsaParams,
+    w_max: int,
+    mode: str,
+    r: np.ndarray,
+    stored: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[float], list[float], np.ndarray | None]:
+    """One selection step for a block of B independent models at once.
+
+    ``bits`` (B, P, Q*K) holds each model's weight bits, ``active`` (S,) the
+    pixels of the one input they all see, and ``r`` (B, Q) each model's Q
+    uniforms for this step, CM 0 first.  Each stage is the single-model
+    stage's own arithmetic run along the last axis, so row b gets the code,
+    G and eta that model b alone would get from the same uniforms.  Returns
+    the codes (B, Q), G and eta per row as Python floats, and the readout.
+
+    With ``stored`` None the step is a store: each row learns its code in
+    place and the readout is None.  Otherwise ``stored`` (B, N, Q) holds each
+    row's stored codes, nothing is written, and the readout is the (B, N)
+    code intersections.
+    """
+    q, k = geometry.num_cms, geometry.units_per_cm
+    ceiling = geometry.num_active * w_max
+    # Counts of at most S fit the narrow dtype, which sums much faster.
+    count = bits[:, active].sum(axis=1, dtype=np.min_scalar_type(geometry.num_active))
+    u = count.astype(np.int64) * w_max
+    if u.min() < 0 or u.max() > ceiling:
+        raise ValueError(f"raw summation outside [0, {ceiling}]")
+    u_norm = (u / float(ceiling)).reshape(len(bits), q, k)
+    per_cm_max = u_norm.max(axis=2)
+    g = per_cm_max.mean(axis=1).tolist()
+    eta = [eta_for_familiarity(x, params) for x in g]
+    if mode == "soft":
+        z = params.steepness * (u_norm - params.midpoint)
+        mu = 1.0 + np.array(eta)[:, None, None] / (1.0 + np.exp(np.clip(-z, None, _EXP_CLIP)))
+        rho = mu / mu.sum(axis=2, keepdims=True)
+        if not np.all(np.abs(rho.sum(axis=2) - 1.0) <= 1e-9):
+            raise ValueError("each CM's win probabilities must sum to 1")
+        code = np.minimum((np.cumsum(rho, axis=2) <= r[:, :, None]).sum(axis=2), k - 1)
+    elif mode == "hard":
+        # mu and rho cannot change a hard code, so they are not formed.
+        tied = u_norm == per_cm_max[:, :, None]
+        n = tied.sum(axis=2)
+        if not n.all():
+            raise ValueError("normalized summations must not be NaN")
+        pick = np.minimum((r * n).astype(np.int64), n - 1)
+        code = (np.cumsum(tied, axis=2) > pick[:, :, None]).argmax(axis=2)
+    else:
+        raise ValueError(f"unknown retrieval mode {mode!r}")
+    if stored is not None:
+        return code, g, eta, (stored == code[:, None, :]).sum(axis=2)
+    cols = np.arange(q) * k + code
+    bits[np.arange(len(bits))[:, None, None], active[None, :, None], cols[:, None, :]] = 1
+    return code, g, eta, None
 
 
 def random_pattern(geometry: ModelGeometry, rng: np.random.Generator) -> InputPattern:

@@ -17,6 +17,10 @@ class ScheduleError(MsdcError, ValueError):
     """A corpus overlap schedule is infeasible for the geometry."""
 
 
+class ConfigError(MsdcError, ValueError):
+    """A config or scenario file is not the documented JSON shape."""
+
+
 class LedgerUnavailableError(MsdcError, RuntimeError):
     """Belief readout was requested but the stored-item ledger is off or empty."""
 

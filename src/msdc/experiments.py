@@ -18,6 +18,19 @@ The default scenario uses a 12x12 grid, S=12, Q=24, K=8 and three probes:
 
 Corpus layout is deterministic (block allocation over the pixel grid), so
 a scenario plus its seed list fully determines every output byte.
+
+Each seed is an independent single-trial run: a fresh
+``MemoryModel(..., seed=seed)`` stores every item, then reads a belief for
+every probe.  Code selection is fixed-time, so all seeds do the same array
+work on arrays of the same shape, and ``run_scenario`` runs them in blocks.
+A block stacks its seeds' weight bits as one (B, P, Q*K) array and runs each
+store and probe step once over the whole block.  Each seed's own model RNG
+still supplies that seed's Q uniforms per step, in the single-model order:
+one step per store in store order, then one per probe.  So every record is
+the one a seed-by-seed loop over ``MemoryModel.store`` and
+``belief_update`` would give, bit for bit.  A block holds about 1 MiB of
+weight bits (37 seeds at the appendix geometry, never fewer than one), so
+memory does not grow with the seed count.
 """
 
 from __future__ import annotations
@@ -25,15 +38,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import CsaParams, InputPattern, ModelGeometry, W_MAX_DEFAULT
-from .errors import ScheduleError
+from .core import (
+    CsaParams,
+    InputPattern,
+    ModelGeometry,
+    W_MAX_DEFAULT,
+    _as_int,
+    _config_object,
+    _select_batch,
+)
+from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import MemoryModel
 from .oracle import oracle_similarity
 
@@ -46,6 +67,10 @@ APPENDIX_GEOMETRY = ModelGeometry(
 APPENDIX_I7_OVERLAPS = (5, 4, 2, 1, 0, 0)
 APPENDIX_I8_OVERLAPS = (0, 7, 3, 2, 0, 0)
 APPENDIX_I9_OVERLAPS = (0, 0, 6, 0, 0, 6)
+
+# Stacked weight planes per seed block: about 1 MiB, 37 seeds at the
+# appendix geometry, so peak memory does not grow with the seed count.
+_BLOCK_BYTES = 1 << 20
 
 TRIAL_COLUMNS = (
     "seed",
@@ -74,7 +99,9 @@ class ProbeSpec:
     overlaps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "overlaps", tuple(int(o) for o in self.overlaps))
+        where = f"probe {self.label!r} overlap"
+        overlaps = tuple(_as_int(o, where, ScheduleError) for o in self.overlaps)
+        object.__setattr__(self, "overlaps", overlaps)
 
 
 @dataclass(frozen=True)
@@ -93,11 +120,20 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(self.probes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if self.num_stored < 1:
+        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in self.seeds)
+        object.__setattr__(self, "seeds", seeds)
+        num_stored = _as_int(self.num_stored, "num_stored", ScheduleError)
+        object.__setattr__(self, "num_stored", num_stored)
+        w_max = _as_int(self.w_max, "w_max", GeometryError)
+        object.__setattr__(self, "w_max", w_max)
+        if num_stored < 1:
             raise ScheduleError("scenario needs at least one stored pattern")
-        if not self.seeds:
+        if not seeds:
             raise ScheduleError("scenario needs at least one seed")
+        if min(seeds) < 0:
+            raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
+        if w_max < 1:
+            raise GeometryError(f"w_max must be a positive integer, got {w_max}")
         if self.mode not in ("soft", "hard"):
             raise ScheduleError(f"unknown retrieval mode {self.mode!r}")
         if self.store_order is not None:
@@ -206,33 +242,77 @@ class TrialRecord:
     likelihoods: dict[str, float]
 
 
+def _seed_block_size(geometry: ModelGeometry) -> int:
+    """Seeds per block: as many weight planes as fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (geometry.num_pixels * geometry.num_units))
+
+
 def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
-    """Per seed: fresh model, store all items in order, probe in order."""
+    """Per seed: fresh model, store all items in order, probe in order.
+
+    Seeds run in blocks (see the module docstring); the records are those
+    of one model per seed, in seed order, then probe order.
+    """
     stored, probes = build_appendix_corpus(spec)
     if spec.store_order is not None:
         by_label = dict(stored)
         stored = [(label, by_label[label]) for label in spec.store_order]
+    g = spec.geometry
+    labels = [label for label, _ in stored]
+    similarities = [
+        [pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes
+    ]
+    store_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in stored]
+    probe_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in probes]
+    num_draws = (len(stored) + len(probes)) * g.num_cms
+    block = _seed_block_size(g)
     records = []
-    for seed in spec.seeds:
-        model = MemoryModel(
-            spec.geometry, spec.params, w_max=spec.w_max, seed=seed, enable_ledger=True
+    for first in range(0, len(spec.seeds), block):
+        seeds = spec.seeds[first : first + block]
+        # Each seed's own model supplies its RNG stream: Q uniforms per
+        # step, stores first, then probes.  Its weights are not used; the
+        # block's stacked planes stand in for them.
+        draws = np.stack(
+            [
+                MemoryModel(g, spec.params, w_max=spec.w_max, seed=seed)
+                .rng.random(num_draws)
+                .reshape(-1, g.num_cms)
+                for seed in seeds
+            ],
+            axis=1,
         )
-        for label, pattern in stored:
-            model.store(pattern, label)
-        for label, pattern in probes:
-            report = model.belief_update(pattern, mode=spec.mode)
-            records.append(
-                TrialRecord(
-                    seed=seed,
-                    probe=label,
-                    familiarity=report.familiarity,
-                    eta=report.trace.eta,
-                    code=tuple(int(c) for c in report.code),
-                    similarities={e.label: e.input_similarity for e in report.entries},
-                    intersections={e.label: e.code_intersection for e in report.entries},
-                    likelihoods={e.label: e.likelihood for e in report.entries},
-                )
+        bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
+        ledger = np.stack(
+            [
+                _select_batch(bits, active, g, spec.params, spec.w_max, "soft", r)[0]
+                for active, r in zip(store_pixels, draws)
+            ],
+            axis=1,
+        )
+        readouts = []
+        for active, r in zip(probe_pixels, draws[len(stored) :]):
+            code, fam, eta, inter = _select_batch(
+                bits, active, g, spec.params, spec.w_max, spec.mode, r, ledger
             )
+            readouts.append(
+                (code.tolist(), fam, eta, inter.tolist(), (inter / g.num_cms).tolist())
+            )
+        for b, seed in enumerate(seeds):
+            for (probe, _), sims, (code, fam, eta, inter, like) in zip(
+                probes, similarities, readouts
+            ):
+                records.append(
+                    TrialRecord(
+                        seed=seed,
+                        probe=probe,
+                        familiarity=fam[b],
+                        eta=eta[b],
+                        code=tuple(code[b]),
+                        similarities=dict(zip(labels, sims)),
+                        intersections=dict(zip(labels, inter[b])),
+                        likelihoods=dict(zip(labels, like[b])),
+                    )
+                )
     return records
 
 
@@ -335,24 +415,65 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
     return data
 
 
+_SCENARIO_KEYS = (
+    "name",
+    "geometry",
+    "params",
+    "w_max",
+    "num_stored",
+    "probes",
+    "seeds",
+    "mode",
+    "store_order",
+)
+_SCENARIO_REQUIRED = ("geometry", "num_stored", "probes", "seeds")
+
+
 def scenario_from_dict(data: dict) -> ScenarioSpec:
+    """Parse a scenario config, rejecting any shape but the documented one.
+
+    A wrong shape (not an object, an unknown or missing key, a section of
+    the wrong JSON type) raises ``ConfigError``; the spec types then check
+    the values.
+    """
+    data = _config_object(data, "scenario", _SCENARIO_KEYS, _SCENARIO_REQUIRED)
     seeds = data["seeds"]
     if isinstance(seeds, dict):
-        seeds = range(int(seeds["start"]), int(seeds["start"]) + int(seeds["count"]))
+        seeds = _config_object(seeds, "scenario seeds", ("start", "count"), ("start", "count"))
+        start = _as_int(seeds["start"], "seeds start", ScheduleError)
+        seeds = range(start, start + _as_int(seeds["count"], "seeds count", ScheduleError))
+    elif not isinstance(seeds, list):
+        raise ConfigError(f"scenario seeds must be a list or an object, got {seeds!r}")
+    probes = data["probes"]
+    if not isinstance(probes, list):
+        raise ConfigError(f"scenario probes must be a list, got {probes!r}")
+    for i, p in enumerate(probes):
+        where = f"scenario probe {i}"
+        _config_object(p, where, ("label", "overlaps"), ("label", "overlaps"))
+        if not (isinstance(p["label"], str) and isinstance(p["overlaps"], list)):
+            raise ConfigError(f"{where} needs a string label and a list of overlaps")
+    store_order = data.get("store_order")
+    if store_order is not None and not (
+        isinstance(store_order, list) and all(isinstance(x, str) for x in store_order)
+    ):
+        raise ConfigError(f"scenario store_order must be a list of labels, got {store_order!r}")
+    geometry_keys = [f.name for f in fields(ModelGeometry)]
     return ScenarioSpec(
         name=data.get("name", "scenario"),
-        geometry=ModelGeometry(**data["geometry"]),
-        params=CsaParams(**data.get("params", {})),
-        w_max=int(data.get("w_max", W_MAX_DEFAULT)),
-        num_stored=int(data["num_stored"]),
-        probes=tuple(
-            ProbeSpec(p["label"], tuple(p["overlaps"])) for p in data["probes"]
+        geometry=ModelGeometry(
+            **_config_object(data["geometry"], "scenario geometry", geometry_keys, geometry_keys)
         ),
+        params=CsaParams(
+            **_config_object(
+                data.get("params", {}), "scenario params", [f.name for f in fields(CsaParams)]
+            )
+        ),
+        w_max=data.get("w_max", W_MAX_DEFAULT),
+        num_stored=data["num_stored"],
+        probes=tuple(ProbeSpec(p["label"], tuple(p["overlaps"])) for p in probes),
         seeds=tuple(seeds),
         mode=data.get("mode", "soft"),
-        store_order=(
-            tuple(data["store_order"]) if data.get("store_order") is not None else None
-        ),
+        store_order=tuple(store_order) if store_order is not None else None,
     )
 
 

@@ -27,7 +27,9 @@ Layout (all integers little-endian; bit-packed bytes little bit order):
 Round-trips are bit-exact: a loaded model produces traces identical to the
 saved one for the same inputs.  Loading never yields a partial model; any
 defect raises before construction (distinct errors for wrong version,
-truncation, and checksum mismatch).
+truncation, and checksum mismatch).  After the checksum, every ledger entry
+is checked against the geometry (S pixels inside the grid, Q winners below
+K, a UTF-8 label); a bad entry raises ``SnapshotFormatError``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import numpy as np
 
 from .core import CsaParams, InputPattern, ModelGeometry, WeightMatrix
 from .errors import (
+    PatternError,
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotTruncatedError,
@@ -157,24 +160,27 @@ def decode_model(blob: bytes) -> MemoryModel:
         packed, count=geometry.num_pixels * geometry.num_units, bitorder="little"
     ).reshape(geometry.num_pixels, geometry.num_units)
 
-    ledger: list[LedgerEntry] | None = None
+    raw_ledger = None
     if ledger_flag:
-        ledger = []
+        raw_ledger = []
         (count,) = cur.unpack("<I")
         for _ in range(count):
             (label_len,) = cur.unpack("<H")
-            label = cur.take(label_len).decode("utf-8")
+            label = cur.take(label_len)
             (n_pix,) = cur.unpack("<I")
             pixels = cur.unpack(f"<{n_pix}I")
             (n_win,) = cur.unpack("<I")
             winners = cur.unpack(f"<{n_win}H")
-            ledger.append(LedgerEntry(label, InputPattern(pixels), winners))
+            raw_ledger.append((label, pixels, winners))
 
     (stored_crc,) = cur.unpack("<I")
     if cur.pos != len(blob):
         raise SnapshotFormatError(f"{len(blob) - cur.pos} trailing bytes after checksum")
     if zlib.crc32(blob[: cur.pos - 4]) != stored_crc:
         raise SnapshotIntegrityError("snapshot checksum mismatch")
+    ledger = None
+    if raw_ledger is not None:
+        ledger = [_ledger_entry(geometry, i, *raw) for i, raw in enumerate(raw_ledger)]
 
     model = MemoryModel(
         geometry,
@@ -189,6 +195,43 @@ def decode_model(blob: bytes) -> MemoryModel:
     model.num_stored = num_stored
     model.ledger = ledger
     return model
+
+
+def _ledger_entry(
+    geometry: ModelGeometry,
+    index: int,
+    label: bytes,
+    pixels: tuple[int, ...],
+    winners: tuple[int, ...],
+) -> LedgerEntry:
+    """One decoded ledger entry, checked against the model's geometry."""
+    where = f"ledger entry {index}"
+    if len(pixels) != geometry.num_active:
+        raise SnapshotFormatError(
+            f"{where} has {len(pixels)} pixels, expected {geometry.num_active}"
+        )
+    if max(pixels) >= geometry.num_pixels:
+        raise SnapshotFormatError(
+            f"{where} has pixel {max(pixels)} outside the "
+            f"{geometry.num_pixels}-pixel grid"
+        )
+    if len(winners) != geometry.num_cms:
+        raise SnapshotFormatError(
+            f"{where} has {len(winners)} winners, expected {geometry.num_cms}"
+        )
+    if max(winners) >= geometry.units_per_cm:
+        raise SnapshotFormatError(
+            f"{where} has winner {max(winners)} outside [0, {geometry.units_per_cm})"
+        )
+    try:
+        text = label.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"{where} label is not valid UTF-8: {exc}") from exc
+    try:
+        pattern = InputPattern(pixels)
+    except PatternError as exc:
+        raise SnapshotFormatError(f"{where}: {exc}") from exc
+    return LedgerEntry(text, pattern, winners)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

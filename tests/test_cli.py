@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import msdc
-from msdc import load_model
+from msdc import InputPattern, LedgerEntry, load_model
 from msdc.cli import main
+from msdc.snapshot import encode_model
 
 
 @pytest.fixture
@@ -245,3 +246,101 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, timeout=120
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"params": {"eta_maxx": 3}}, "unknown key"),
+        ({"params": {"eta_max": "big"}}, "must be a number"),
+        ({"params": {"eta_max": True}}, "must be a number"),
+        ({"geometry": {"num_cms": 24.5}}, "must be an integer"),
+        ({"geometry": [12]}, "must be a JSON object"),
+        ({"geometry": {"depth": 3}}, "unknown key"),
+        ({"wmax": 127}, "unknown key"),
+        ({"w_max": 127.5}, "must be an integer"),
+        ({"seed": "7"}, "must be an integer"),
+        ({"seed": -1}, "non-negative"),
+        ({"ledger": "yes"}, "true or false"),
+        ([1, 2], "must be a JSON object"),
+    ],
+)
+@pytest.mark.parametrize("command", ["init", "bench"])
+def test_malformed_config_is_data_error(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, str(out), "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path, capsys):
+    before = model_path.read_bytes()
+    for bad in ([1.5] + list(range(11)), [True] + list(range(1, 12)), ["3"] + list(range(11))):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["store", str(model_path), str(path)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+    assert model_path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                       "num_cms": 24, "units_per_cm": 8, "depth": 1}}, "unknown key"),
+        ({"seeds": None}, "must be a list or an object"),
+        ({"seeds": [0.5, 1.7]}, "seed must be an integer"),
+        ({"seeds": [-1, 0]}, "non-negative"),
+        ({"seeds": {"start": 0}}, "lacks required key"),
+        ({"probes": [{"label": "I7", "overlaps": [5.9, 4, 2, 1, 0, 0]}]}, "must be an integer"),
+        ({"probes": [{"label": "I7"}]}, "lacks required key"),
+        ({"params": {"eta_max": "big"}}, "must be a number"),
+        ({"num_stored": "6"}, "must be an integer"),
+        ({"store_order": [1, 2, 3, 4, 5, 6]}, "list of labels"),
+        ({"shuffle": True}, "unknown key"),
+    ],
+)
+def test_malformed_scenario_is_data_error(tmp_path, capsys, change, message):
+    spec = {
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [{"label": "I7", "overlaps": [5, 4, 2, 1, 0, 0]}],
+        "seeds": [0, 1],
+        **change,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", str(spec_path), str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_scenario_without_seeds_is_data_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [],
+    }))
+    assert main(["experiment", str(spec_path), str(tmp_path / "o")]) == 3
+    assert "lacks required key(s): seeds" in capsys.readouterr().err
+
+
+def test_query_on_snapshot_with_off_geometry_ledger_entry_is_data_error(
+    model_path, grid_pattern, capsys
+):
+    # A CRC-valid snapshot whose ledger holds a 2-winner code at Q=24.
+    model = load_model(model_path)
+    model.ledger.append(LedgerEntry("bad", InputPattern(tuple(range(12))), (0, 1)))
+    model_path.write_bytes(encode_model(model))
+    assert main(["query", str(model_path), str(grid_pattern)]) == 3
+    err = capsys.readouterr().err
+    assert "ledger entry 0 has 2 winners, expected 24" in err
+    assert "Traceback" not in err

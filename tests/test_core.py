@@ -432,3 +432,42 @@ def test_code_intersection_counts_matching_cms():
     assert code_intersection(np.array([1, 2, 3]), np.array([1, 0, 3])) == 2
     with pytest.raises(GeometryError):
         code_intersection(np.array([1]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("bad", [12.9, 12.0, "12", True, None])
+def test_geometry_rejects_non_integer_fields(bad):
+    with pytest.raises(GeometryError, match="must be an integer"):
+        ModelGeometry(bad, 12, 12, 24, 8)
+    with pytest.raises(GeometryError, match="must be an integer"):
+        ModelGeometry(12, 12, 12, 24, bad)
+
+
+def test_geometry_accepts_numpy_integers():
+    g = ModelGeometry(np.int64(12), np.uint8(12), np.int32(12), 24, np.int16(8))
+    assert g == ModelGeometry(12, 12, 12, 24, 8)
+    assert all(type(getattr(g, f.name)) is int for f in dataclasses.fields(g))
+
+
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3", None])
+def test_pattern_rejects_non_integer_indices(bad):
+    with pytest.raises(PatternError, match="must be integers"):
+        InputPattern((bad, 1, 2))
+
+
+def test_pattern_accepts_numpy_integers():
+    pat = InputPattern.from_indices(np.array([3, 1, 2], dtype=np.int64))
+    assert pat.active == (1, 2, 3)
+    assert all(type(p) is int for p in pat.active)
+    assert InputPattern((np.uint16(4), 0)).active == (0, 4)
+
+
+@pytest.mark.parametrize("bad", ["big", None, True, [1.0]])
+def test_params_reject_non_numbers(bad):
+    with pytest.raises(GeometryError, match="must be a number"):
+        CsaParams(eta_max=bad)
+
+
+@pytest.mark.parametrize("bad", [127.5, "127", True])
+def test_weight_quantum_rejects_non_integers(bad):
+    with pytest.raises(GeometryError, match="must be an integer"):
+        WeightMatrix(4, 4, w_max=bad)

@@ -1,5 +1,6 @@
 """Scenario harness: corpus construction, trial runs, emission."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import msdc
-from msdc import ScheduleError, oracle_nearest, oracle_similarity
+from msdc import GeometryError, ScheduleError, oracle_nearest, oracle_similarity
 from msdc.experiments import (
     ProbeSpec,
     ScenarioSpec,
@@ -232,3 +233,31 @@ def test_seed_range_shorthand():
 def test_emit_requires_records(spec_40, tmp_path):
     with pytest.raises(ScheduleError):
         emit_results([], spec_40, tmp_path)
+
+
+def test_probe_overlaps_must_be_integers():
+    with pytest.raises(ScheduleError, match="must be an integer"):
+        ProbeSpec("P", (5.9, 4, 2, 1, 0, 0))
+    assert ProbeSpec("P", np.array([5, 4, 2, 1, 0, 0])).overlaps == (5, 4, 2, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"seeds": (0.5, 1.7)}, ScheduleError, "seed must be an integer"),
+        ({"seeds": (0, -3)}, ScheduleError, "non-negative"),
+        ({"num_stored": 6.0}, ScheduleError, "num_stored must be an integer"),
+        ({"w_max": 127.5}, GeometryError, "w_max must be an integer"),
+        ({"w_max": 0}, GeometryError, "positive"),
+    ],
+)
+def test_scenario_spec_rejects_non_integral_values(change, error, message):
+    with pytest.raises(error, match=message):
+        dataclasses.replace(default_appendix_scenario(2), **change)
+
+
+def test_scenario_spec_accepts_numpy_integer_seeds():
+    base = default_appendix_scenario(3)
+    spec = dataclasses.replace(base, seeds=np.arange(3))
+    assert spec == base
+    assert all(type(s) is int for s in spec.seeds)

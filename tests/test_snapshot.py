@@ -1,6 +1,8 @@
 """Snapshot format: round-trips, exact layout, and distinct failure modes."""
 
 import struct
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from msdc import (
     random_pattern,
     save_model,
 )
+from msdc.memory import LedgerEntry
 from msdc.snapshot import decode_model, encode_model
 
 HEADER_BYTES = 117  # magic..ledger flag, per the documented layout
@@ -132,3 +135,46 @@ def test_no_ledger_round_trip(geometry, tmp_path):
     path = tmp_path / "m.msdc"
     save_model(model, path)
     assert load_model(path).ledger is None
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def encode_with_entry(geometry, label, active, code):
+    """A CRC-valid snapshot whose last ledger entry holds the given fields."""
+    model = populated_model(geometry, n=2)
+    model.ledger.append(LedgerEntry(label, SimpleNamespace(active=tuple(active)), tuple(code)))
+    return encode_model(model)
+
+
+@pytest.mark.parametrize(
+    "active, code, message",
+    [
+        (range(12), (0, 1), "2 winners, expected 24"),
+        (range(12), (0,) * 23 + (8,), "winner 8 outside"),
+        (range(11), (0,) * 24, "11 pixels, expected 12"),
+        (list(range(11)) + [144], (0,) * 24, "pixel 144 outside"),
+        ([0] + list(range(11)), (0,) * 24, "duplicate pixel"),
+    ],
+    ids=["winner-count", "winner-range", "pixel-count", "pixel-range", "pixel-duplicate"],
+)
+def test_ledger_entry_off_geometry_is_format_error(geometry, active, code, message):
+    blob = encode_with_entry(geometry, "bad", active, code)
+    with pytest.raises(SnapshotFormatError, match=message):
+        decode_model(blob)
+
+
+def test_ledger_label_not_utf8_is_format_error(geometry):
+    blob = encode_model(populated_model(geometry, n=2))
+    assert blob.count(b"item1") == 1
+    body = blob[:-CRC_BYTES].replace(b"item1", b"item\xff")
+    with pytest.raises(SnapshotFormatError, match="ledger entry 1 label is not valid UTF-8"):
+        decode_model(with_crc(body))
+
+
+def test_corrupted_label_byte_is_integrity_error(geometry):
+    # With the checksum left stale, a bad label reads as corruption.
+    blob = encode_model(populated_model(geometry, n=2))
+    with pytest.raises(SnapshotIntegrityError):
+        decode_model(blob.replace(b"item1", b"item\xff"))

@@ -5,7 +5,10 @@ Exit codes: 0 success, 2 usage error, 3 data error (bad pattern, geometry,
 config, schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
 a failed command never leaves a corrupt model behind.
 
-Every command is deterministic given its inputs and ``--seed``.  A JSON
+Every command is deterministic given its inputs and ``--seed``, a
+non-negative integer except on ``experiment``, where it offsets the
+scenario's seed list (a negative offset is fine while every seed stays
+non-negative).  A JSON
 ``--config`` file may supply geometry, params, ``w_max``, ``seed`` and
 ``ledger`` defaults; explicit flags win over the config file.
 """
@@ -58,6 +61,14 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _seed_flag(args) -> int | None:
+    """``--seed`` on the commands that seed a generator with it directly."""
+    seed = args.seed
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return seed
+
+
 def _resolved_config(args) -> dict:
     """Merge built-in defaults, --config file, and explicit flags."""
     file_cfg = _load_config_file(getattr(args, "config", None))
@@ -88,8 +99,9 @@ def _resolved_config(args) -> dict:
             cfg["params"][key] = value
     if getattr(args, "w_max", None) is not None:
         cfg["w_max"] = args.w_max
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    seed = _seed_flag(args)
+    if seed is not None:
+        cfg["seed"] = seed
     if getattr(args, "ledger", None) is not None:
         cfg["ledger"] = args.ledger
     return cfg
@@ -152,10 +164,11 @@ def cmd_init(args) -> int:
 
 
 def cmd_store(args) -> int:
+    seed = _seed_flag(args)
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
-    if args.seed is not None:
-        model.reseed(args.seed)
+    if seed is not None:
+        model.reseed(seed)
     label = args.label if args.label is not None else Path(args.pattern_path).stem
     code, trace = model.store(pattern, label)
     atomic_write_bytes(args.model_path, encode_model(model))
@@ -166,9 +179,10 @@ def cmd_store(args) -> int:
 
 
 def cmd_query(args) -> int:
+    seed = _seed_flag(args)
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
-    rng = np.random.default_rng(args.seed) if args.seed is not None else None
+    rng = np.random.default_rng(seed) if seed is not None else None
     report = model.belief_update(pattern, mode=args.mode, rng=rng)
     print(f"code: {' '.join(str(int(c)) for c in report.code)}")
     print(f"G={report.familiarity}")

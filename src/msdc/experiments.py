@@ -40,6 +40,8 @@ import io
 import json
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -318,41 +320,47 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
 
 def aggregate_records(records: Sequence[TrialRecord], spec: ScenarioSpec) -> list[dict]:
     """Per (probe, stored item): mean and stddev of intersection/likelihood."""
-    rows = []
     items = spec.stored_labels()
-    for probe in spec.probes:
-        probe_records = [r for r in records if r.probe == probe.label]
-        if not probe_records:
-            continue
-        for item in items:
-            inter = np.array([r.intersections[item] for r in probe_records], dtype=float)
-            like = np.array([r.likelihoods[item] for r in probe_records], dtype=float)
-            sims = {r.similarities[item] for r in probe_records}
-            assert len(sims) == 1, "corpus construction must not vary across seeds"
-            rows.append(
-                {
-                    "probe": probe.label,
-                    "item": item,
-                    "input_similarity": sims.pop(),
-                    "mean_intersection": float(inter.mean()),
-                    "std_intersection": float(inter.std()),
-                    "mean_likelihood": float(like.mean()),
-                    "std_likelihood": float(like.std()),
-                    "num_seeds": len(probe_records),
-                }
-            )
+    return [row for p in spec.probes for row in _probe_aggregates(records, p.label, items)]
+
+
+def _probe_aggregates(
+    records: Sequence[TrialRecord], probe_label: str, items: Sequence[str]
+) -> list[dict]:
+    """``aggregate_records``'s rows for one probe label, one per stored item."""
+    probe_records = [r for r in records if r.probe == probe_label]
+    if not probe_records:
+        return []
+    rows = []
+    for item in items:
+        inter = np.array([r.intersections[item] for r in probe_records], dtype=float)
+        like = np.array([r.likelihoods[item] for r in probe_records], dtype=float)
+        sims = {r.similarities[item] for r in probe_records}
+        assert len(sims) == 1, "corpus construction must not vary across seeds"
+        rows.append(
+            {
+                "probe": probe_label,
+                "item": item,
+                "input_similarity": sims.pop(),
+                "mean_intersection": float(inter.mean()),
+                "std_intersection": float(inter.std()),
+                "mean_likelihood": float(like.mean()),
+                "std_likelihood": float(like.std()),
+                "num_seeds": len(probe_records),
+            }
+        )
     return rows
 
 
 def similarity_rank_correlation(
     records: Sequence[TrialRecord], spec: ScenarioSpec, probe_label: str
 ) -> float:
-    """Spearman correlation of input similarity vs mean code intersection."""
-    rows = [
-        r
-        for r in aggregate_records(records, spec)
-        if r["probe"] == probe_label
-    ]
+    """Spearman correlation of input similarity vs mean code intersection.
+
+    Over the ``aggregate_records`` rows of ``probe_label``; NaN for a label
+    that no record carries.
+    """
+    rows = _probe_aggregates(records, probe_label, spec.stored_labels())
     sims = [r["input_similarity"] for r in rows]
     inter = [r["mean_intersection"] for r in rows]
     # Spearman is undefined when either side is constant: NaN, with no warning.
@@ -375,28 +383,95 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _trial_rows(records: Sequence[TrialRecord], spec: ScenarioSpec):
-    items = spec.stored_labels()
-    for r in records:
-        for item in items:
-            yield {
-                "seed": r.seed,
-                "probe": r.probe,
-                "item": item,
-                "input_similarity": r.similarities[item],
-                "code_intersection": r.intersections[item],
-                "likelihood": r.likelihoods[item],
-                "familiarity": r.familiarity,
-            }
-
-
 def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerows(rows)
     path.write_text(buf.getvalue())
+
+
+def _trial_csv_rows(records: Sequence[TrialRecord], items: Sequence[str]) -> list[tuple]:
+    """trials.csv rows, one per record and stored item, as ``_fmt`` gives them.
+
+    Floats become ``.10g`` text; ints pass through, since ``csv.writer``
+    writes them as ``str`` does.
+    """
+    rows = []
+    for r in records:
+        rows += zip(
+            repeat(r.seed),
+            repeat(r.probe),
+            items,
+            [format(r.similarities[i], ".10g") for i in items],
+            map(r.intersections.__getitem__, items),
+            [format(r.likelihoods[i], ".10g") for i in items],
+            repeat(format(r.familiarity, ".10g")),
+        )
+    return rows
+
+
+# What json.encoder writes for the non-finite floats, whose float.__repr__
+# text is "nan", "inf" or "-inf".
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_block(opener: str, lines: Sequence[str], closer: str, indent: int) -> str:
+    """A JSON array or object laid out as ``json.dumps(indent=2)`` does,
+    its closer at ``indent`` spaces and each line two deeper."""
+    if not lines:
+        return opener + closer
+    inner = "\n" + " " * (indent + 2)
+    return opener + inner + ("," + inner).join(lines) + "\n" + " " * indent + closer
+
+
+def _trial_json_records(
+    records: Sequence[TrialRecord], items: Sequence[str], num_codes: int
+) -> list[str]:
+    """Each record's object in the "trials" array of results.json, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it at depth two.
+
+    One ``%`` template for every record: keys in sorted order (the stored
+    labels sorted as strings, as ``sort_keys`` does), and each leaf encoded
+    as ``json.encoder`` encodes its declared type.  ``float.__repr__``, not
+    ``repr``, since a numpy float64 reprs as ``np.float64(...)``.
+    """
+    items = sorted(items)
+    entries = [encode_basestring_ascii(i) + ": %s" for i in items]
+    template = _json_block(
+        "{",
+        [
+            '"code": ' + _json_block("[", ["%s"] * num_codes, "]", 6),
+            '"eta": %s',
+            '"familiarity": %s',
+            '"intersections": ' + _json_block("{", entries, "}", 6),
+            '"likelihoods": ' + _json_block("{", entries, "}", 6),
+            '"probe": %s',
+            '"seed": %s',
+            '"similarities": ' + _json_block("{", entries, "}", 6),
+        ],
+        "}",
+        4,
+    )
+    return [
+        template
+        % (
+            *map(int.__repr__, r.code),
+            _json_float(r.eta),
+            _json_float(r.familiarity),
+            *map(int.__repr__, map(r.intersections.__getitem__, items)),
+            *map(_json_float, map(r.likelihoods.__getitem__, items)),
+            encode_basestring_ascii(r.probe),
+            int.__repr__(r.seed),
+            *map(_json_float, map(r.similarities.__getitem__, items)),
+        )
+        for r in records
+    ]
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
@@ -497,44 +572,49 @@ def emit_results(
     """Write trial rows, aggregates, and the resolved scenario config.
 
     Output is a pure function of (spec, records): identical runs produce
-    byte-identical files.
+    byte-identical files.  ``results.json`` is the
+    ``json.dumps(payload, indent=2, sort_keys=True)`` text of
+    ``{"aggregates", "scenario", "trials"}``, and the CSVs are what
+    ``csv.writer`` writes for ``_fmt``-formatted cells.  The small
+    sections go through those encoders; the trial sections are written by
+    fixed-layout writers that reproduce them byte for byte.  Those writers
+    take each leaf as ``TrialRecord`` declares it: ints (not bools) for
+    ``seed``, ``code`` and ``intersections``, floats (numpy float64
+    included) for the rest, and one entry per stored label in each mapping.
     """
     if not records:
         raise ScheduleError("no trial records to emit")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     aggregates = aggregate_records(records, spec)
+    scenario = scenario_to_dict(spec)
+    items = spec.stored_labels()
     written = []
     if "csv" in formats:
         trials_path = out_dir / "trials.csv"
-        _write_csv(trials_path, TRIAL_COLUMNS, _trial_rows(records, spec))
+        _write_csv(trials_path, TRIAL_COLUMNS, _trial_csv_rows(records, items))
         agg_path = out_dir / "aggregate.csv"
-        _write_csv(agg_path, AGGREGATE_COLUMNS, aggregates)
+        _write_csv(
+            agg_path,
+            AGGREGATE_COLUMNS,
+            ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates),
+        )
         written += [trials_path, agg_path]
     if "json" in formats:
-        payload = {
-            "scenario": scenario_to_dict(spec),
-            "trials": [
-                {
-                    "seed": r.seed,
-                    "probe": r.probe,
-                    "familiarity": r.familiarity,
-                    "eta": r.eta,
-                    "code": list(r.code),
-                    "similarities": r.similarities,
-                    "intersections": r.intersections,
-                    "likelihoods": r.likelihoods,
-                }
-                for r in records
-            ],
-            "aggregates": aggregates,
-        }
+        head = json.dumps(
+            {"aggregates": aggregates, "scenario": scenario}, indent=2, sort_keys=True
+        )
+        trials = _json_block(
+            "[",
+            _trial_json_records(records, items, spec.geometry.num_cms),
+            "]",
+            2,
+        )
+        # "trials" sorts last, so it goes where head's closing "\n}" was.
         json_path = out_dir / "results.json"
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        json_path.write_text(f'{head[:-2]},\n  "trials": {trials}\n}}\n')
         written.append(json_path)
     config_path = out_dir / "scenario.json"
-    config_path.write_text(
-        json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n"
-    )
+    config_path.write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n")
     written.append(config_path)
     return written

@@ -211,6 +211,24 @@ def test_experiment_seed_offsets_deterministically(tmp_path, capsys):
     assert (outs[2] / "trials.csv").read_bytes() != same
 
 
+def test_experiment_negative_seed_offset_keeps_seeds_non_negative(tmp_path, capsys):
+    spec = {
+        "name": "tiny",
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [{"label": "I7", "overlaps": [5, 4, 2, 1, 0, 0]}],
+        "seeds": [5, 6, 7],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["experiment", str(spec_path), str(out), "--seed", "-5"]) == 0
+    assert json.loads((out / "scenario.json").read_text())["seeds"] == [0, 1, 2]
+    assert main(["experiment", str(spec_path), str(tmp_path / "o2"), "--seed", "-6"]) == 3
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_experiment_missing_spec_file_is_io_error(tmp_path, capsys):
     assert main(["experiment", str(tmp_path / "nope.json"), str(tmp_path / "o")]) == 4
 
@@ -275,6 +293,19 @@ def test_malformed_config_is_data_error(tmp_path, capsys, command, config, messa
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["init", "store", "query", "bench"])
+def test_negative_seed_flag_is_data_error(model_path, grid_pattern, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    operands = [model_path, grid_pattern] if command in ("store", "query") else [out]
+    before = model_path.read_bytes()
+    assert main([command, *map(str, operands), "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert "--seed must be non-negative, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert model_path.read_bytes() == before
 
 
 def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path, capsys):

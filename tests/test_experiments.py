@@ -1,6 +1,8 @@
 """Scenario harness: corpus construction, trial runs, emission."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -15,8 +17,12 @@ import pytest
 import msdc
 from msdc import GeometryError, ScheduleError, oracle_nearest, oracle_similarity
 from msdc.experiments import (
+    APPENDIX_GEOMETRY,
+    AGGREGATE_COLUMNS,
+    TRIAL_COLUMNS,
     ProbeSpec,
     ScenarioSpec,
+    TrialRecord,
     _average_ranks,
     aggregate_records,
     build_appendix_corpus,
@@ -130,6 +136,24 @@ def test_rank_correlation_ties_and_constant_input():
     assert math.isnan(rho)
 
 
+def test_rank_correlation_matches_the_full_aggregate(spec_40, records_40):
+    # One probe's aggregate gives the same float as all probes' aggregate
+    # filtered to it, an unknown label (NaN) included.
+    def reference(label):
+        rows = [r for r in aggregate_records(records_40, spec_40) if r["probe"] == label]
+        ranks = [_average_ranks([r[k] for r in rows])
+                 for k in ("input_similarity", "mean_intersection")]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return float(np.corrcoef(*ranks)[1, 0])
+
+    for label in ("I7", "I8", "I9"):
+        assert similarity_rank_correlation(records_40, spec_40, label) == reference(label)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert math.isnan(reference("nope"))
+        assert math.isnan(similarity_rank_correlation(records_40, spec_40, "nope"))
+
+
 def test_experiments_import_leaves_scipy_unloaded():
     src = str(Path(msdc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -170,6 +194,102 @@ def test_emitted_csv_layout(spec_40, records_40, tmp_path):
     # Sidecar provenance: the resolved scenario rides along with the CSVs.
     scenario = json.loads((tmp_path / "scenario.json").read_text())
     assert scenario == scenario_to_dict(spec_40)
+
+
+def reference_emit(records, spec, out_dir):
+    """``emit_results`` through the generic encoders: one ``json.dumps`` of
+    the whole payload, and one ``csv.writer`` row of ``fmt`` cells per row."""
+    def fmt(value):
+        return format(value, ".10g") if isinstance(value, float) else str(value)
+
+    def write_csv(path, columns, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row[c]) for c in columns])
+        path.write_text(buf.getvalue())
+
+    out_dir.mkdir()
+    aggregates = aggregate_records(records, spec)
+    items = spec.stored_labels()
+    write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, [
+        {"seed": r.seed, "probe": r.probe, "item": item,
+         "input_similarity": r.similarities[item],
+         "code_intersection": r.intersections[item],
+         "likelihood": r.likelihoods[item], "familiarity": r.familiarity}
+        for r in records for item in items
+    ])
+    write_csv(out_dir / "aggregate.csv", AGGREGATE_COLUMNS, aggregates)
+    payload = {
+        "scenario": scenario_to_dict(spec),
+        "trials": [
+            {"seed": r.seed, "probe": r.probe, "familiarity": r.familiarity, "eta": r.eta,
+             "code": list(r.code), "similarities": r.similarities,
+             "intersections": r.intersections, "likelihoods": r.likelihoods}
+            for r in records
+        ],
+        "aggregates": aggregates,
+    }
+    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "scenario.json").write_text(
+        json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def hand_built_trials():
+    """Twelve stored items (so "I10" sorts before "I2"), probe labels that
+    need quoting or escaping, non-finite and signed-zero floats, and numpy
+    float64 leaves."""
+    probes = ('say "hi"', "a,b", "two\nlines", "ünïcödé ✓", "100%s %d")
+    spec = ScenarioSpec(
+        name="odd", geometry=APPENDIX_GEOMETRY, params=default_appendix_scenario(1).params,
+        w_max=127, num_stored=12, probes=tuple(ProbeSpec(p, (0,) * 12) for p in probes),
+        seeds=(3, 0, 11),
+    )
+    labels = spec.stored_labels()
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, np.float64(0.1), np.float64(math.nan),
+           5e-324, 1e-7, 1e16, 123456789.12345679, -2.5]
+    gen = np.random.default_rng(7)
+    # I1's similarity is zero for every probe, and seed 0 writes it as -0.0:
+    # equal, so the aggregate holds, but its JSON and CSV text differ.
+    sims = {p: [0.0] + [int(gen.integers(0, 13)) / 12 for _ in labels[1:]] for p in probes}
+    records = []
+    for k, seed in enumerate(spec.seeds):
+        for j, probe in enumerate(probes):
+            order = [int(i) for i in gen.permutation(len(labels))]
+            inter = [int(x) for x in gen.integers(0, 25, len(labels))]
+            records.append(TrialRecord(
+                seed=seed,
+                probe=probe,
+                familiarity=odd[(3 * k + j) % len(odd)],
+                eta=odd[(5 * k + 2 * j + 1) % len(odd)],
+                code=tuple(int(c) for c in gen.integers(0, 8, 24)),
+                similarities={labels[i]: -0.0 if seed == 0 and sims[probe][i] == 0
+                              else np.float64(sims[probe][i]) if i % 2 else sims[probe][i]
+                              for i in order},
+                intersections={labels[i]: inter[i] for i in order},
+                likelihoods={labels[i]: -0.0 if inter[i] == 0 and i % 2
+                             else np.float64(inter[i] / 24) for i in order},
+            ))
+    return spec, records
+
+
+def files_of(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("case", ["hand-built", "appendix"])
+def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path, case):
+    spec, records = hand_built_trials() if case == "hand-built" else (spec_40, records_40)
+    reference_emit(records, spec, tmp_path / "reference")
+    want = files_of(tmp_path / "reference")
+    emit_results(records, spec, tmp_path / "both")
+    assert files_of(tmp_path / "both") == want
+    for fmt, names in (("csv", ["aggregate.csv", "scenario.json", "trials.csv"]),
+                       ("json", ["results.json", "scenario.json"])):
+        emit_results(records, spec, tmp_path / fmt, formats=(fmt,))
+        assert files_of(tmp_path / fmt) == {name: want[name] for name in names}
 
 
 def test_hard_retrieve_of_ramped_probe_recovers_best_match_code():

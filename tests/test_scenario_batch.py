@@ -16,6 +16,7 @@ from msdc.experiments import (
     _seed_block_size,
     build_appendix_corpus,
     default_appendix_scenario,
+    emit_results,
     run_scenario,
 )
 
@@ -26,6 +27,23 @@ APPENDIX_SHA256 = {
     "results.json": "6af445bf3dfa28fe4927a03fab01fb0ec1cbcb01261a54908662b62f4019119b",
     "scenario.json": "567f5922dbba9519d9f8d2d962b18c4109b34ab6cd5f8097ecb95a2667697e61",
     "trials.csv": "8f5de386a186b89b498634bf87e9f900950e36992aef90ff724e3aeacf982d05",
+}
+
+# The same for two more 200-seed blocks of the appendix scenario, as
+# emit_results wrote them through json.dumps and one csv row at a time.
+EMIT_SHA256 = {
+    ("hard", 0): {
+        "aggregate.csv": "9f29ed629ac8965e10a046923ed47b8ff512c7a581ea5b3bda5bf0add413bbcc",
+        "results.json": "35c1b52af0c90bca7f42077a9de02d1b59dd5cd2ab67283444af6b7d561ea0b1",
+        "scenario.json": "577eb7ec03c735dd6f0ae756479e59e3b2881498cd7a22926934e47e0192d122",
+        "trials.csv": "15524e80318fd1fec864945e46aa0c71bf9c349b77dcd10a74b6fb329e2c9e40",
+    },
+    ("soft", 5000): {
+        "aggregate.csv": "4096d73edb632278ff55248bc8921c3351855092d3a7b7098f142f6f7c21b5dc",
+        "results.json": "c5b780f6c8e0daa392e3d108ec9a531a7dbcd9d0a99008cd9d1d3b747a9c30e3",
+        "scenario.json": "68e94a3ba73cb2e2f27a9d02bac41fee29e6f4d22bd8c070659b03117c4a66b2",
+        "trials.csv": "6f558eb50b30dc4b378050f05d9a1d4f41bdef974b2e735faa6aa90c73e2143a",
+    },
 }
 
 BLOCK = _seed_block_size(APPENDIX_GEOMETRY)
@@ -89,6 +107,17 @@ def test_appendix_output_is_pinned(tmp_path, capsys):
         for name in APPENDIX_SHA256
     }
     assert got == APPENDIX_SHA256
+
+
+@pytest.mark.parametrize("mode, first", list(EMIT_SHA256))
+def test_emitted_files_are_pinned(tmp_path, mode, first):
+    spec = appendix(range(first, first + 200), mode=mode)
+    emit_results(run_scenario(spec), spec, tmp_path)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in EMIT_SHA256[mode, first]
+    }
+    assert got == EMIT_SHA256[mode, first]
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])

@@ -16,7 +16,6 @@ from .core import (
     InputPattern,
     ModelGeometry,
     OpCounter,
-    W_MAX_DEFAULT,
     WeightMatrix,
     apply_learning,
     code_intersection,
@@ -80,7 +79,6 @@ __all__ = [
     "SnapshotIntegrityError",
     "SnapshotTruncatedError",
     "SnapshotVersionError",
-    "W_MAX_DEFAULT",
     "WeightMatrix",
     "apply_learning",
     "code_intersection",

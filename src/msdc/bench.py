@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CsaParams, InputPattern, ModelGeometry, W_MAX_DEFAULT, random_pattern
+from .core import CsaParams, InputPattern, ModelGeometry, W_MAX, random_pattern
 from .errors import GeometryError
 from .memory import MemoryModel
 
@@ -54,7 +54,6 @@ class CheckpointResult:
 class ScalingReport:
     geometry: ModelGeometry
     params: CsaParams
-    w_max: int
     seed: int
     trials_per_checkpoint: int
     checkpoints: tuple[CheckpointResult, ...]
@@ -94,7 +93,6 @@ def _summarize(times_ns: list[int], trials: int) -> LatencySummary:
 def run_scaling_bench(
     geometry: ModelGeometry | None = None,
     params: CsaParams | None = None,
-    w_max: int = W_MAX_DEFAULT,
     checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS,
     trials_per_checkpoint: int = 50,
     seed: int = 0,
@@ -114,7 +112,7 @@ def run_scaling_bench(
             f"input space too small to draw {needed} distinct patterns"
         )
 
-    model = MemoryModel(geometry, params, w_max=w_max, seed=seed)
+    model = MemoryModel(geometry, params, seed=seed)
     patterns = _PatternStream(geometry, np.random.default_rng((seed, 1)))
 
     # Phase 1: grow the model, snapshotting it and its exact single-store
@@ -168,7 +166,6 @@ def run_scaling_bench(
     return ScalingReport(
         geometry=geometry,
         params=params,
-        w_max=w_max,
         seed=seed,
         trials_per_checkpoint=trials_per_checkpoint,
         checkpoints=tuple(results),
@@ -181,7 +178,7 @@ def report_to_dict(report: ScalingReport) -> dict:
         "config": {
             "geometry": asdict(report.geometry),
             "params": asdict(report.params),
-            "w_max": report.w_max,
+            "w_max": W_MAX,
             "seed": report.seed,
             "trials_per_checkpoint": report.trials_per_checkpoint,
         },

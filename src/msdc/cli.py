@@ -9,8 +9,9 @@ Every command is deterministic given its inputs and ``--seed``, a
 non-negative integer except on ``experiment``, where it offsets the
 scenario's seed list (a negative offset is fine while every seed stays
 non-negative).  A JSON
-``--config`` file may supply geometry, params, ``w_max``, ``seed`` and
-``ledger`` defaults; explicit flags win over the config file.
+``--config`` file may supply geometry, params, ``seed`` and ``ledger``
+defaults; explicit flags win over the config file.  It may also hold
+``w_max``, which must be 127, the fixed weight quantum.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .core import (
     CsaParams,
     InputPattern,
     ModelGeometry,
-    W_MAX_DEFAULT,
     _as_int,
+    _check_w_max,
     _config_object,
 )
 from .errors import ConfigError, MsdcError, PatternError
@@ -47,13 +48,15 @@ _CONFIG_KEYS = ("geometry", "params", "w_max", "seed", "ledger")
 
 
 def _load_config_file(path: str | None) -> dict:
-    """The --config file's object.  Its shape, seed and ledger flag are
-    checked here; geometry, params and ``w_max`` by the types they build."""
+    """The --config file's object.  Its shape, ``w_max``, seed and ledger
+    flag are checked here; geometry and params by the types they build."""
     if path is None:
         return {}
     data = _config_object(json.loads(Path(path).read_text()), "config", _CONFIG_KEYS)
     _config_object(data.get("geometry", {}), "config geometry", _GEOMETRY_KEYS)
     _config_object(data.get("params", {}), "config params", _PARAM_KEYS)
+    if "w_max" in data:
+        _check_w_max(data["w_max"], "config w_max", ConfigError)
     if "seed" in data and _as_int(data["seed"], "config seed", ConfigError) < 0:
         raise ConfigError(f"config seed must be non-negative, got {data['seed']}")
     if not isinstance(data.get("ledger", True), bool):
@@ -85,7 +88,6 @@ def _resolved_config(args) -> dict:
     cfg = {
         "geometry": geometry,
         "params": params,
-        "w_max": file_cfg.get("w_max", W_MAX_DEFAULT),
         "seed": file_cfg.get("seed", 0),
         "ledger": file_cfg.get("ledger", True),
     }
@@ -97,8 +99,6 @@ def _resolved_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg["params"][key] = value
-    if getattr(args, "w_max", None) is not None:
-        cfg["w_max"] = args.w_max
     seed = _seed_flag(args)
     if seed is not None:
         cfg["seed"] = seed
@@ -149,13 +149,7 @@ def cmd_init(args) -> int:
     cfg = _resolved_config(args)
     geometry = ModelGeometry(**cfg["geometry"])
     params = CsaParams(**cfg["params"])
-    model = MemoryModel(
-        geometry,
-        params,
-        w_max=cfg["w_max"],
-        seed=cfg["seed"],
-        enable_ledger=cfg["ledger"],
-    )
+    model = MemoryModel(geometry, params, seed=cfg["seed"], enable_ledger=cfg["ledger"])
     atomic_write_bytes(args.model_path, encode_model(model))
     print(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
           f"{geometry.units_per_cm} units, {geometry.input_width}x"
@@ -223,7 +217,6 @@ def cmd_bench(args) -> int:
     report = bench_mod.run_scaling_bench(
         geometry=ModelGeometry(**cfg["geometry"]),
         params=CsaParams(**cfg["params"]),
-        w_max=cfg["w_max"],
         checkpoints=args.checkpoints,
         trials_per_checkpoint=args.trials,
         seed=cfg["seed"],
@@ -265,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="active pixels per pattern (S)")
     p.add_argument("--cms", dest="num_cms", type=int, help="competitive modules (Q)")
     p.add_argument("--units", dest="units_per_cm", type=int, help="units per CM (K)")
-    p.add_argument("--w-max", dest="w_max", type=int, help="weight quantum")
     p.add_argument("--eta-max", dest="eta_max", type=float)
     p.add_argument("--steepness", dest="steepness", type=float)
     p.add_argument("--midpoint", dest="midpoint", type=float)
@@ -312,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                       ("num_active", "--active"), ("num_cms", "--cms"),
                       ("units_per_cm", "--units")):
         p.add_argument(flag, dest=key, type=int)
-    p.add_argument("--w-max", dest="w_max", type=int)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,15 +2,19 @@
 
 A coding field is ``Q`` winner-take-all competitive modules (CMs) of ``K``
 binary units each, fully connected to a binary pixel grid through a binary
-weight matrix (weight quantum ``w_max``, 127 by convention, so a set weight
-reads as 127 and an unset one as 0).  A code names exactly one winning unit
-per CM.  Unit ``k`` of CM ``q`` occupies flat column ``q * K + k`` of the
-weight matrix.
+weight matrix.  The weight quantum is the constant ``W_MAX`` = 127: a set
+weight reads as 127 and an unset one as 0.  ``U = u / (S * W_MAX)`` cancels
+the quantum exactly, so its value cannot change a code; it is fixed so that
+traces and files keep reading 127, and ``_check_w_max`` is the one rule by
+which an input file's ``w_max`` field is accepted.
+
+A code names exactly one winning unit per CM.  Unit ``k`` of CM ``q``
+occupies flat column ``q * K + k`` of the weight matrix.
 
 Code selection runs a fixed sequence of array steps:
 
 ``u``     raw input summation per unit (total weight from active pixels)
-``U``     ``u`` normalized into [0, 1] by ``S * w_max``
+``U``     ``u`` normalized into [0, 1] by ``S * W_MAX``
 ``G``     familiarity: the mean over CMs of the per-CM max of ``U``
 ``eta``   noise control: the ceiling of the win-weight transform; 0 for a
           totally novel input, rising toward ``eta_max`` with familiarity
@@ -44,7 +48,8 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, MsdcError, PatternError
 
-W_MAX_DEFAULT = 127
+# The weight quantum: a set weight reads as this, an unset one as 0.
+W_MAX = 127
 
 # np.exp overflows float64 just above 709; clipping the argument keeps the
 # sigmoid exact in float64 wherever it is distinguishable from its limits.
@@ -63,6 +68,17 @@ def _as_int(value, name: str, error: type[MsdcError]) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _check_w_max(value, name: str, error: type[MsdcError]) -> None:
+    """Accept a ``w_max`` field read from a file only if it is ``W_MAX``.
+
+    Every file this program writes holds 127.  Any other value, a float such
+    as 127.0 or a bool included, raises ``error`` rather than being ignored,
+    which would silently rescale the raw summations a trace reports.
+    """
+    if _as_int(value, name, error) != W_MAX:
+        raise error(f"{name} must be {W_MAX}, the fixed weight quantum, got {value!r}")
 
 
 def _config_object(
@@ -139,13 +155,17 @@ class InputPattern:
 
     def __post_init__(self):
         try:
-            cells = tuple(sorted(map(operator.index, self.active)))
+            active = tuple(self.active)  # a tuple passes through uncopied
+            cells = tuple(sorted(map(operator.index, active)))
         except TypeError as exc:
             raise PatternError(f"pixel indices must be integers: {exc}") from None
         if len(set(cells)) != len(cells):
             raise PatternError("duplicate pixel indices in pattern")
         if cells and cells[0] < 0:
             raise PatternError("negative pixel index in pattern")
+        # operator.index turns a bool into 0 or 1, so only then can one hide.
+        if cells and cells[0] <= 1 and bool in map(type, active):
+            raise PatternError("pixel indices must be integers, not bools")
         object.__setattr__(self, "active", cells)
 
     @classmethod
@@ -186,21 +206,13 @@ class WeightMatrix:
     """Binary weights from input pixels to coding units.
 
     Stored as a 0/1 bit plane of shape (num_pixels, num_units); a set bit
-    reads as ``w_max``.  Bits only ever go 0 -> 1 (learning never clears a
+    reads as ``W_MAX``.  Bits only ever go 0 -> 1 (learning never clears a
     weight), so the matrix is monotone over a model's lifetime.
     """
 
-    __slots__ = ("bits", "w_max")
+    __slots__ = ("bits",)
 
-    def __init__(
-        self,
-        num_pixels: int,
-        num_units: int,
-        w_max: int = W_MAX_DEFAULT,
-        bits: np.ndarray | None = None,
-    ):
-        if _as_int(w_max, "w_max", GeometryError) < 1:
-            raise GeometryError(f"w_max must be a positive integer, got {w_max}")
+    def __init__(self, num_pixels: int, num_units: int, bits: np.ndarray | None = None):
         if bits is None:
             bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
         else:
@@ -212,7 +224,6 @@ class WeightMatrix:
             if bits.max(initial=0) > 1:
                 raise GeometryError("weight bits must be 0 or 1")
         self.bits = bits
-        self.w_max = int(w_max)
 
     @property
     def num_pixels(self) -> int:
@@ -222,17 +233,11 @@ class WeightMatrix:
     def num_units(self) -> int:
         return self.bits.shape[1]
 
-    def values(self) -> np.ndarray:
-        """The weights as integers in {0, w_max}."""
-        return self.bits.astype(np.int64) * self.w_max
-
     def set_count(self) -> int:
         return int(self.bits.sum())
 
     def copy(self) -> "WeightMatrix":
-        return WeightMatrix(
-            self.num_pixels, self.num_units, self.w_max, bits=self.bits.copy()
-        )
+        return WeightMatrix(self.num_pixels, self.num_units, bits=self.bits.copy())
 
 
 @dataclass(frozen=True)
@@ -305,10 +310,6 @@ class OpCounter:
         d["total"] = self.total()
         return d
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def copy(self) -> "OpCounter":
         return OpCounter(**{f.name: getattr(self, f.name) for f in fields(self)})
 
@@ -365,7 +366,7 @@ def compute_u(
     """Raw input summation: per unit, the total weight from active pixels.
 
     Returns an integer array of shape (Q, K); entries lie in
-    [0, S * w_max].
+    [0, S * W_MAX].
     """
     geometry.validate_pattern(pattern)
     if (weights.num_pixels, weights.num_units) != (
@@ -379,19 +380,16 @@ def compute_u(
     rows = weights.bits[np.asarray(pattern.active, dtype=np.intp)]
     if counter is not None:
         counter.weight_reads += rows.size
-    u = rows.sum(axis=0, dtype=np.int64) * weights.w_max
+    u = rows.sum(axis=0, dtype=np.int64) * W_MAX
     return u.reshape(geometry.num_cms, geometry.units_per_cm)
 
 
 def normalize_u(
-    u: np.ndarray,
-    num_active: int,
-    w_max: int,
-    counter: OpCounter | None = None,
+    u: np.ndarray, num_active: int, counter: OpCounter | None = None
 ) -> np.ndarray:
-    """Scale raw summations into [0, 1] by the maximum possible S * w_max."""
+    """Scale raw summations into [0, 1] by the maximum possible S * W_MAX."""
     u = np.asarray(u)
-    ceiling = num_active * w_max
+    ceiling = num_active * W_MAX
     if u.size and (u.min() < 0 or u.max() > ceiling):
         raise ValueError(f"raw summation outside [0, {ceiling}]")
     if counter is not None:
@@ -544,7 +542,6 @@ def _select_batch(
     active: np.ndarray,
     geometry: ModelGeometry,
     params: CsaParams,
-    w_max: int,
     mode: str,
     r: np.ndarray,
     stored: np.ndarray | None = None,
@@ -563,14 +560,12 @@ def _select_batch(
     row's stored codes, nothing is written, and the readout is the (B, N)
     code intersections.
     """
-    q, k = geometry.num_cms, geometry.units_per_cm
-    ceiling = geometry.num_active * w_max
+    q, k, s = geometry.num_cms, geometry.units_per_cm, geometry.num_active
     # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = bits[:, active].sum(axis=1, dtype=np.min_scalar_type(geometry.num_active))
-    u = count.astype(np.int64) * w_max
-    if u.min() < 0 or u.max() > ceiling:
-        raise ValueError(f"raw summation outside [0, {ceiling}]")
-    u_norm = (u / float(ceiling)).reshape(len(bits), q, k)
+    count = bits[:, active].sum(axis=1, dtype=np.min_scalar_type(s))
+    # count / S is exactly u / (S * W_MAX): IEEE division rounds the same
+    # exact quotient either way.
+    u_norm = (count / float(s)).reshape(len(bits), q, k)
     per_cm_max = u_norm.max(axis=2)
     g = per_cm_max.mean(axis=1).tolist()
     eta = [eta_for_familiarity(x, params) for x in g]

@@ -51,12 +51,13 @@ from .core import (
     CsaParams,
     InputPattern,
     ModelGeometry,
-    W_MAX_DEFAULT,
+    W_MAX,
     _as_int,
+    _check_w_max,
     _config_object,
     _select_batch,
 )
-from .errors import ConfigError, GeometryError, ScheduleError
+from .errors import ConfigError, ScheduleError
 from .memory import MemoryModel
 from .oracle import oracle_similarity
 
@@ -111,7 +112,6 @@ class ScenarioSpec:
     name: str
     geometry: ModelGeometry
     params: CsaParams
-    w_max: int
     num_stored: int
     probes: tuple[ProbeSpec, ...]
     seeds: tuple[int, ...]
@@ -122,20 +122,21 @@ class ScenarioSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "probes", tuple(self.probes))
+        seen = set()
+        for probe in self.probes:
+            if probe.label in seen:
+                raise ScheduleError(f"two probes are labelled {probe.label!r}")
+            seen.add(probe.label)
         seeds = tuple(_as_int(s, "seed", ScheduleError) for s in self.seeds)
         object.__setattr__(self, "seeds", seeds)
         num_stored = _as_int(self.num_stored, "num_stored", ScheduleError)
         object.__setattr__(self, "num_stored", num_stored)
-        w_max = _as_int(self.w_max, "w_max", GeometryError)
-        object.__setattr__(self, "w_max", w_max)
         if num_stored < 1:
             raise ScheduleError("scenario needs at least one stored pattern")
         if not seeds:
             raise ScheduleError("scenario needs at least one seed")
         if min(seeds) < 0:
             raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
-        if w_max < 1:
-            raise GeometryError(f"w_max must be a positive integer, got {w_max}")
         if self.mode not in ("soft", "hard"):
             raise ScheduleError(f"unknown retrieval mode {self.mode!r}")
         if self.store_order is not None:
@@ -155,7 +156,6 @@ def default_appendix_scenario(num_seeds: int = 200) -> ScenarioSpec:
         name="appendix",
         geometry=APPENDIX_GEOMETRY,
         params=CsaParams(),
-        w_max=W_MAX_DEFAULT,
         num_stored=6,
         probes=(
             ProbeSpec("I7", APPENDIX_I7_OVERLAPS),
@@ -276,7 +276,7 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         # block's stacked planes stand in for them.
         draws = np.stack(
             [
-                MemoryModel(g, spec.params, w_max=spec.w_max, seed=seed)
+                MemoryModel(g, spec.params, seed=seed)
                 .rng.random(num_draws)
                 .reshape(-1, g.num_cms)
                 for seed in seeds
@@ -286,7 +286,7 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
         ledger = np.stack(
             [
-                _select_batch(bits, active, g, spec.params, spec.w_max, "soft", r)[0]
+                _select_batch(bits, active, g, spec.params, "soft", r)[0]
                 for active, r in zip(store_pixels, draws)
             ],
             axis=1,
@@ -294,7 +294,7 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         readouts = []
         for active, r in zip(probe_pixels, draws[len(stored) :]):
             code, fam, eta, inter = _select_batch(
-                bits, active, g, spec.params, spec.w_max, spec.mode, r, ledger
+                bits, active, g, spec.params, spec.mode, r, ledger
             )
             readouts.append(
                 (code.tolist(), fam, eta, inter.tolist(), (inter / g.num_cms).tolist())
@@ -479,7 +479,7 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "name": spec.name,
         "geometry": asdict(spec.geometry),
         "params": asdict(spec.params),
-        "w_max": spec.w_max,
+        "w_max": W_MAX,
         "num_stored": spec.num_stored,
         "probes": [{"label": p.label, "overlaps": list(p.overlaps)} for p in spec.probes],
         "seeds": list(spec.seeds),
@@ -508,10 +508,12 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     """Parse a scenario config, rejecting any shape but the documented one.
 
     A wrong shape (not an object, an unknown or missing key, a section of
-    the wrong JSON type) raises ``ConfigError``; the spec types then check
-    the values.
+    the wrong JSON type) raises ``ConfigError``, as does a ``w_max`` other
+    than 127; the spec types then check the values.
     """
     data = _config_object(data, "scenario", _SCENARIO_KEYS, _SCENARIO_REQUIRED)
+    if "w_max" in data:
+        _check_w_max(data["w_max"], "scenario w_max", ConfigError)
     seeds = data["seeds"]
     if isinstance(seeds, dict):
         seeds = _config_object(seeds, "scenario seeds", ("start", "count"), ("start", "count"))
@@ -543,7 +545,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
                 data.get("params", {}), "scenario params", [f.name for f in fields(CsaParams)]
             )
         ),
-        w_max=data.get("w_max", W_MAX_DEFAULT),
         num_stored=data["num_stored"],
         probes=tuple(ProbeSpec(p["label"], tuple(p["overlaps"])) for p in probes),
         seeds=tuple(seeds),

@@ -41,7 +41,7 @@ from .core import (
     InputPattern,
     ModelGeometry,
     OpCounter,
-    W_MAX_DEFAULT,
+    W_MAX,
     WeightMatrix,
     apply_learning,
     compute_u,
@@ -130,13 +130,12 @@ class MemoryModel:
         self,
         geometry: ModelGeometry,
         params: CsaParams | None = None,
-        w_max: int = W_MAX_DEFAULT,
         seed: int = 0,
         enable_ledger: bool = False,
     ):
         self.geometry = geometry
         self.params = params if params is not None else CsaParams()
-        self.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, w_max)
+        self.weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
         self.rng = np.random.default_rng(seed)
         self.ledger: list[LedgerEntry] | None = [] if enable_ledger else None
         self.op_counter = OpCounter()
@@ -144,7 +143,8 @@ class MemoryModel:
 
     @property
     def w_max(self) -> int:
-        return self.weights.w_max
+        """The weight quantum, always ``W_MAX``."""
+        return W_MAX
 
     def reseed(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
@@ -157,7 +157,7 @@ class MemoryModel:
         counter: OpCounter | None,
     ) -> tuple[np.ndarray, CsaTrace]:
         u = compute_u(pattern, self.weights, self.geometry, counter)
-        u_norm = normalize_u(u, self.geometry.num_active, self.w_max, counter)
+        u_norm = normalize_u(u, self.geometry.num_active, counter)
         g = familiarity(u_norm, counter)
         eta = eta_for_familiarity(g, self.params, counter)
         mu = mu_from_u(u_norm, eta, self.params, counter)

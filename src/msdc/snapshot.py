@@ -8,7 +8,7 @@ Layout (all integers little-endian; bit-packed bytes little bit order):
     6       2     reserved (0)
     8       20    geometry: input_width, input_height, num_active,
                   num_cms, units_per_cm (5 x u32)
-    28      4     w_max (u32)
+    28      4     w_max (u32), always 127
     32      40    params: eta_max, steepness, midpoint, g_floor,
                   g_exponent (5 x f64)
     72      16    RNG state (u128)
@@ -27,9 +27,10 @@ Layout (all integers little-endian; bit-packed bytes little bit order):
 Round-trips are bit-exact: a loaded model produces traces identical to the
 saved one for the same inputs.  Loading never yields a partial model; any
 defect raises before construction (distinct errors for wrong version,
-truncation, and checksum mismatch).  After the checksum, every ledger entry
-is checked against the geometry (S pixels inside the grid, Q winners below
-K, a UTF-8 label); a bad entry raises ``SnapshotFormatError``.
+truncation, and checksum mismatch).  After the checksum, the ``w_max`` field
+must be 127 and every ledger entry is checked against the geometry (S pixels
+inside the grid, Q winners below K, a UTF-8 label); either defect raises
+``SnapshotFormatError``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CsaParams, InputPattern, ModelGeometry, WeightMatrix
+from .core import (
+    CsaParams,
+    InputPattern,
+    ModelGeometry,
+    W_MAX,
+    WeightMatrix,
+    _check_w_max,
+)
 from .errors import (
     PatternError,
     SnapshotFormatError,
@@ -90,7 +98,7 @@ def encode_model(model: MemoryModel) -> bytes:
         struct.pack(
             "<5I", g.input_width, g.input_height, g.num_active, g.num_cms, g.units_per_cm
         ),
-        struct.pack("<I", model.w_max),
+        struct.pack("<I", W_MAX),
         struct.pack(
             "<5d",
             model.params.eta_max,
@@ -178,6 +186,7 @@ def decode_model(blob: bytes) -> MemoryModel:
         raise SnapshotFormatError(f"{len(blob) - cur.pos} trailing bytes after checksum")
     if zlib.crc32(blob[: cur.pos - 4]) != stored_crc:
         raise SnapshotIntegrityError("snapshot checksum mismatch")
+    _check_w_max(w_max, "snapshot w_max", SnapshotFormatError)
     ledger = None
     if raw_ledger is not None:
         ledger = [_ledger_entry(geometry, i, *raw) for i, raw in enumerate(raw_ledger)]
@@ -185,12 +194,9 @@ def decode_model(blob: bytes) -> MemoryModel:
     model = MemoryModel(
         geometry,
         CsaParams(eta_max, steepness, midpoint, g_floor, g_exponent),
-        w_max=w_max,
         enable_ledger=False,
     )
-    model.weights = WeightMatrix(
-        geometry.num_pixels, geometry.num_units, w_max, bits=bits
-    )
+    model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=bits)
     model.rng.bit_generator.state = rng_state
     model.num_stored = num_stored
     model.ledger = ledger

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, atomicity."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,12 @@ import msdc
 from msdc import InputPattern, LedgerEntry, load_model
 from msdc.cli import main
 from msdc.snapshot import encode_model
+
+# sha256 of the file `msdc init` writes with no flags, and of the --trace
+# payload of test_store_trace_payload_is_pinned, as the program wrote them
+# when the weight quantum was still a flag.
+INIT_SHA256 = "4078c08bbc2d6cb342b7c75c92979f443a15b4db9a4e34593153b742a628d38e"
+STORE_TRACE_SHA256 = "637f245e36ab82346ae334bf0cbca5b278d0e87ced1c1bace8c4d38f560946e3"
 
 
 @pytest.fixture
@@ -50,6 +57,21 @@ def test_init_creates_empty_model(model_path, capsys):
     assert model.ledger == []
 
 
+def test_init_file_is_pinned(model_path):
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == INIT_SHA256
+
+
+def test_store_trace_payload_is_pinned(model_path, tmp_path, capsys):
+    for name, pixels, seed in (("p", range(12), "4"), ("q", range(6, 18), "5")):
+        pattern = tmp_path / f"{name}.json"
+        pattern.write_text(json.dumps(list(pixels)))
+        trace = tmp_path / f"{name}.trace.json"
+        assert main(["store", str(model_path), str(pattern), "--seed", seed,
+                     "--trace", str(trace)]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == STORE_TRACE_SHA256
+    assert json.loads(trace.read_text())["model"]["w_max"] == 127
+
+
 def test_init_rejects_impossible_geometry(tmp_path, capsys):
     rc = main(["init", str(tmp_path / "m.msdc"), "--width", "2", "--height", "2",
                "--active", "5"])
@@ -63,7 +85,7 @@ def test_init_honors_config_file(tmp_path):
         "geometry": {"input_width": 8, "input_height": 8, "num_active": 5,
                      "num_cms": 7, "units_per_cm": 7},
         "params": {"eta_max": 100.0},
-        "w_max": 1,
+        "w_max": 127,
         "seed": 42,
     }))
     path = tmp_path / "m.msdc"
@@ -72,7 +94,7 @@ def test_init_honors_config_file(tmp_path):
     assert model.geometry.units_per_cm == 6  # flag beats config file
     assert model.geometry.num_cms == 7
     assert model.params.eta_max == 100.0
-    assert model.w_max == 1
+    assert model.w_max == 127
 
 
 def test_store_prints_novel_then_familiar_g(model_path, grid_pattern, capsys):
@@ -375,3 +397,55 @@ def test_query_on_snapshot_with_off_geometry_ledger_entry_is_data_error(
     err = capsys.readouterr().err
     assert "ledger entry 0 has 2 winners, expected 24" in err
     assert "Traceback" not in err
+
+
+def experiment_scenario():
+    """A small valid scenario file's object."""
+    return {
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [{"label": "I7", "overlaps": [5, 4, 2, 1, 0, 0]}],
+        "seeds": [0, 1],
+    }
+
+
+@pytest.mark.parametrize("w_max", [0, 1, 127.5, 2**32])
+@pytest.mark.parametrize("command", ["init", "bench", "experiment"])
+def test_w_max_other_than_127_is_data_error(tmp_path, capsys, command, w_max):
+    path = tmp_path / "in.json"
+    if command == "experiment":
+        data = {**experiment_scenario(), "w_max": w_max}
+        argv = ["experiment", str(path)]
+    else:
+        data = {"w_max": w_max}
+        argv = [command, "--config", str(path)]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "w_max must be" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["init", "bench"])
+def test_w_max_flag_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(out), "--w-max", "127"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --w-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_with_duplicate_probe_labels_is_data_error(tmp_path, capsys):
+    spec = experiment_scenario()
+    spec["probes"] = [spec["probes"][0], {"label": "I7", "overlaps": [0] * 6}]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", str(spec_path), str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "two probes are labelled 'I7'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

@@ -1,6 +1,7 @@
 """Unit tests for the code selection pipeline, step by step."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from msdc import (
+    ConfigError,
     CsaParams,
     GeometryError,
     InputPattern,
@@ -28,6 +30,7 @@ from msdc import (
     random_pattern,
     rho_from_mu,
 )
+from msdc.core import W_MAX, _check_w_max
 
 
 def pattern_of(*pixels):
@@ -46,8 +49,8 @@ def test_compute_u_zero_weights_gives_zero(geometry, rng):
 
 def test_compute_u_restored_pattern_reaches_full_sum(geometry, rng):
     # After learning pattern A, re-presenting A drives each of A's winners
-    # to exactly S * w_max = 12 * 127 = 1524 while all other units stay 0.
-    weights = WeightMatrix(geometry.num_pixels, geometry.num_units, w_max=127)
+    # to exactly S * W_MAX = 12 * 127 = 1524 while all other units stay 0.
+    weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
     a = random_pattern(geometry, rng)
     code = rng.integers(0, 8, size=24)
     apply_learning(a, code, weights, geometry)
@@ -58,17 +61,17 @@ def test_compute_u_restored_pattern_reaches_full_sum(geometry, rng):
 
 
 def test_compute_u_partial_overlap_counts_shared_pixels(small_geometry):
-    # Weights trained on A only; B shares 4 of A's 5 pixels.  With a unit
-    # weight quantum each of A's winners sums to exactly 4.
-    weights = WeightMatrix(9, 15, w_max=1)
+    # Weights trained on A only; B shares 4 of A's 5 pixels, so each of A's
+    # winners sums to exactly 4 set weights of 127.
+    weights = WeightMatrix(9, 15)
     a = pattern_of(0, 1, 2, 3, 4)
     b = pattern_of(0, 1, 2, 3, 5)
     code = np.array([0, 1, 2, 0, 1])
     apply_learning(a, code, weights, small_geometry)
     u = compute_u(b, weights, small_geometry)
     for q in range(5):
-        assert u[q, code[q]] == 4
-    assert u.sum() == 5 * 4
+        assert u[q, code[q]] == 4 * 127
+    assert u.sum() == 5 * 4 * 127
 
 
 def test_compute_u_rejects_wrong_active_count(geometry):
@@ -88,21 +91,21 @@ def test_compute_u_rejects_mismatched_weights(geometry, rng):
 
 def test_normalize_u_zero_and_extremes():
     u = np.array([[0, 1524], [4, 0]])
-    out = normalize_u(u, num_active=12, w_max=127)
+    out = normalize_u(u, num_active=12)
     assert out[0, 0] == 0.0
     assert out[0, 1] == 1.0
 
 
 def test_normalize_u_partial_overlap_fraction():
-    out = normalize_u(np.array([[4]]), num_active=5, w_max=1)
+    out = normalize_u(np.array([[4 * 127]]), num_active=5)
     assert out[0, 0] == pytest.approx(0.8)
 
 
 def test_normalize_u_rejects_out_of_range():
     with pytest.raises(ValueError):
-        normalize_u(np.array([[1525]]), num_active=12, w_max=127)
+        normalize_u(np.array([[1525]]), num_active=12)
     with pytest.raises(ValueError):
-        normalize_u(np.array([[-1]]), num_active=12, w_max=127)
+        normalize_u(np.array([[-1]]), num_active=12)
 
 
 # -------------------------------------------------------------- familiarity
@@ -325,7 +328,7 @@ def test_hard_max_all_zero_is_uniform():
 
 def test_apply_learning_sets_exactly_s_times_q_weights(small_geometry):
     # 5 active pixels x 5 winners = 25 weights raised from 0 to full.
-    weights = WeightMatrix(9, 15, w_max=1)
+    weights = WeightMatrix(9, 15)
     apply_learning(pattern_of(0, 2, 4, 6, 8), np.array([0, 1, 2, 0, 1]),
                    weights, small_geometry)
     assert weights.set_count() == 25
@@ -467,7 +470,28 @@ def test_params_reject_non_numbers(bad):
         CsaParams(eta_max=bad)
 
 
-@pytest.mark.parametrize("bad", [127.5, "127", True])
-def test_weight_quantum_rejects_non_integers(bad):
-    with pytest.raises(GeometryError, match="must be an integer"):
-        WeightMatrix(4, 4, w_max=bad)
+@pytest.mark.parametrize("indices", [(True, 2), (False, 5), (3, 4, True), [True]])
+def test_pattern_rejects_bool_indices(indices):
+    with pytest.raises(PatternError, match="not bools"):
+        InputPattern(indices)
+    with pytest.raises(PatternError, match="not bools"):
+        InputPattern(i for i in indices)
+
+
+def test_pattern_accepts_low_integer_indices():
+    assert InputPattern((1, 0, 2)).active == (0, 1, 2)
+    assert InputPattern((np.int64(0), 1)).active == (0, 1)
+
+
+def test_weight_quantum_is_fixed_at_127(geometry):
+    assert W_MAX == 127
+    assert "w_max" not in inspect.signature(WeightMatrix).parameters
+    assert MemoryModel(geometry).w_max == 127
+    _check_w_max(127, "w_max", ConfigError)
+    _check_w_max(np.int32(127), "w_max", ConfigError)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 126, 128, 2**32, 2**62, 127.0, 127.5, "127", True, None])
+def test_check_w_max_rejects_anything_but_127(bad):
+    with pytest.raises(ConfigError, match="w_max must be"):
+        _check_w_max(bad, "w_max", ConfigError)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import msdc
-from msdc import GeometryError, ScheduleError, oracle_nearest, oracle_similarity
+from msdc import ConfigError, ScheduleError, oracle_nearest, oracle_similarity
 from msdc.experiments import (
     APPENDIX_GEOMETRY,
     AGGREGATE_COLUMNS,
@@ -78,7 +78,6 @@ def test_infeasible_schedule_is_rejected():
         name="bad",
         geometry=default_appendix_scenario(1).geometry,
         params=default_appendix_scenario(1).params,
-        w_max=127,
         num_stored=6,
         probes=(ProbeSpec("P", (5, 4, 3, 2, 1, 0)),),
         seeds=(0,),
@@ -90,13 +89,13 @@ def test_infeasible_schedule_is_rejected():
 def test_schedule_validation_errors():
     base = default_appendix_scenario(1)
     too_many_items = ScenarioSpec(
-        name="big", geometry=base.geometry, params=base.params, w_max=127,
+        name="big", geometry=base.geometry, params=base.params,
         num_stored=13, probes=(ProbeSpec("P", (0,) * 13),), seeds=(0,),
     )
     with pytest.raises(ScheduleError, match="do not fit"):
         build_appendix_corpus(too_many_items)
     wrong_len = ScenarioSpec(
-        name="len", geometry=base.geometry, params=base.params, w_max=127,
+        name="len", geometry=base.geometry, params=base.params,
         num_stored=6, probes=(ProbeSpec("P", (1, 2)),), seeds=(0,),
     )
     with pytest.raises(ScheduleError, match="overlap entries"):
@@ -127,7 +126,7 @@ def test_rank_correlation_ties_and_constant_input():
     assert _average_ranks([7.0] * 4).tolist() == [2.5] * 4
     base = default_appendix_scenario(1)
     flat = ScenarioSpec(
-        name="flat", geometry=base.geometry, params=base.params, w_max=127,
+        name="flat", geometry=base.geometry, params=base.params,
         num_stored=6, probes=(ProbeSpec("P", (0,) * 6),), seeds=(0, 1),
     )
     with warnings.catch_warnings():
@@ -244,7 +243,7 @@ def hand_built_trials():
     probes = ('say "hi"', "a,b", "two\nlines", "ünïcödé ✓", "100%s %d")
     spec = ScenarioSpec(
         name="odd", geometry=APPENDIX_GEOMETRY, params=default_appendix_scenario(1).params,
-        w_max=127, num_stored=12, probes=tuple(ProbeSpec(p, (0,) * 12) for p in probes),
+        num_stored=12, probes=tuple(ProbeSpec(p, (0,) * 12) for p in probes),
         seeds=(3, 0, 11),
     )
     labels = spec.stored_labels()
@@ -300,9 +299,7 @@ def test_hard_retrieve_of_ramped_probe_recovers_best_match_code():
 
     spec = default_appendix_scenario(num_seeds=1)
     stored, probes = build_appendix_corpus(spec)
-    model = MemoryModel(
-        spec.geometry, spec.params, w_max=spec.w_max, seed=0, enable_ledger=True
-    )
+    model = MemoryModel(spec.geometry, spec.params, seed=0, enable_ledger=True)
     codes = {}
     for label, pattern in stored:
         codes[label], _ = model.store(pattern, label)
@@ -367,8 +364,6 @@ def test_probe_overlaps_must_be_integers():
         ({"seeds": (0.5, 1.7)}, ScheduleError, "seed must be an integer"),
         ({"seeds": (0, -3)}, ScheduleError, "non-negative"),
         ({"num_stored": 6.0}, ScheduleError, "num_stored must be an integer"),
-        ({"w_max": 127.5}, GeometryError, "w_max must be an integer"),
-        ({"w_max": 0}, GeometryError, "positive"),
     ],
 )
 def test_scenario_spec_rejects_non_integral_values(change, error, message):
@@ -381,3 +376,23 @@ def test_scenario_spec_accepts_numpy_integer_seeds():
     spec = dataclasses.replace(base, seeds=np.arange(3))
     assert spec == base
     assert all(type(s) is int for s in spec.seeds)
+
+
+def test_scenario_spec_rejects_duplicate_probe_labels():
+    base = default_appendix_scenario(2)
+    with pytest.raises(ScheduleError, match="two probes are labelled 'I7'"):
+        dataclasses.replace(base, probes=base.probes + (ProbeSpec("I7", (0,) * 6),))
+    data = scenario_to_dict(base)
+    data["probes"][2]["label"] = "I8"
+    with pytest.raises(ScheduleError, match="two probes are labelled 'I8'"):
+        scenario_from_dict(data)
+
+
+def test_scenario_w_max_is_written_and_read_only_as_127():
+    data = scenario_to_dict(default_appendix_scenario(2))
+    assert data["w_max"] == 127
+    without = {key: value for key, value in data.items() if key != "w_max"}
+    assert scenario_from_dict(data) == scenario_from_dict(without)
+    for bad in (0, 127.0):
+        with pytest.raises(ConfigError, match="scenario w_max must be"):
+            scenario_from_dict({**data, "w_max": bad})

@@ -57,9 +57,7 @@ def reference_run_scenario(spec):
         stored = [(label, by_label[label]) for label in spec.store_order]
     records = []
     for seed in spec.seeds:
-        model = MemoryModel(
-            spec.geometry, spec.params, w_max=spec.w_max, seed=seed, enable_ledger=True
-        )
+        model = MemoryModel(spec.geometry, spec.params, seed=seed, enable_ledger=True)
         for label, pattern in stored:
             model.store(pattern, label)
         for label, pattern in probes:
@@ -153,7 +151,6 @@ def test_matches_reference_on_a_wide_geometry(mode):
         name="wide",
         geometry=geometry,
         params=CsaParams(),
-        w_max=127,
         num_stored=6,
         probes=(
             ProbeSpec("A", (12, 9, 5, 3, 1, 0)),
@@ -164,11 +161,6 @@ def test_matches_reference_on_a_wide_geometry(mode):
         mode=mode,
     )
     assert_matches_reference(spec)
-
-
-@pytest.mark.parametrize("mode", ["soft", "hard"])
-def test_matches_reference_with_unit_weight_quantum(mode):
-    assert_matches_reference(appendix(range(20, 60), mode=mode, w_max=1))
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
@@ -203,11 +195,11 @@ def test_kernel_matches_single_models_on_random_weights(geometry, mode):
     r = np.stack([np.random.default_rng(s).random(geometry.num_cms) for s in seeds])
     models = []
     for row, seed in zip(bits, seeds):
-        model = MemoryModel(geometry, params, w_max=127, seed=int(seed))
-        model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, 127, bits=row.copy())
+        model = MemoryModel(geometry, params, seed=int(seed))
+        model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=row.copy())
         models.append(model)
     if mode == "store":
-        codes, g, eta, readout = _select_batch(bits, active, geometry, params, 127, "soft", r)
+        codes, g, eta, readout = _select_batch(bits, active, geometry, params, "soft", r)
         assert readout is None
         results = [model.store(pattern) for model in models]
         for row, model in zip(bits, models):
@@ -215,7 +207,7 @@ def test_kernel_matches_single_models_on_random_weights(geometry, mode):
     else:
         before = bits.copy()
         codes, g, eta, readout = _select_batch(
-            bits, active, geometry, params, 127, mode, r, stored
+            bits, active, geometry, params, mode, r, stored
         )
         assert np.array_equal(bits, before)
         results = [

@@ -1,5 +1,6 @@
 """Snapshot format: round-trips, exact layout, and distinct failure modes."""
 
+import hashlib
 import struct
 import zlib
 from types import SimpleNamespace
@@ -24,14 +25,14 @@ from msdc.snapshot import decode_model, encode_model
 HEADER_BYTES = 117  # magic..ledger flag, per the documented layout
 CRC_BYTES = 4
 
+# sha256 of encode_model for the 50-item model of test_encoded_model_is_pinned,
+# as written when the weight quantum was still a constructor argument.
+MODEL_SHA256 = "4cc91178ec1932927d1b83cbbf884cd5fc65b34054bcf5bf8801fcea496a8a6f"
+
 
 def populated_model(geometry, n=3, seed=8, ledger=True):
     model = MemoryModel(
-        geometry,
-        CsaParams(eta_max=250.0, steepness=20.0),
-        w_max=127,
-        seed=seed,
-        enable_ledger=ledger,
+        geometry, CsaParams(eta_max=250.0, steepness=20.0), seed=seed, enable_ledger=ledger
     )
     gen = np.random.default_rng(seed)
     for i in range(n):
@@ -60,6 +61,16 @@ def test_round_trip_is_bit_exact(geometry, tmp_path, rng):
         assert np.array_equal(getattr(trace_a, field), getattr(trace_b, field))
     # And re-encoding it reproduces the same bytes.
     assert encode_model(loaded) == encode_model(model)
+
+
+def test_encoded_model_is_pinned(geometry):
+    model = MemoryModel(geometry, seed=2038, enable_ledger=True)
+    gen = np.random.default_rng(83)
+    for i in range(50):
+        model.store(random_pattern(geometry, gen), f"item{i}")
+    blob = encode_model(model)
+    assert hashlib.sha256(blob).hexdigest() == MODEL_SHA256
+    assert struct.unpack_from("<I", blob, 28) == (127,)
 
 
 def test_save_then_retrieve_matches_presave(geometry, tmp_path, rng):
@@ -178,3 +189,14 @@ def test_corrupted_label_byte_is_integrity_error(geometry):
     blob = encode_model(populated_model(geometry, n=2))
     with pytest.raises(SnapshotIntegrityError):
         decode_model(blob.replace(b"item1", b"item\xff"))
+
+
+@pytest.mark.parametrize("w_max", [0, 1, 126, 2**32 - 1])
+def test_header_w_max_other_than_127_is_format_error(geometry, w_max):
+    blob = bytearray(encode_model(populated_model(geometry)))
+    struct.pack_into("<I", blob, 28, w_max)
+    # The checksum is checked first, so a stale one reads as corruption.
+    with pytest.raises(SnapshotIntegrityError):
+        decode_model(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match="snapshot w_max must be 127"):
+        decode_model(with_crc(bytes(blob[:-CRC_BYTES])))

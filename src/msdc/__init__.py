@@ -17,18 +17,8 @@ from .core import (
     ModelGeometry,
     OpCounter,
     WeightMatrix,
-    apply_learning,
     code_intersection,
-    compute_u,
-    draw_winners,
-    eta_for_familiarity,
-    familiarity,
-    hard_max_winners,
-    mu_from_u,
-    normalize_u,
     random_pattern,
-    rho_from_mu,
-    validate_code,
 )
 from .errors import (
     ConfigError,
@@ -80,22 +70,12 @@ __all__ = [
     "SnapshotTruncatedError",
     "SnapshotVersionError",
     "WeightMatrix",
-    "apply_learning",
     "code_intersection",
-    "compute_u",
-    "draw_winners",
-    "eta_for_familiarity",
-    "familiarity",
-    "hard_max_winners",
     "load_model",
-    "mu_from_u",
-    "normalize_u",
     "oracle_expected_uniform_intersection",
     "oracle_nearest",
     "oracle_report",
     "oracle_similarity",
     "random_pattern",
-    "rho_from_mu",
     "save_model",
-    "validate_code",
 ]

@@ -32,6 +32,7 @@ from .core import (
     _as_int,
     _check_w_max,
     _config_object,
+    _read_text,
 )
 from .errors import ConfigError, MsdcError, PatternError
 from .memory import MemoryModel
@@ -52,7 +53,7 @@ def _load_config_file(path: str | None) -> dict:
     flag are checked here; geometry and params by the types they build."""
     if path is None:
         return {}
-    data = _config_object(json.loads(Path(path).read_text()), "config", _CONFIG_KEYS)
+    data = _config_object(json.loads(_read_text(path, ConfigError)), "config", _CONFIG_KEYS)
     _config_object(data.get("geometry", {}), "config geometry", _GEOMETRY_KEYS)
     _config_object(data.get("params", {}), "config params", _PARAM_KEYS)
     if "w_max" in data:
@@ -110,7 +111,7 @@ def _resolved_config(args) -> dict:
 def read_pattern_file(path: str | Path) -> InputPattern:
     """Grid of 0/1 characters, or JSON (a list of active pixel indices,
     optionally wrapped as {"active_pixels": [...]})."""
-    text = Path(path).read_text()
+    text = _read_text(path, PatternError)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         try:

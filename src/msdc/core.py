@@ -29,11 +29,16 @@ nearly random codes) and high familiarity sharpens them (familiar inputs
 reactivate the units that already hold them), which is what makes more
 similar inputs land on more highly intersecting codes.
 
+Each step works along the trailing (Q, K) axes (or Q, for a code), so one
+call serves one model or a leading block of B models; ``memory`` composes
+them into the one selection kernel.  The steps trust their inputs: patterns,
+geometry and parameters are validated once, where they are built.
+
 No step iterates over previously stored items, so the work per trial is a
-pure function of the geometry; thread an :class:`OpCounter` through the
-pipeline to measure that.  Randomness is consumed in a fixed, documented
-order: exactly one uniform draw per CM, CM 0 first.  Identical (weights,
-input, RNG state) reproduces the code and trace bit for bit.
+pure function of the geometry; a model tallies it on its
+:class:`OpCounter`.  Randomness is consumed in a fixed, documented order:
+exactly one uniform draw per CM, CM 0 first.  Identical (weights, input, RNG
+state) reproduces the code and trace bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -54,6 +60,11 @@ W_MAX = 127
 # np.exp overflows float64 just above 709; clipping the argument keeps the
 # sigmoid exact in float64 wherever it is distinguishable from its limits.
 _EXP_CLIP = 700.0
+
+# A snapshot holds each geometry field and ledger pixel index as a u32 and
+# each ledger winner as a u16, so K may be at most 65536.
+_MAX_FIELD = 0xFFFF_FFFF
+_MAX_UNITS_PER_CM = 0x1_0000
 
 
 def _as_int(value, name: str, error: type[MsdcError]) -> int:
@@ -79,6 +90,14 @@ def _check_w_max(value, name: str, error: type[MsdcError]) -> None:
     """
     if _as_int(value, name, error) != W_MAX:
         raise error(f"{name} must be {W_MAX}, the fixed weight quantum, got {value!r}")
+
+
+def _read_text(path, error: type[MsdcError]) -> str:
+    """The UTF-8 text of the file at ``path``; ``error`` if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _config_object(
@@ -116,9 +135,15 @@ class ModelGeometry:
     def __post_init__(self):
         for f in fields(self):
             v = _as_int(getattr(self, f.name), f.name, GeometryError)
-            if v < 1:
-                raise GeometryError(f"{f.name} must be a positive integer, got {v}")
+            if not 1 <= v <= _MAX_FIELD:
+                raise GeometryError(f"{f.name} must be an integer in [1, {_MAX_FIELD}], got {v}")
             object.__setattr__(self, f.name, v)
+        if self.units_per_cm > _MAX_UNITS_PER_CM:
+            raise GeometryError(f"units_per_cm must be at most {_MAX_UNITS_PER_CM}, got "
+                                f"{self.units_per_cm}: a snapshot holds each winner as a u16")
+        if self.num_pixels > _MAX_FIELD + 1:
+            raise GeometryError(f"a {self.num_pixels}-pixel grid has pixel indices "
+                                "too large for a snapshot's u32 fields")
         if self.num_active > self.num_pixels:
             raise GeometryError(
                 f"num_active={self.num_active} exceeds the "
@@ -282,12 +307,14 @@ class CsaParams:
 
 @dataclass
 class OpCounter:
-    """Tally of the elementary work done by the selection pipeline.
+    """Tally of the elementary work done by a model's selection pipeline.
 
-    Every pipeline step adds the size of the arrays it actually touched, so
-    the totals measure work performed, not a formula.  For a fixed geometry
-    the totals are identical for every trial regardless of how many items
-    the model already stores; the scaling benchmark asserts exactly that.
+    Per call, each field gains the size of the arrays its steps touch: the
+    S x Q x K weights read, 4 x Q x K + Q + 1 element operations, Q x K
+    sigmoids, Q uniforms and, on a store, S x Q weights written.  These
+    follow from the geometry alone, so for a fixed geometry the totals are
+    identical for every trial regardless of how many items the model
+    already stores; the scaling benchmark asserts exactly that.
     """
 
     weight_reads: int = 0
@@ -336,18 +363,6 @@ class CsaTrace:
         }
 
 
-def validate_code(code: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
-    """Check a winner vector: length Q, each entry in [0, K)."""
-    code = np.asarray(code, dtype=np.int64)
-    if code.shape != (geometry.num_cms,):
-        raise GeometryError(
-            f"code has shape {code.shape}, expected ({geometry.num_cms},)"
-        )
-    if code.size and (code.min() < 0 or code.max() >= geometry.units_per_cm):
-        raise GeometryError("code entry outside [0, units_per_cm)")
-    return code
-
-
 def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
     """Number of CMs in which two codes picked the same winner."""
     a = np.asarray(a)
@@ -357,240 +372,108 @@ def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
     return int((a == b).sum())
 
 
-def compute_u(
-    pattern: InputPattern,
-    weights: WeightMatrix,
-    geometry: ModelGeometry,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
     """Raw input summation: per unit, the total weight from active pixels.
 
-    Returns an integer array of shape (Q, K); entries lie in
-    [0, S * W_MAX].
+    ``bits`` is (..., P, Q*K) and ``active`` the S pixel indices.  Returns an
+    int64 array of shape (..., Q, K); entries lie in [0, S * W_MAX].
     """
-    geometry.validate_pattern(pattern)
-    if (weights.num_pixels, weights.num_units) != (
-        geometry.num_pixels,
-        geometry.num_units,
-    ):
-        raise GeometryError(
-            f"weight matrix {weights.bits.shape} does not match geometry "
-            f"({geometry.num_pixels}, {geometry.num_units})"
-        )
-    rows = weights.bits[np.asarray(pattern.active, dtype=np.intp)]
-    if counter is not None:
-        counter.weight_reads += rows.size
-    u = rows.sum(axis=0, dtype=np.int64) * W_MAX
-    return u.reshape(geometry.num_cms, geometry.units_per_cm)
+    # Counts of at most S fit the narrow dtype, which sums much faster.
+    count = bits[..., active, :].sum(axis=-2, dtype=np.min_scalar_type(geometry.num_active))
+    u = count.astype(np.int64) * W_MAX
+    return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
 
 
-def normalize_u(
-    u: np.ndarray, num_active: int, counter: OpCounter | None = None
-) -> np.ndarray:
+def normalize_u(u: np.ndarray, num_active: int) -> np.ndarray:
     """Scale raw summations into [0, 1] by the maximum possible S * W_MAX."""
-    u = np.asarray(u)
-    ceiling = num_active * W_MAX
-    if u.size and (u.min() < 0 or u.max() > ceiling):
-        raise ValueError(f"raw summation outside [0, {ceiling}]")
-    if counter is not None:
-        counter.element_ops += u.size
-    return u / float(ceiling)
+    return u / float(num_active * W_MAX)
 
 
-def familiarity(u_norm: np.ndarray, counter: OpCounter | None = None) -> float:
+def familiarity(u_norm: np.ndarray) -> np.ndarray:
     """Mean over CMs of the per-CM max normalized summation, in [0, 1].
 
-    Invariant under permutation of units within a CM and of whole CMs.
+    Reduces the last two axes (Q, K).  Invariant under permutation of units
+    within a CM and of whole CMs.
     """
-    u_norm = np.asarray(u_norm)
-    per_cm_max = u_norm.max(axis=1)
-    if counter is not None:
-        counter.element_ops += u_norm.size + per_cm_max.size
-    return float(per_cm_max.mean())
+    return u_norm.max(axis=-1).mean(axis=-1)
 
 
-def eta_for_familiarity(
-    g: float, params: CsaParams, counter: OpCounter | None = None
-) -> float:
+def eta_for_familiarity(g: float, params: CsaParams) -> float:
     """Noise-control value: 0 at or below ``g_floor``, ``eta_max`` at g=1.
 
     Monotone non-decreasing in g; exactly 0 for a fully novel input, which
     makes every unit equally likely to win.
     """
-    if not -1e-12 <= g <= 1.0 + 1e-12:
-        raise ValueError(f"familiarity {g} outside [0, 1]")
-    if counter is not None:
-        counter.element_ops += 1
     lifted = max(0.0, (g - params.g_floor) / (1.0 - params.g_floor))
     return params.eta_max * lifted**params.g_exponent
 
 
-def mu_from_u(
-    u_norm: np.ndarray,
-    eta: float,
-    params: CsaParams,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
     """Sigmoidal win weights: floor 1, ceiling 1 + eta, rising in U.
 
+    ``eta`` holds one value per leading index of ``u_norm`` (..., Q, K).
     With eta 0 every unit receives the same weight, so the subsequent
     normalization yields uniform win probabilities.
     """
-    u_norm = np.asarray(u_norm, dtype=np.float64)
-    if eta < 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
-    if counter is not None:
-        counter.sigmoid_evals += u_norm.size
+    eta = np.asarray(eta, dtype=np.float64)[..., None, None]
     z = params.steepness * (u_norm - params.midpoint)
     return 1.0 + eta / (1.0 + np.exp(np.clip(-z, None, _EXP_CLIP)))
 
 
-def rho_from_mu(mu: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+def rho_from_mu(mu: np.ndarray) -> np.ndarray:
     """Normalize win weights into one probability distribution per CM.
 
     A CM whose weights are all zero (impossible via ``mu_from_u``, which
     floors at 1, but allowed for direct callers) falls back to uniform.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.size and mu.min() < 0:
-        raise ValueError("win weights must be non-negative")
-    if counter is not None:
-        counter.element_ops += mu.size
-    sums = mu.sum(axis=1, keepdims=True)
-    zero = sums[:, 0] == 0.0
-    rho = np.empty_like(mu)
-    rho[~zero] = mu[~zero] / sums[~zero]
-    rho[zero] = 1.0 / mu.shape[1]
-    return rho
+    sums = mu.sum(axis=-1, keepdims=True)
+    zero = sums == 0.0
+    if zero.any():
+        return np.where(zero, 1.0 / mu.shape[-1], mu / np.where(zero, 1.0, sums))
+    return mu / sums
 
 
-def draw_winners(
-    rho: np.ndarray,
-    rng: np.random.Generator,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One categorical draw per CM, independent across CMs.
 
-    Consumes exactly one uniform per CM in CM order, so a fixed RNG state
-    reproduces the same code.
+    ``r`` (..., Q) holds one uniform per CM, CM 0 first; drawing them as
+    ``rng.random(Q)`` makes a fixed RNG state reproduce the same code.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    q, k = rho.shape
-    sums = rho.sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= 1e-9):
+    cum = np.cumsum(rho, axis=-1)
+    if not np.all(np.abs(cum[..., -1] - 1.0) <= 1e-9):
         raise ValueError("each CM's win probabilities must sum to 1")
-    cum = np.cumsum(rho, axis=1)
-    r = rng.random(q)
-    if counter is not None:
-        counter.rng_draws += q
-        counter.element_ops += rho.size
-    winners = (cum <= r[:, None]).sum(axis=1)
-    return np.minimum(winners, k - 1).astype(np.int64)
+    winners = (cum <= r[..., None]).sum(axis=-1)
+    return np.minimum(winners, rho.shape[-1] - 1)
 
 
-def hard_max_winners(
-    u_norm: np.ndarray,
-    rng: np.random.Generator,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
+def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per CM, the unit with the largest normalized summation.
 
-    Ties are broken uniformly at random.  One uniform is consumed per CM
-    whether or not that CM is tied, keeping the work and the RNG stream a
-    pure function of geometry.
+    Ties are broken uniformly at random by the CM's uniform in ``r``
+    (..., Q), which is used whether or not that CM is tied, keeping the work
+    and the RNG stream a pure function of geometry.
     """
-    u_norm = np.asarray(u_norm)
-    q, _ = u_norm.shape
-    tied = u_norm == u_norm.max(axis=1, keepdims=True)
-    n = tied.sum(axis=1)
+    tied = u_norm == u_norm.max(axis=-1, keepdims=True)
+    n = tied.sum(axis=-1)
     if not n.all():  # a NaN in a CM makes its max NaN, equal to no unit
         raise ValueError("normalized summations must not be NaN")
-    r = rng.random(q)
-    if counter is not None:
-        counter.rng_draws += q
-        counter.element_ops += u_norm.size
     # The winner is tied unit number floor(r * n) of the n tied units, found
     # as the first unit whose running count of tied units exceeds it.
     pick = np.minimum((r * n).astype(np.int64), n - 1)
-    return (np.cumsum(tied, axis=1) > pick[:, None]).argmax(axis=1)
+    return (np.cumsum(tied, axis=-1) > pick[..., None]).argmax(axis=-1)
 
 
 def apply_learning(
-    pattern: InputPattern,
-    code: np.ndarray,
-    weights: WeightMatrix,
-    geometry: ModelGeometry,
-    counter: OpCounter | None = None,
-) -> WeightMatrix:
+    bits: np.ndarray, active: np.ndarray, code: np.ndarray, geometry: ModelGeometry
+) -> None:
     """Set the weight from every active pixel to every winner (in place).
 
+    ``bits`` is (B, P, Q*K) and ``code`` (B, Q): row b learns code b.
     Idempotent: re-applying the same (pattern, code) changes nothing.
     Weights are only ever raised, never cleared.
     """
-    geometry.validate_pattern(pattern)
-    code = validate_code(code, geometry)
-    rows = np.asarray(pattern.active, dtype=np.intp)
-    cols = np.arange(geometry.num_cms, dtype=np.intp) * geometry.units_per_cm + code
-    weights.bits[np.ix_(rows, cols)] = 1
-    if counter is not None:
-        counter.weight_writes += rows.size * cols.size
-    return weights
-
-
-def _select_batch(
-    bits: np.ndarray,
-    active: np.ndarray,
-    geometry: ModelGeometry,
-    params: CsaParams,
-    mode: str,
-    r: np.ndarray,
-    stored: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[float], list[float], np.ndarray | None]:
-    """One selection step for a block of B independent models at once.
-
-    ``bits`` (B, P, Q*K) holds each model's weight bits, ``active`` (S,) the
-    pixels of the one input they all see, and ``r`` (B, Q) each model's Q
-    uniforms for this step, CM 0 first.  Each stage is the single-model
-    stage's own arithmetic run along the last axis, so row b gets the code,
-    G and eta that model b alone would get from the same uniforms.  Returns
-    the codes (B, Q), G and eta per row as Python floats, and the readout.
-
-    With ``stored`` None the step is a store: each row learns its code in
-    place and the readout is None.  Otherwise ``stored`` (B, N, Q) holds each
-    row's stored codes, nothing is written, and the readout is the (B, N)
-    code intersections.
-    """
-    q, k, s = geometry.num_cms, geometry.units_per_cm, geometry.num_active
-    # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = bits[:, active].sum(axis=1, dtype=np.min_scalar_type(s))
-    # count / S is exactly u / (S * W_MAX): IEEE division rounds the same
-    # exact quotient either way.
-    u_norm = (count / float(s)).reshape(len(bits), q, k)
-    per_cm_max = u_norm.max(axis=2)
-    g = per_cm_max.mean(axis=1).tolist()
-    eta = [eta_for_familiarity(x, params) for x in g]
-    if mode == "soft":
-        z = params.steepness * (u_norm - params.midpoint)
-        mu = 1.0 + np.array(eta)[:, None, None] / (1.0 + np.exp(np.clip(-z, None, _EXP_CLIP)))
-        rho = mu / mu.sum(axis=2, keepdims=True)
-        if not np.all(np.abs(rho.sum(axis=2) - 1.0) <= 1e-9):
-            raise ValueError("each CM's win probabilities must sum to 1")
-        code = np.minimum((np.cumsum(rho, axis=2) <= r[:, :, None]).sum(axis=2), k - 1)
-    elif mode == "hard":
-        # mu and rho cannot change a hard code, so they are not formed.
-        tied = u_norm == per_cm_max[:, :, None]
-        n = tied.sum(axis=2)
-        if not n.all():
-            raise ValueError("normalized summations must not be NaN")
-        pick = np.minimum((r * n).astype(np.int64), n - 1)
-        code = (np.cumsum(tied, axis=2) > pick[:, :, None]).argmax(axis=2)
-    else:
-        raise ValueError(f"unknown retrieval mode {mode!r}")
-    if stored is not None:
-        return code, g, eta, (stored == code[:, None, :]).sum(axis=2)
-    cols = np.arange(q) * k + code
+    cols = np.arange(geometry.num_cms) * geometry.units_per_cm + code
     bits[np.arange(len(bits))[:, None, None], active[None, :, None], cols[:, None, :]] = 1
-    return code, g, eta, None
 
 
 def random_pattern(geometry: ModelGeometry, rng: np.random.Generator) -> InputPattern:

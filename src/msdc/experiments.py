@@ -23,14 +23,14 @@ Each seed is an independent single-trial run: a fresh
 ``MemoryModel(..., seed=seed)`` stores every item, then reads a belief for
 every probe.  Code selection is fixed-time, so all seeds do the same array
 work on arrays of the same shape, and ``run_scenario`` runs them in blocks.
-A block stacks its seeds' weight bits as one (B, P, Q*K) array and runs each
-store and probe step once over the whole block.  Each seed's own model RNG
-still supplies that seed's Q uniforms per step, in the single-model order:
-one step per store in store order, then one per probe.  So every record is
-the one a seed-by-seed loop over ``MemoryModel.store`` and
-``belief_update`` would give, bit for bit.  A block holds about 1 MiB of
-weight bits (37 seeds at the appendix geometry, never fewer than one), so
-memory does not grow with the seed count.
+A block stacks its seeds' weight bits as one (B, P, Q*K) array and runs the
+model's selection kernel once per store and probe step over the whole
+block.  Each seed's own model RNG still supplies that seed's Q uniforms per
+step, in the single-model order: one step per store in store order, then
+one per probe.  So every record is the one a seed-by-seed loop over
+``MemoryModel.store`` and ``belief_update`` would give, bit for bit.  A
+block holds about 1 MiB of weight bits (37 seeds at the appendix geometry,
+never fewer than one), so memory does not grow with the seed count.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .core import (
     _as_int,
     _check_w_max,
     _config_object,
-    _select_batch,
+    _read_text,
 )
 from .errors import ConfigError, ScheduleError
-from .memory import MemoryModel
+from .memory import MemoryModel, _select_codes
 from .oracle import oracle_similarity
 
 APPENDIX_GEOMETRY = ModelGeometry(
@@ -286,16 +286,15 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
         ledger = np.stack(
             [
-                _select_batch(bits, active, g, spec.params, "soft", r)[0]
+                _select_codes(bits, active, g, spec.params, "soft", r, learn=True)[0]
                 for active, r in zip(store_pixels, draws)
             ],
             axis=1,
         )
         readouts = []
         for active, r in zip(probe_pixels, draws[len(stored) :]):
-            code, fam, eta, inter = _select_batch(
-                bits, active, g, spec.params, spec.mode, r, ledger
-            )
+            code, *_, fam, eta = _select_codes(bits, active, g, spec.params, spec.mode, r)
+            inter = (ledger == code[:, None, :]).sum(axis=2)
             readouts.append(
                 (code.tolist(), fam, eta, inter.tolist(), (inter / g.num_cms).tolist())
             )
@@ -560,7 +559,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             resources.files("msdc").joinpath("data/appendix_scenario.json").read_text()
         )
     else:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_read_text(path, ConfigError))
     return scenario_from_dict(data)
 
 

@@ -1,6 +1,10 @@
 """Single-trial associative memory over a modular sparse distributed code.
 
-:class:`MemoryModel` composes the selection pipeline into three verbs:
+``_select_codes``, the one selection kernel, runs the ``core`` steps, by
+the names this module binds them to, for a block of B models that see one
+input.  :class:`MemoryModel` validates its input, then runs the kernel at
+B=1 on its own weights and tallies the work on ``op_counter``, in three
+verbs:
 
 ``store``          select a code for the input (soft draw), embed the
                    mapping at full strength in one trial, optionally record
@@ -119,6 +123,37 @@ def _check_label(label: str) -> None:
         )
 
 
+def _select_codes(
+    bits: np.ndarray,
+    active: np.ndarray,
+    geometry: ModelGeometry,
+    params: CsaParams,
+    mode: str,
+    r: np.ndarray,
+    learn: bool = False,
+) -> tuple:
+    """One selection step for a block of B models that all see one input.
+
+    ``bits`` (B, P, Q*K) holds each model's weight bits, ``active`` (S,) the
+    input's pixels, ``mode`` is "soft" or "hard", and ``r`` (B, Q) each
+    model's Q uniforms, CM 0 first.  Row b gets the code that model b alone
+    would get from its uniforms, and with ``learn`` each row learns its code
+    in place.  Returns the codes (B, Q), the (B, Q, K) charts u, U, mu and
+    rho, and G and eta per row as Python floats.  mu and rho are formed in
+    hard mode too, for the trace, though the hard pick reads only U.
+    """
+    u = compute_u(bits, active, geometry)
+    u_norm = normalize_u(u, geometry.num_active)
+    g = familiarity(u_norm).tolist()
+    eta = [eta_for_familiarity(x, params) for x in g]
+    mu = mu_from_u(u_norm, eta, params)
+    rho = rho_from_mu(mu)
+    code = draw_winners(rho, r) if mode == "soft" else hard_max_winners(u_norm, r)
+    if learn:
+        apply_learning(bits, active, code, geometry)
+    return code, u, u_norm, mu, rho, g, eta
+
+
 class MemoryModel:
     """A coding field plus its weights, parameters, and seeded RNG."""
 
@@ -149,27 +184,30 @@ class MemoryModel:
     def reseed(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
 
-    def _select(
-        self,
-        pattern: InputPattern,
-        mode: str,
-        rng: np.random.Generator,
-        counter: OpCounter | None,
+    def _run(
+        self, pattern: InputPattern, mode: str, rng: np.random.Generator | None, learn: bool
     ) -> tuple[np.ndarray, CsaTrace]:
-        u = compute_u(pattern, self.weights, self.geometry, counter)
-        u_norm = normalize_u(u, self.geometry.num_active, counter)
-        g = familiarity(u_norm, counter)
-        eta = eta_for_familiarity(g, self.params, counter)
-        mu = mu_from_u(u_norm, eta, self.params, counter)
-        rho = rho_from_mu(mu, counter)
-        if mode == "soft":
-            code = draw_winners(rho, rng, counter)
-        elif mode == "hard":
-            code = hard_max_winners(u_norm, rng, counter)
-        else:
-            raise ValueError(f"unknown retrieval mode {mode!r}")
-        trace = CsaTrace(u=u, u_norm=u_norm, mu=mu, rho=rho, familiarity=g, eta=eta)
-        return code, trace
+        """The kernel at B=1 on this model's weights, learning if ``learn``.
+
+        Draws Q uniforms from ``rng``, or from the model RNG when it is None,
+        in which case the call's work is added to ``op_counter``.
+        """
+        g = self.geometry
+        bits = self.weights.bits[None]
+        active = np.asarray(pattern.active, dtype=np.intp)
+        r = (self.rng if rng is None else rng).random(g.num_cms)
+        code, u, u_norm, mu, rho, fam, eta = _select_codes(
+            bits, active, g, self.params, mode, r[None], learn
+        )
+        if rng is None:
+            counter = self.op_counter
+            counter.weight_reads += g.num_active * g.num_units
+            counter.element_ops += 4 * g.num_units + g.num_cms + 1
+            counter.sigmoid_evals += g.num_units
+            counter.rng_draws += g.num_cms
+            if learn:
+                counter.weight_writes += g.num_active * g.num_cms
+        return code[0], CsaTrace(u[0], u_norm[0], mu[0], rho[0], fam[0], eta[0])
 
     def store(
         self, pattern: InputPattern, label: str | None = None
@@ -184,11 +222,10 @@ class MemoryModel:
         if self.ledger is not None:
             name = label if label is not None else f"item-{self.num_stored + 1}"
             _check_label(name)
-        code, trace = self._select(pattern, "soft", self.rng, self.op_counter)
-        apply_learning(pattern, code, self.weights, self.geometry, self.op_counter)
+        code, trace = self._run(pattern, "soft", None, learn=True)
         self.num_stored += 1
         if self.ledger is not None:
-            self.ledger.append(LedgerEntry(name, pattern, tuple(int(c) for c in code)))
+            self.ledger.append(LedgerEntry(name, pattern, tuple(code.tolist())))
         return code, trace
 
     def retrieve(
@@ -207,9 +244,7 @@ class MemoryModel:
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:
             raise ValueError(f"unknown retrieval mode {mode!r}")
-        if rng is None:
-            return self._select(pattern, mode, self.rng, self.op_counter)
-        return self._select(pattern, mode, rng, None)
+        return self._run(pattern, mode, rng, learn=False)
 
     def belief_update(
         self,

@@ -22,12 +22,12 @@ import pytest
 from msdc import (
     MemoryModel,
     ModelGeometry,
-    draw_winners,
     code_intersection,
     oracle_expected_uniform_intersection,
     random_pattern,
 )
 from msdc.bench import run_scaling_bench
+from msdc.core import draw_winners
 from msdc.experiments import (
     default_appendix_scenario,
     emit_results,
@@ -104,7 +104,7 @@ def test_criterion_1_zero_knowledge_uniformity():
         rng = np.random.default_rng(20250810)
         counts = np.zeros((24, 8))
         for _ in range(n):
-            winners = draw_winners(trace.rho, rng)
+            winners = draw_winners(trace.rho, rng.random(len(trace.rho)))
             counts[np.arange(24), winners] += 1
         freq = counts / n
         sigma = np.sqrt((1 / 8) * (7 / 8) / n)
@@ -136,7 +136,9 @@ def test_criterion_3_chance_intersection():
         pairs = 100_000
         total = 0
         for _ in range(pairs):
-            total += code_intersection(draw_winners(rho, rng), draw_winners(rho, rng))
+            total += code_intersection(
+                draw_winners(rho, rng.random(len(rho))), draw_winners(rho, rng.random(len(rho)))
+            )
         draw_mean = total / pairs
         assert abs(draw_mean - 3.0) <= 0.05
         info["detail"] = f"oracle {oracle_mean:.4f}, soft-draw {draw_mean:.4f}, both in 3.0±0.05"

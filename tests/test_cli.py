@@ -303,6 +303,9 @@ def test_cli_import_leaves_scipy_unloaded():
         ({"seed": -1}, "non-negative"),
         ({"ledger": "yes"}, "true or false"),
         ([1, 2], "must be a JSON object"),
+        ({"geometry": {"units_per_cm": 65537}}, "units_per_cm must be at most 65536"),
+        ({"geometry": {"units_per_cm": 2**32}}, "units_per_cm must be an integer in"),
+        ({"geometry": {"input_width": 2**32}}, "input_width must be an integer in"),
     ],
 )
 @pytest.mark.parametrize("command", ["init", "bench"])
@@ -449,3 +452,37 @@ def test_scenario_with_duplicate_probe_labels_is_data_error(tmp_path, capsys):
     assert "two probes are labelled 'I7'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_65536_units_per_cm_stores_into_a_ledger(tmp_path, capsys):
+    # Every winner of a 65536-unit CM fits the snapshot's u16 ledger field.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": {
+        "input_width": 1, "input_height": 1, "num_active": 1, "num_cms": 4,
+        "units_per_cm": 65536}}))
+    path = tmp_path / "m.msdc"
+    assert main(["init", str(path), "--config", str(cfg)]) == 0
+    pattern = tmp_path / "p.json"
+    pattern.write_text("[0]")
+    assert main(["store", str(path), str(pattern), "--seed", "3"]) == 0
+    (entry,) = load_model(path).ledger
+    assert max(entry.code) > 65535 // 2
+
+
+@pytest.mark.parametrize("command", ["store", "init", "experiment"])
+def test_non_utf8_input_file_is_data_error(model_path, tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[1, 2]")
+    out = tmp_path / "out"
+    before = model_path.read_bytes()
+    argv = {
+        "store": ["store", str(model_path), str(bad)],
+        "init": ["init", str(out), "--config", str(bad)],
+        "experiment": ["experiment", str(bad), str(out)],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "is not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert model_path.read_bytes() == before

@@ -1,8 +1,11 @@
 """Tests for the store / retrieve / belief-update API and its contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import msdc.memory
 from msdc import (
     BeliefEntry,
     InputPattern,
@@ -12,6 +15,7 @@ from msdc import (
     PatternError,
     random_pattern,
 )
+from msdc.experiments import default_appendix_scenario, run_scenario
 from msdc.snapshot import decode_model, encode_model
 
 
@@ -118,6 +122,76 @@ def test_store_rejects_unsnapshottable_label_and_leaves_model_unchanged(
     longest = "a" * 65535
     model.store(random_pattern(geometry, rng), longest)
     assert decode_model(encode_model(model)).ledger[-1].label == longest
+
+
+def test_readers_reject_bad_pattern_and_leave_model_unchanged(geometry, rng):
+    model = make_model(geometry, seed=9)
+    model.store(random_pattern(geometry, rng))
+    bits = model.weights.bits.copy()
+    state = model.rng.bit_generator.state
+    counts = model.op_counter.as_dict()
+    for bad in (InputPattern.from_indices((0, 1, 2)),
+                InputPattern.from_indices(list(range(11)) + [999])):
+        for mode in ("soft", "hard"):
+            for reader_rng in (None, np.random.default_rng(5)):
+                with pytest.raises(PatternError):
+                    model.retrieve(bad, mode, reader_rng)
+                with pytest.raises(PatternError):
+                    model.belief_update(bad, mode, reader_rng)
+    assert np.array_equal(model.weights.bits, bits)
+    assert model.rng.bit_generator.state == state
+    assert model.op_counter.as_dict() == counts
+
+
+def test_model_rng_calls_draw_exactly_q_uniforms(geometry, rng):
+    # One uniform per CM per call, whatever the mode and however many units
+    # tie (on the empty weights of the first store, all of them).
+    model = make_model(geometry, seed=4)
+    twin = np.random.default_rng(4)
+    pattern = random_pattern(geometry, rng)
+    for call in (model.store, model.retrieve,
+                 lambda p: model.retrieve(p, "hard"), model.belief_update):
+        call(pattern)
+        twin.random(geometry.num_cms)
+        assert model.rng.bit_generator.state == twin.bit_generator.state
+
+
+STAGES = ("compute_u", "normalize_u", "familiarity", "eta_for_familiarity", "mu_from_u",
+          "rho_from_mu", "draw_winners", "hard_max_winners", "apply_learning")
+
+
+def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch):
+    # Tracers wrap the steps where ``msdc.memory`` binds them; a verb that
+    # bypassed a binding would hide that step's time.
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(msdc.memory, name, counting(name, getattr(msdc.memory, name)))
+    model = make_model(geometry)
+    pattern = random_pattern(geometry, rng)
+    six = dict.fromkeys(STAGES[:6], 1)
+    expected = {
+        "store": {**six, "draw_winners": 1, "apply_learning": 1},
+        "soft": {**six, "draw_winners": 1},
+        "hard": {**six, "hard_max_winners": 1},
+    }
+    for verb, want in expected.items():
+        calls.update(dict.fromkeys(STAGES, 0))
+        if verb == "store":
+            model.store(pattern)
+        else:
+            model.retrieve(pattern, verb)
+        assert calls == {**dict.fromkeys(STAGES, 0), **want}, verb
+    # The seed-blocked scenario runs the same kernel, so the same bindings.
+    calls.update(dict.fromkeys(STAGES, 0))
+    run_scenario(dataclasses.replace(default_appendix_scenario(1), seeds=(0, 1)))
+    assert [name for name, n in calls.items() if not n] == ["hard_max_winners"]
 
 
 def test_retrieve_rejects_unknown_mode(geometry, rng):

@@ -12,15 +12,17 @@ from msdc import (
     MemoryModel,
     ModelGeometry,
     code_intersection,
+    load_model,
+    random_pattern,
+    save_model,
+)
+from msdc.core import (
     draw_winners,
     eta_for_familiarity,
     familiarity,
     hard_max_winners,
-    load_model,
     mu_from_u,
-    random_pattern,
     rho_from_mu,
-    save_model,
 )
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
@@ -58,9 +60,9 @@ def test_rho_always_normalizes_per_cm(mu):
 
 @given(u_norm_arrays(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
 def test_codes_are_always_well_formed(u_norm, eta, seed):
-    rho = rho_from_mu(mu_from_u(u_norm, eta, CsaParams()))
-    code = draw_winners(rho, np.random.default_rng(seed))
     q, k = u_norm.shape
+    rho = rho_from_mu(mu_from_u(u_norm, eta, CsaParams()))
+    code = draw_winners(rho, np.random.default_rng(seed).random(q))
     assert code.shape == (q,)
     assert code.min() >= 0 and code.max() < k
 
@@ -125,22 +127,10 @@ def test_weights_never_decrease_and_stores_replay(seed, n_stores):
         previous = model.weights.bits.copy()
 
 
-class _FixedUniforms:
-    """Stands in for a Generator whose next uniforms are given."""
-
-    def __init__(self, r):
-        self.r = np.array(r)
-
-    def random(self, n):
-        assert n == self.r.size
-        return self.r
-
-
-def hard_max_reference(u_norm, rng):
+def hard_max_reference(u_norm, r):
     """Per-CM tie-break loop: the reference for ``hard_max_winners``."""
     q, _ = u_norm.shape
     tied = u_norm == u_norm.max(axis=1, keepdims=True)
-    r = rng.random(q)
     winners = np.empty(q, dtype=np.int64)
     for i in range(q):
         idx = np.flatnonzero(tied[i])
@@ -159,11 +149,10 @@ def tied_u_norm_arrays(draw):
 
 @given(tied_u_norm_arrays(), st.integers(0, 2**32 - 1))
 def test_hard_max_matches_per_cm_loop(u_norm, seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    winners = hard_max_winners(u_norm, rng)
+    r = np.random.default_rng(seed).random(len(u_norm))
+    winners = hard_max_winners(u_norm, r)
     assert winners.dtype == np.int64
-    assert np.array_equal(winners, hard_max_reference(u_norm, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(winners, hard_max_reference(u_norm, r))
 
 
 @given(tied_u_norm_arrays().flatmap(
@@ -176,10 +165,8 @@ def test_hard_max_matches_per_cm_loop(u_norm, seed):
 def test_hard_max_matches_per_cm_loop_at_any_uniform(case):
     # Includes the closed end r = 1, where both clamp to the last tied unit.
     u_norm, r = case
-    assert np.array_equal(
-        hard_max_winners(u_norm, _FixedUniforms(r)),
-        hard_max_reference(u_norm, _FixedUniforms(r)),
-    )
+    r = np.array(r)
+    assert np.array_equal(hard_max_winners(u_norm, r), hard_max_reference(u_norm, r))
 
 
 def belief_reference(model, pattern, code):

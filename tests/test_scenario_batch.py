@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from msdc import CsaParams, MemoryModel, ModelGeometry, WeightMatrix, cli, random_pattern
-from msdc.core import _select_batch
 from msdc.experiments import (
     APPENDIX_GEOMETRY,
     ProbeSpec,
@@ -19,6 +18,7 @@ from msdc.experiments import (
     emit_results,
     run_scenario,
 )
+from msdc.memory import _select_codes
 
 # sha256 of the files `msdc experiment appendix OUT` writes (seeds 0-199),
 # as the seed-by-seed loop wrote them before seeds ran in blocks.
@@ -175,18 +175,35 @@ def test_block_budget():
     assert _seed_block_size(ModelGeometry(2, 2, 1, 1, 2)) == 2**20 // 8
 
 
-@pytest.mark.parametrize("geometry", [
+KERNEL_GEOMETRIES = [
     ModelGeometry(12, 12, 12, 24, 8),
     ModelGeometry(20, 20, 30, 300, 2),
     ModelGeometry(7, 9, 50, 37, 5),
-])
+]
+
+
+@pytest.mark.parametrize("geometry", KERNEL_GEOMETRIES)
 @pytest.mark.parametrize("mode", ["soft", "hard", "store"])
 def test_kernel_matches_single_models_on_random_weights(geometry, mode):
     # Random weight densities give varied per-CM maxima, so G's float sum
     # order and the tie-break both show; each row must match its own model.
+    check_kernel_rows(geometry, mode, lambda gen, b: gen.random((b, 1, 1)))
+
+
+@pytest.mark.parametrize("geometry", KERNEL_GEOMETRIES)
+@pytest.mark.parametrize("mode", ["soft", "hard", "store"])
+def test_kernel_matches_single_models_on_tie_heavy_weights(geometry, mode):
+    # Densities at or near 0 and 1 make most units of a CM tie.
+    check_kernel_rows(
+        geometry, mode, lambda gen, b: gen.choice([0.0, 0.03, 0.97, 1.0], size=(b, 1, 1))
+    )
+
+
+def check_kernel_rows(geometry, mode, densities):
+    """The kernel over B=6 weight planes against six single models."""
     gen = np.random.default_rng([geometry.num_cms, len(mode)])
     b, params = 6, CsaParams(eta_max=80.0, steepness=12.0, g_floor=0.1)
-    density = gen.random((b, 1, 1))
+    density = densities(gen, b)
     bits = (gen.random((b, geometry.num_pixels, geometry.num_units)) < density).astype(np.uint8)
     pattern = random_pattern(geometry, gen)
     active = np.asarray(pattern.active, dtype=np.intp)
@@ -199,24 +216,28 @@ def test_kernel_matches_single_models_on_random_weights(geometry, mode):
         model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=row.copy())
         models.append(model)
     if mode == "store":
-        codes, g, eta, readout = _select_batch(bits, active, geometry, params, "soft", r)
-        assert readout is None
+        codes, u, u_norm, mu, rho, g, eta = _select_codes(
+            bits, active, geometry, params, "soft", r, learn=True
+        )
         results = [model.store(pattern) for model in models]
         for row, model in zip(bits, models):
             assert np.array_equal(row, model.weights.bits)
     else:
         before = bits.copy()
-        codes, g, eta, readout = _select_batch(
-            bits, active, geometry, params, mode, r, stored
-        )
+        codes, u, u_norm, mu, rho, g, eta = _select_codes(bits, active, geometry, params, mode, r)
         assert np.array_equal(bits, before)
         results = [
             model.retrieve(pattern, mode, rng=np.random.default_rng(s))
             for model, s in zip(models, seeds)
         ]
+        readout = (stored == codes[:, None, :]).sum(axis=2)
         want = [[int((c == np.asarray(code)).sum()) for c in items]
                 for items, (code, _) in zip(stored, results)]
         assert readout.tolist() == want
     assert codes.tolist() == [code.tolist() for code, _ in results]
     assert g == [trace.familiarity for _, trace in results]
     assert eta == [trace.eta for _, trace in results]
+    charts = {"u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
+    for row, (_, trace) in enumerate(results):
+        for name, chart in charts.items():
+            assert np.array_equal(chart[row], getattr(trace, name))

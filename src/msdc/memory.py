@@ -225,7 +225,7 @@ class MemoryModel:
         code, trace = self._run(pattern, "soft", None, learn=True)
         self.num_stored += 1
         if self.ledger is not None:
-            self.ledger.append(LedgerEntry(name, pattern, tuple(code.tolist())))
+            self.ledger.append(LedgerEntry(name, pattern, tuple(int(c) for c in code)))
         return code, trace
 
     def retrieve(

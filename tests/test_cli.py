@@ -455,7 +455,8 @@ def test_scenario_with_duplicate_probe_labels_is_data_error(tmp_path, capsys):
 
 
 def test_65536_units_per_cm_stores_into_a_ledger(tmp_path, capsys):
-    # Every winner of a 65536-unit CM fits the snapshot's u16 ledger field.
+    # Every winner of a 65536-unit CM fits the snapshot's u16 ledger field;
+    # this seed draws one in the upper half of it, which must round-trip.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"geometry": {
         "input_width": 1, "input_height": 1, "num_active": 1, "num_cms": 4,

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CsaParams, InputPattern, ModelGeometry, W_MAX, random_pattern
+from .core import CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, random_pattern
 from .errors import GeometryError
 from .memory import MemoryModel
 
@@ -98,7 +98,7 @@ def run_scaling_bench(
     seed: int = 0,
 ) -> ScalingReport:
     if geometry is None:
-        geometry = ModelGeometry(12, 12, 12, 24, 8)
+        geometry = PAPER_GEOMETRY
     if params is None:
         params = CsaParams()
     checkpoints = tuple(int(c) for c in checkpoints)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +29,11 @@ from .core import (
     CsaParams,
     InputPattern,
     ModelGeometry,
+    PAPER_GEOMETRY,
     _as_int,
     _check_w_max,
     _config_object,
+    _parse_json,
     _read_text,
 )
 from .errors import ConfigError, MsdcError, PatternError
@@ -43,8 +45,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-_GEOMETRY_KEYS = ("input_width", "input_height", "num_active", "num_cms", "units_per_cm")
-_PARAM_KEYS = ("eta_max", "steepness", "midpoint", "g_floor", "g_exponent")
+_GEOMETRY_KEYS = tuple(f.name for f in fields(ModelGeometry))
+_PARAM_KEYS = tuple(f.name for f in fields(CsaParams))
 _CONFIG_KEYS = ("geometry", "params", "w_max", "seed", "ledger")
 
 
@@ -53,7 +55,8 @@ def _load_config_file(path: str | None) -> dict:
     flag are checked here; geometry and params by the types they build."""
     if path is None:
         return {}
-    data = _config_object(json.loads(_read_text(path, ConfigError)), "config", _CONFIG_KEYS)
+    text = _read_text(path, ConfigError)
+    data = _config_object(_parse_json(text, "config file", ConfigError), "config", _CONFIG_KEYS)
     _config_object(data.get("geometry", {}), "config geometry", _GEOMETRY_KEYS)
     _config_object(data.get("params", {}), "config params", _PARAM_KEYS)
     if "w_max" in data:
@@ -76,13 +79,7 @@ def _seed_flag(args) -> int | None:
 def _resolved_config(args) -> dict:
     """Merge built-in defaults, --config file, and explicit flags."""
     file_cfg = _load_config_file(getattr(args, "config", None))
-    geometry = {
-        "input_width": 12,
-        "input_height": 12,
-        "num_active": 12,
-        "num_cms": 24,
-        "units_per_cm": 8,
-    }
+    geometry = asdict(PAPER_GEOMETRY)
     geometry.update(file_cfg.get("geometry", {}))
     params = asdict(CsaParams())
     params.update(file_cfg.get("params", {}))
@@ -92,14 +89,11 @@ def _resolved_config(args) -> dict:
         "seed": file_cfg.get("seed", 0),
         "ledger": file_cfg.get("ledger", True),
     }
-    for key in _GEOMETRY_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg["geometry"][key] = value
-    for key in _PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg["params"][key] = value
+    for section, keys in (("geometry", _GEOMETRY_KEYS), ("params", _PARAM_KEYS)):
+        for key in keys:
+            value = getattr(args, key, None)
+            if value is not None:
+                cfg[section][key] = value
     seed = _seed_flag(args)
     if seed is not None:
         cfg["seed"] = seed
@@ -114,10 +108,7 @@ def read_pattern_file(path: str | Path) -> InputPattern:
     text = _read_text(path, PatternError)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PatternError(f"invalid JSON pattern file: {exc}") from exc
+        data = _parse_json(text, "pattern file", PatternError)
         if isinstance(data, dict):
             data = data.get("active_pixels")
         if not isinstance(data, list):
@@ -320,9 +311,6 @@ def main(argv=None) -> int:
     except IsADirectoryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except MsdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -43,6 +43,7 @@ state) reproduces the code and trace bit for bit.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
@@ -98,6 +99,18 @@ def _read_text(path, error: type[MsdcError]) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def _parse_json(text: str, where: str, error: type[MsdcError]):
+    """The JSON value ``text`` holds; ``error`` if it holds none.
+
+    Besides malformed text, ``json`` rejects arrays nested deeper than the
+    recursion limit and integers of more than 4300 digits.
+    """
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise error(f"invalid JSON {where}: {exc}") from None
 
 
 def _config_object(
@@ -172,6 +185,10 @@ class ModelGeometry:
             )
 
 
+# The paper's geometry: a 12x12 grid, S=12, Q=24, K=8.
+PAPER_GEOMETRY = ModelGeometry(12, 12, 12, 24, 8)
+
+
 @dataclass(frozen=True)
 class InputPattern:
     """A binary input: the set of active pixel indices, row-major."""
@@ -239,7 +256,12 @@ class WeightMatrix:
 
     def __init__(self, num_pixels: int, num_units: int, bits: np.ndarray | None = None):
         if bits is None:
-            bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
+            try:
+                bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
+            except (MemoryError, ValueError) as exc:  # too large for memory or for numpy
+                raise GeometryError(
+                    f"cannot allocate {num_pixels} x {num_units} weight bits: {exc}"
+                ) from None
         else:
             bits = np.ascontiguousarray(bits, dtype=np.uint8)
             if bits.shape != (num_pixels, num_units):
@@ -291,10 +313,20 @@ class CsaParams:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise GeometryError(f"{f.name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float64 range
+                finite = False
+            if not finite:
                 raise GeometryError(f"{f.name} must be finite, got {value}")
         if not self.eta_max > 0:
             raise GeometryError(f"eta_max must be positive, got {self.eta_max}")
+        # A CM's win weights lie in [1, 1 + eta_max] and must sum finitely.
+        if not math.isfinite(_MAX_UNITS_PER_CM * (1.0 + self.eta_max)):
+            raise GeometryError(
+                f"eta_max must keep the win weights of a {_MAX_UNITS_PER_CM}-unit CM "
+                f"summable in float64, got {self.eta_max}"
+            )
         if not self.steepness > 0:
             raise GeometryError(f"steepness must be positive, got {self.steepness}")
         if not 0.0 <= self.midpoint <= 1.0:

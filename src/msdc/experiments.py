@@ -51,19 +51,19 @@ from .core import (
     CsaParams,
     InputPattern,
     ModelGeometry,
+    PAPER_GEOMETRY,
     W_MAX,
     _as_int,
     _check_w_max,
     _config_object,
+    _parse_json,
     _read_text,
 )
 from .errors import ConfigError, ScheduleError
 from .memory import MemoryModel, _select_codes
 from .oracle import oracle_similarity
 
-APPENDIX_GEOMETRY = ModelGeometry(
-    input_width=12, input_height=12, num_active=12, num_cms=24, units_per_cm=8
-)
+APPENDIX_GEOMETRY = PAPER_GEOMETRY
 
 # Per-probe overlap with stored items I1..I6, in twelfths.  Each schedule
 # sums to at most S=12 (the feasibility bound for a disjoint corpus).
@@ -559,7 +559,7 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             resources.files("msdc").joinpath("data/appendix_scenario.json").read_text()
         )
     else:
-        data = json.loads(_read_text(path, ConfigError))
+        data = _parse_json(_read_text(path, ConfigError), "scenario file", ConfigError)
     return scenario_from_dict(data)
 
 

@@ -18,18 +18,18 @@ verbs:
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
-held.  The ledger is append-only.  The belief readout is one vectorised
-O(N) pass over module-major array copies of the ledger's codes (Q, N) and
-pixels (S, N), which the first belief call builds and later calls extend by
-the items stored since; each item's figures come back as one
-:class:`BeliefEntry` named tuple.
+held.  The ledger is append-only and private to the model: only ``store``
+and snapshot loading write it, each through ``_append_ledger``, which also
+adds every item's winners and pixels as one column of module-major arrays,
+codes (Q, N) and pixels (S, N), whose capacity doubles as they fill.
+``model.ledger`` is a read-only tuple of the stored :class:`LedgerEntry`
+objects.  The belief readout is one vectorised O(N) pass over those arrays;
+each item's figures come back as one :class:`BeliefEntry` named tuple.
 
 Concurrency contract: a model is single-writer.  ``store`` mutates weights,
-the model RNG and the op counter, and must be externally serialized;
-``retrieve`` and ``belief_update`` with a caller-supplied RNG are read-only
-on model state and may run concurrently with other readers.  A belief call
-may replace the model's cached array copy of the ledger, but never changes
-it in place, so concurrent readers at worst build it twice.
+the ledger, the model RNG and the op counter, and must be externally
+serialized; ``retrieve`` and ``belief_update`` with a caller-supplied RNG
+write nothing on the model and may run concurrently with other readers.
 """
 
 from __future__ import annotations
@@ -95,22 +95,6 @@ class BeliefReport:
         return max(self.entries, key=lambda e: e.likelihood)
 
 
-@dataclass(frozen=True)
-class _LedgerArrays:
-    """Array copy of the first ``len(labels)`` items of one ledger list.
-
-    Column ``i`` of ``codes`` (Q, N) and ``pixels`` (S, N) holds ledger item
-    ``i``'s winners and active pixels, so each readout reduction runs over
-    the short leading axis.  ``tail`` is the last item copied.
-    """
-
-    source: list[LedgerEntry]
-    tail: LedgerEntry
-    labels: tuple[str, ...]
-    codes: np.ndarray
-    pixels: np.ndarray
-
-
 def _check_label(label: str) -> None:
     try:
         size = len(label.encode("utf-8"))
@@ -157,10 +141,6 @@ def _select_codes(
 class MemoryModel:
     """A coding field plus its weights, parameters, and seeded RNG."""
 
-    # Built by the first belief call, so store, clone and snapshot loading
-    # never pay for it and a model that is never read holds none.
-    _ledger_arrays: _LedgerArrays | None = None
-
     def __init__(
         self,
         geometry: ModelGeometry,
@@ -172,9 +152,22 @@ class MemoryModel:
         self.params = params if params is not None else CsaParams()
         self.weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
         self.rng = np.random.default_rng(seed)
-        self.ledger: list[LedgerEntry] | None = [] if enable_ledger else None
+        # The ledger: a list of entries, a list of their labels, and their
+        # winners (Q, capacity) and pixels (S, capacity) as array columns.
+        # All four are None with the ledger off.
+        self._entries = self._labels = self._codes = self._pixels = None
+        if enable_ledger:
+            g = geometry
+            self._entries, self._labels = [], []
+            self._codes = np.empty((g.num_cms, 0), np.min_scalar_type(g.units_per_cm - 1))
+            self._pixels = np.empty((g.num_active, 0), np.min_scalar_type(g.num_pixels - 1))
         self.op_counter = OpCounter()
         self.num_stored = 0
+
+    @property
+    def ledger(self) -> tuple[LedgerEntry, ...] | None:
+        """The stored items in store order, or None with the ledger off."""
+        return None if self._entries is None else tuple(self._entries)
 
     @property
     def w_max(self) -> int:
@@ -219,14 +212,30 @@ class MemoryModel:
         failed store leaves the model unchanged.
         """
         self.geometry.validate_pattern(pattern)
-        if self.ledger is not None:
+        if self._entries is not None:
             name = label if label is not None else f"item-{self.num_stored + 1}"
             _check_label(name)
         code, trace = self._run(pattern, "soft", None, learn=True)
         self.num_stored += 1
-        if self.ledger is not None:
-            self.ledger.append(LedgerEntry(name, pattern, tuple(int(c) for c in code)))
+        if self._entries is not None:
+            self._append_ledger([LedgerEntry(name, pattern, tuple(code.tolist()))])
         return code, trace
+
+    def _append_ledger(self, entries: list[LedgerEntry]) -> None:
+        """Add ``entries``, which fit the geometry, to the end of the ledger."""
+        n, m = len(self._entries), len(entries)
+        capacity = self._codes.shape[1]
+        if n + m > capacity:  # at least double, so appends cost O(1) amortized
+            grow = max(capacity, n + m - capacity)
+            self._codes, self._pixels = (
+                np.pad(a, ((0, 0), (0, grow))) for a in (self._codes, self._pixels)
+            )
+        self._codes[:, n:n + m] = np.array([e.code for e in entries], self._codes.dtype).T
+        self._pixels[:, n:n + m] = np.array(
+            [e.pattern.active for e in entries], self._pixels.dtype
+        ).T
+        self._entries.extend(entries)
+        self._labels.extend(e.label for e in entries)
 
     def retrieve(
         self,
@@ -258,28 +267,28 @@ class MemoryModel:
         reported alongside as |X ∩ Y| / S.  Requires the ledger (the readout
         is the only part of the system whose cost grows with stored items).
         """
-        if self.ledger is None:
+        if self._entries is None:
             raise LedgerUnavailableError(
                 "belief_update requires a model built with enable_ledger=True"
             )
-        if not self.ledger:
+        n = len(self._entries)
+        if not n:
             raise LedgerUnavailableError("belief_update requires at least one stored item")
         code, trace = self.retrieve(pattern, mode=mode, rng=rng)
-        items = self._ledger_view()
         g = self.geometry
-        inter = (items.codes == code[:, None]).sum(
+        inter = (self._codes[:, :n] == code[:, None]).sum(
             axis=0, dtype=np.min_scalar_type(g.num_cms)
         )
         probe = np.zeros(g.num_pixels, dtype=bool)
         probe[list(pattern.active)] = True
-        overlap = probe.take(items.pixels).sum(
+        overlap = probe.take(self._pixels[:, :n]).sum(
             axis=0, dtype=np.min_scalar_type(g.num_active)
         )
         entries = tuple(
             map(
                 BeliefEntry._make,
                 zip(
-                    items.labels,
+                    self._labels,
                     (overlap / g.num_active).tolist(),
                     inter.tolist(),
                     (inter / g.num_cms).tolist(),
@@ -294,43 +303,6 @@ class MemoryModel:
             trace=trace,
         )
 
-    def _ledger_view(self) -> _LedgerArrays:
-        """The ledger as arrays, brought up to date with ``self.ledger``.
-
-        Extends the cached copy by the items appended since it was made, or
-        rebuilds it when the ledger is another list, has shrunk, or no longer
-        holds the last copied item where it was.  A new copy replaces the old
-        one whole; neither is written in place.  Requires a non-empty ledger.
-        """
-        ledger = self.ledger
-        view = self._ledger_arrays
-        done = 0 if view is None else len(view.labels)
-        if view is not None and not (
-            view.source is ledger and done <= len(ledger) and ledger[done - 1] is view.tail
-        ):
-            view, done = None, 0
-        if view is not None and done == len(ledger):
-            return view
-        new = ledger[done:]
-        g = self.geometry
-        labels = tuple(e.label for e in new)
-        code_dtype = np.min_scalar_type(g.units_per_cm - 1)
-        pixel_dtype = np.min_scalar_type(g.num_pixels - 1)
-        codes = np.ascontiguousarray(
-            np.array([e.code for e in new], dtype=code_dtype).reshape(len(new), g.num_cms).T
-        )
-        pixels = np.ascontiguousarray(
-            np.array([e.pattern.active for e in new], dtype=pixel_dtype)
-            .reshape(len(new), g.num_active).T
-        )
-        if view is not None:
-            labels = view.labels + labels
-            codes = np.concatenate([view.codes, codes], axis=1)
-            pixels = np.concatenate([view.pixels, pixels], axis=1)
-        view = _LedgerArrays(ledger, new[-1], labels, codes, pixels)
-        self._ledger_arrays = view
-        return view
-
     def clone(self) -> "MemoryModel":
         """Deep copy: weights, RNG state, ledger, and counters."""
         other = MemoryModel.__new__(MemoryModel)
@@ -339,7 +311,12 @@ class MemoryModel:
         other.weights = self.weights.copy()
         other.rng = np.random.default_rng()
         other.rng.bit_generator.state = self.rng.bit_generator.state
-        other.ledger = list(self.ledger) if self.ledger is not None else None
+        other._entries = other._labels = other._codes = other._pixels = None
+        if self._entries is not None:
+            other._entries = list(self._entries)
+            other._labels = list(self._labels)
+            other._codes = self._codes.copy()
+            other._pixels = self._pixels.copy()
         other.op_counter = self.op_counter.copy()
         other.num_stored = self.num_stored
         return other

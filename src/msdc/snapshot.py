@@ -91,7 +91,7 @@ def _unpack_rng_state(blob: bytes) -> dict:
 
 
 def encode_model(model: MemoryModel) -> bytes:
-    g = model.geometry
+    g, ledger = model.geometry, model.ledger
     parts = [
         MAGIC,
         struct.pack("<HH", FORMAT_VERSION, 0),
@@ -109,12 +109,12 @@ def encode_model(model: MemoryModel) -> bytes:
         ),
         _pack_rng_state(model.rng),
         struct.pack("<I", model.num_stored),
-        struct.pack("<B", 1 if model.ledger is not None else 0),
+        struct.pack("<B", 1 if ledger is not None else 0),
         np.packbits(model.weights.bits, bitorder="little").tobytes(),
     ]
-    if model.ledger is not None:
-        parts.append(struct.pack("<I", len(model.ledger)))
-        for entry in model.ledger:
+    if ledger is not None:
+        parts.append(struct.pack("<I", len(ledger)))
+        for entry in ledger:
             label = entry.label.encode("utf-8")
             parts.append(struct.pack("<H", len(label)))
             parts.append(label)
@@ -194,12 +194,13 @@ def decode_model(blob: bytes) -> MemoryModel:
     model = MemoryModel(
         geometry,
         CsaParams(eta_max, steepness, midpoint, g_floor, g_exponent),
-        enable_ledger=False,
+        enable_ledger=ledger is not None,
     )
     model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=bits)
     model.rng.bit_generator.state = rng_state
     model.num_stored = num_stored
-    model.ledger = ledger
+    if ledger:
+        model._append_ledger(ledger)
     return model
 
 

@@ -2,17 +2,24 @@
 
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msdc
-from msdc import InputPattern, LedgerEntry, load_model
+from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
 from msdc.cli import main
+from msdc.core import PAPER_GEOMETRY
 from msdc.snapshot import encode_model
 
 # sha256 of the file `msdc init` writes with no flags, and of the --trace
@@ -54,7 +61,7 @@ def test_init_creates_empty_model(model_path, capsys):
     model = load_model(model_path)
     assert model.weights.set_count() == 0
     assert model.geometry.num_cms == 24
-    assert model.ledger == []
+    assert model.ledger == ()
 
 
 def test_init_file_is_pinned(model_path):
@@ -77,6 +84,41 @@ def test_init_rejects_impossible_geometry(tmp_path, capsys):
                "--active", "5"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_geometry_too_large_for_numpy_is_data_error(tmp_path, capsys):
+    # 2**32 pixels by 2**48 - 2**16 units: numpy refuses before allocating.
+    path = tmp_path / "m.msdc"
+    assert main(["init", str(path), "--width", "65536", "--height", "65536",
+                 "--cms", "4294967295", "--units", "65536"]) == 3
+    err = capsys.readouterr().err
+    assert "cannot allocate 4294967296 x 281474976645120 weight bits" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_largest_eta_max_stores_twice_and_the_next_float_up_is_data_error(tmp_path, capsys):
+    # With a flat sigmoid every unit of a 65536-unit CM weighs about
+    # 1 + eta_max / 2 at G=1, so their sum nears the float64 maximum.
+    largest = sys.float_info.max / 65536
+    pattern = tmp_path / "p.json"
+    pattern.write_text("[0]")
+    for eta_max, rc in ((largest, 0), (math.nextafter(largest, math.inf), 3)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "geometry": {"input_width": 1, "input_height": 1, "num_active": 1,
+                         "num_cms": 4, "units_per_cm": 65536},
+            "params": {"eta_max": eta_max, "steepness": 1e-9}}))
+        path = tmp_path / f"{rc}.msdc"
+        assert main(["init", str(path), "--config", str(cfg)]) == rc
+        if rc:
+            assert "eta_max must keep the win weights" in capsys.readouterr().err
+            assert not path.exists()
+            continue
+        for g in (0.0, 1.0):
+            assert main(["store", str(path), str(pattern)]) == 0
+            assert f"G={g}" in capsys.readouterr().out
+        assert load_model(path).params.eta_max == largest
 
 
 def test_init_honors_config_file(tmp_path):
@@ -392,10 +434,13 @@ def test_scenario_without_seeds_is_data_error(tmp_path, capsys):
 def test_query_on_snapshot_with_off_geometry_ledger_entry_is_data_error(
     model_path, grid_pattern, capsys
 ):
-    # A CRC-valid snapshot whose ledger holds a 2-winner code at Q=24.
-    model = load_model(model_path)
-    model.ledger.append(LedgerEntry("bad", InputPattern(tuple(range(12))), (0, 1)))
-    model_path.write_bytes(encode_model(model))
+    # A CRC-valid snapshot whose ledger holds a 2-winner code at Q=24: the
+    # empty ledger's count, just before the CRC, becomes 1, and the raw entry
+    # follows it.
+    blob = bytearray(model_path.read_bytes()[:-4])
+    struct.pack_into("<I", blob, len(blob) - 4, 1)
+    blob += struct.pack("<H3sI12IIHH", 3, b"bad", 12, *range(12), 2, 0, 1)
+    model_path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
     assert main(["query", str(model_path), str(grid_pattern)]) == 3
     err = capsys.readouterr().err
     assert "ledger entry 0 has 2 winners, expected 24" in err
@@ -487,3 +532,105 @@ def test_non_utf8_input_file_is_data_error(model_path, tmp_path, capsys, command
     assert "Traceback" not in err
     assert not out.exists()
     assert model_path.read_bytes() == before
+
+
+# Never an integer, so no geometry field drawn from these is accepted.
+_NOT_INT = st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+# Object keys of at most 6 characters never name a geometry or params field.
+_JSON = st.recursive(
+    _NOT_INT | st.integers(),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=6,
+)
+# An accepted config's integer geometry fields stay at most 24, so its model
+# holds at most 576 x 576 weight bits.
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    "geometry": _JSON | st.fixed_dictionaries({}, optional={
+        f.name: st.integers(-1, 24) | _NOT_INT for f in fields(ModelGeometry)}),
+    "params": _JSON | st.fixed_dictionaries({}, optional={
+        f.name: st.floats() | st.integers() | _NOT_INT for f in fields(CsaParams)}),
+    "w_max": st.just(127) | _JSON,
+    "seed": _JSON,
+    "ledger": _JSON,
+}) | _JSON
+_PATTERN_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text("01 2\n\r\t", max_size=200).map(str.encode),
+    st.lists(st.integers(-2, 150), max_size=14).map(lambda v: json.dumps(v).encode()),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.sampled_from([b"[" * 5000, b"[" + b"1" * 5000 + b"]", b"\xff\xfe[1, 2]"]),
+)
+_LABELS = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["a" * 65535, "a" * 65536, "\u00e9" * 32768, "\udcff"])
+_SNAPSHOT_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+def _label_fits(label: str) -> bool:
+    try:
+        return len(label.encode("utf-8")) <= 65535
+    except UnicodeEncodeError:
+        return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["store", "query"]), _PATTERN_BYTES),
+    st.tuples(st.just("init"), _CONFIGS),
+    st.tuples(st.just("label"), _LABELS),
+    st.tuples(st.just("snapshot"), _SNAPSHOT_EDITS),
+))
+def test_cli_maps_malformed_input_to_a_documented_exit_code(case):
+    # Every call returns 0, or 3 for bad data, and raises nothing; a failed
+    # command leaves the model file as it was.
+    kind, value = case
+    model = MemoryModel(PAPER_GEOMETRY, enable_ledger=True)
+    gen = np.random.default_rng(0)
+    for i in range(3):
+        model.store(random_pattern(PAPER_GEOMETRY, gen), f"item{i}")
+    blob = encode_model(model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, pattern = Path(tmp) / "m.msdc", Path(tmp) / "p.json"
+        path.write_bytes(blob)
+        pattern.write_text(json.dumps(list(range(12))))
+        if kind in ("store", "query"):
+            pattern.write_bytes(value)
+            rc = main([kind, str(path), str(pattern)])
+            assert rc in (0, 3)
+        elif kind == "label":
+            rc = main(["store", str(path), str(pattern), f"--label={value}"])
+            assert rc == (0 if _label_fits(value) else 3)
+            if rc == 0:
+                assert load_model(path).ledger[-1].label == value
+        elif kind == "snapshot":
+            if value[0] == "flip":
+                edited = bytearray(blob)
+                edited[value[1] % len(blob)] ^= value[2]
+            elif value[0] == "truncate":
+                edited = blob[:value[1] % len(blob)]
+            else:
+                edited = blob + value[1]
+            path.write_bytes(bytes(edited))
+            rc = main(["query", str(path), str(pattern)])
+            assert rc == 3
+        else:
+            config, out = Path(tmp) / "cfg.json", Path(tmp) / "new.msdc"
+            config.write_text(json.dumps(value))
+            rc = main(["init", str(out), "--config", str(config)])
+            assert rc in (0, 3)
+            if rc == 3:
+                assert not out.exists()
+            else:
+                # An accepted config yields a model that stores and answers.
+                new = load_model(out)
+                pattern.write_text(json.dumps(list(range(new.geometry.num_active))))
+                for _ in range(2):
+                    assert main(["store", str(out), str(pattern)]) == 0
+                assert main(["query", str(out), str(pattern)]) == (
+                    0 if new.ledger is not None else 3)
+        if rc == 3 and kind != "snapshot":
+            assert path.read_bytes() == blob

@@ -379,9 +379,10 @@ def test_op_counter_fields_cover_pipeline(geometry, rng):
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CsaParams)])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, -10**400])
 def test_params_reject_non_finite_values(name, value):
-    # eta_max=inf or steepness=inf would make rho NaN at G=1.
+    # eta_max=inf or steepness=inf would make rho NaN at G=1.  An int beyond
+    # the float64 range, which a JSON config can hold, is not finite either.
     with pytest.raises(GeometryError, match="finite"):
         CsaParams(**{name: value})
 
@@ -492,6 +493,17 @@ def test_pattern_rejects_bool_indices(indices):
 def test_pattern_accepts_low_integer_indices():
     assert InputPattern((1, 0, 2)).active == (0, 1, 2)
     assert InputPattern((np.int64(0), 1)).active == (0, 1)
+
+
+def test_weight_allocation_failure_is_geometry_error(geometry, monkeypatch):
+    def refuse(shape, dtype):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(GeometryError, match="cannot allocate 144 x 192 weight bits"):
+        WeightMatrix(geometry.num_pixels, geometry.num_units)
+    with pytest.raises(GeometryError, match="cannot allocate"):
+        MemoryModel(geometry)
 
 
 def test_weight_quantum_is_fixed_at_127(geometry):

@@ -59,7 +59,7 @@ def test_retrieve_leaves_model_state_alone(geometry, rng):
     model = make_model(geometry)
     model.store(random_pattern(geometry, rng))
     bits_before = model.weights.bits.copy()
-    ledger_before = list(model.ledger)
+    ledger_before = model.ledger
     stored_before = model.num_stored
     reader_rng = np.random.default_rng(5)
     rng_state_before = model.rng.bit_generator.state
@@ -84,6 +84,31 @@ def test_caller_rng_readers_leave_op_counter_alone(geometry, rng):
     # A retrieve on the model's own RNG is a use of the model and counts.
     model.retrieve(random_pattern(geometry, rng))
     assert model.op_counter.total() > counts_before["total"]
+
+
+def test_caller_rng_belief_update_writes_no_model_attribute(geometry, rng):
+    # A reader writes nothing on the model, not even a copy of the ledger.
+    model = make_model(geometry)
+    for _ in range(3):
+        model.store(random_pattern(geometry, rng))
+    before = dict(vars(model))
+    for mode in ("soft", "hard"):
+        model.belief_update(random_pattern(geometry, rng), mode, np.random.default_rng(5))
+    after = vars(model)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
+def test_ledger_is_a_read_only_tuple(geometry, rng):
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng), "A")
+    with pytest.raises(AttributeError):
+        model.ledger = ()
+    ledger = model.ledger
+    assert isinstance(ledger, tuple)
+    # Every call hands out the same entry objects.
+    assert [a is b for a, b in zip(model.ledger, ledger)] == [True]
+    assert make_model(geometry, ledger=False).ledger is None
 
 
 def test_store_rejects_bad_pattern_and_leaves_model_unchanged(geometry, rng):
@@ -111,7 +136,7 @@ def test_store_rejects_unsnapshottable_label_and_leaves_model_unchanged(
     bits = model.weights.bits.copy()
     state = model.rng.bit_generator.state
     counter = model.op_counter.copy()
-    ledger = list(model.ledger)
+    ledger = model.ledger
     with pytest.raises(LabelError):
         model.store(random_pattern(geometry, rng), label)
     assert np.array_equal(model.weights.bits, bits)
@@ -284,16 +309,25 @@ def test_store_then_hard_retrieve_after_other_items(geometry):
 
 def test_clone_is_independent_and_replays(geometry, rng):
     model = make_model(geometry, seed=4)
-    model.store(random_pattern(geometry, rng), "A")
+    # Three items leave the ledger's columns room for a fourth, which the
+    # clone and the original each store on their own.
+    for label in "AXY":
+        model.store(random_pattern(geometry, rng), label)
     twin = model.clone()
     probe = random_pattern(geometry, rng)
     code_a, trace_a = model.retrieve(probe)
     code_b, trace_b = twin.retrieve(probe)
     assert np.array_equal(code_a, code_b)
     assert np.array_equal(trace_a.rho, trace_b.rho)
-    # Mutating the clone leaves the original alone.
-    twin.store(random_pattern(geometry, rng))
-    assert model.num_stored == 1
+    # Mutating the clone leaves the original alone, and the reverse.
+    b, c = random_pattern(geometry, rng), random_pattern(geometry, rng)
+    twin.store(b, "B")
+    assert model.num_stored == 3
+    assert len(model.ledger) == 3
+    model.store(c, "C")
+    for owner, pattern in ((twin, b), (model, c)):
+        report = owner.belief_update(pattern, mode="hard", rng=np.random.default_rng(0))
+        assert report.entries[-1].code_intersection == 24
 
 
 def test_auto_labels_count_up(geometry, rng):

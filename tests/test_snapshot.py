@@ -3,7 +3,6 @@
 import hashlib
 import struct
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from msdc import (
     random_pattern,
     save_model,
 )
-from msdc.memory import LedgerEntry
 from msdc.snapshot import decode_model, encode_model
 
 HEADER_BYTES = 117  # magic..ledger flag, per the documented layout
@@ -153,10 +151,20 @@ def with_crc(body: bytes) -> bytes:
 
 
 def encode_with_entry(geometry, label, active, code):
-    """A CRC-valid snapshot whose last ledger entry holds the given fields."""
-    model = populated_model(geometry, n=2)
-    model.ledger.append(LedgerEntry(label, SimpleNamespace(active=tuple(active)), tuple(code)))
-    return encode_model(model)
+    """A CRC-valid snapshot whose last ledger entry holds the given fields.
+
+    The raw entry goes before the CRC, and the ledger's entry count, which
+    follows the weight bytes, goes up by one.
+    """
+    blob = bytearray(encode_model(populated_model(geometry, n=2))[:-CRC_BYTES])
+    count_at = HEADER_BYTES + -(-geometry.num_pixels * geometry.num_units // 8)
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    struct.pack_into("<I", blob, count_at, count + 1)
+    active, code, text = tuple(active), tuple(code), label.encode("utf-8")
+    blob += struct.pack(f"<H{len(text)}s", len(text), text)
+    blob += struct.pack(f"<I{len(active)}I", len(active), *active)
+    blob += struct.pack(f"<I{len(code)}H", len(code), *code)
+    return with_crc(bytes(blob))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the store / retrieve / belief-update API and its contracts."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -257,6 +258,35 @@ def test_belief_entry_is_an_immutable_named_tuple(geometry, rng):
     best = report.best()
     assert best.label == "P3"
     assert best.likelihood == max(e.likelihood for e in report.entries) == 1.0
+
+
+# sha256 of repr(report.entries) for test_belief_entries_are_pinned's six
+# reports, in probe order, soft before hard.
+BELIEF_SHA256 = "d44a35fc80278ad90529bee5d728c8a61fc1eeadc4a41170b8ad8b6ba5f73f1c"
+
+
+def test_belief_entries_are_pinned(geometry):
+    # 2000 items at paper geometry, read out for a stored item, a noisy copy
+    # of another and a novel probe: any change to an entry's type, a field,
+    # a value or its repr shows here.
+    gen = np.random.default_rng(2000)
+    model = make_model(geometry, seed=7)
+    stored = [random_pattern(geometry, gen) for _ in range(2000)]
+    for i, pattern in enumerate(stored):
+        model.store(pattern, f"item-{i}")
+    source = stored[1234].active
+    outside = np.setdiff1d(np.arange(geometry.num_pixels), source)
+    noisy = InputPattern.from_indices(
+        list(source[:8]) + gen.choice(outside, 4, replace=False).tolist()
+    )
+    h = hashlib.sha256()
+    for step, probe in enumerate((stored[567], noisy, random_pattern(geometry, gen))):
+        for mode in ("soft", "hard"):
+            report = model.belief_update(probe, mode, np.random.default_rng([step, len(mode)]))
+            assert len(report.entries) == 2000
+            assert all(type(e) is BeliefEntry for e in report.entries)
+            h.update(repr(report.entries).encode())
+    assert h.hexdigest() == BELIEF_SHA256
 
 
 def test_belief_likelihoods_are_q_quantized(geometry, rng):

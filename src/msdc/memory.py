@@ -35,6 +35,8 @@ write nothing on the model and may run concurrently with other readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -92,7 +94,8 @@ class BeliefReport:
     trace: CsaTrace = field(repr=False)
 
     def best(self) -> BeliefEntry:
-        return max(self.entries, key=lambda e: e.likelihood)
+        """The most likely item; of items that tie, the one stored first."""
+        return max(self.entries, key=attrgetter("likelihood"))
 
 
 def _check_label(label: str) -> None:
@@ -123,16 +126,20 @@ def _select_codes(
     model's Q uniforms, CM 0 first.  Row b gets the code that model b alone
     would get from its uniforms, and with ``learn`` each row learns its code
     in place.  Returns the codes (B, Q), the (B, Q, K) charts u, U, mu and
-    rho, and G and eta per row as Python floats.  mu and rho are formed in
-    hard mode too, for the trace, though the hard pick reads only U.
+    rho, and G and eta per row as Python floats.  The hard pick reads only
+    U, so in hard mode mu and rho are not formed and come back as None.
     """
     u = compute_u(bits, active, geometry)
     u_norm = normalize_u(u, geometry.num_active)
     g = familiarity(u_norm).tolist()
     eta = [eta_for_familiarity(x, params) for x in g]
-    mu = mu_from_u(u_norm, eta, params)
-    rho = rho_from_mu(mu)
-    code = draw_winners(rho, r) if mode == "soft" else hard_max_winners(u_norm, r)
+    if mode == "soft":
+        mu = mu_from_u(u_norm, eta, params)
+        rho = rho_from_mu(mu)
+        code = draw_winners(rho, r)
+    else:
+        mu = rho = None
+        code = hard_max_winners(u_norm, r)
     if learn:
         apply_learning(bits, active, code, geometry)
     return code, u, u_norm, mu, rho, g, eta
@@ -192,6 +199,9 @@ class MemoryModel:
         code, u, u_norm, mu, rho, fam, eta = _select_codes(
             bits, active, g, self.params, mode, r[None], learn
         )
+        if mu is None:  # a hard pick; the trace still reports mu and rho
+            mu = mu_from_u(u_norm, eta, self.params)
+            rho = rho_from_mu(mu)
         if rng is None:
             counter = self.op_counter
             counter.weight_reads += g.num_active * g.num_units
@@ -284,9 +294,12 @@ class MemoryModel:
         overlap = probe.take(self._pixels[:, :n]).sum(
             axis=0, dtype=np.min_scalar_type(g.num_active)
         )
+        # tuple.__new__ builds each entry in C; BeliefEntry._make would add a
+        # Python call per item only to check a length the zip already fixes.
         entries = tuple(
             map(
-                BeliefEntry._make,
+                tuple.__new__,
+                repeat(BeliefEntry),
                 zip(
                     self._labels,
                     (overlap / g.num_active).tolist(),

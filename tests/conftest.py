@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,3 +26,29 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _python_calls(fn, *args):
+    """Run ``fn(*args)`` and return how many Python frames it entered.
+
+    Counts the profiler's "call" events, one per Python function, method or
+    generator resumption; calls into C functions are not counted.
+    """
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.fixture
+def python_calls():
+    return _python_calls

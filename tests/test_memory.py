@@ -215,9 +215,19 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
             model.retrieve(pattern, verb)
         assert calls == {**dict.fromkeys(STAGES, 0), **want}, verb
     # The seed-blocked scenario runs the same kernel, so the same bindings.
+    spec = dataclasses.replace(default_appendix_scenario(1), seeds=(0, 1))
     calls.update(dict.fromkeys(STAGES, 0))
-    run_scenario(dataclasses.replace(default_appendix_scenario(1), seeds=(0, 1)))
+    run_scenario(spec)
     assert [name for name, n in calls.items() if not n] == ["hard_max_winners"]
+    # Stores draw softly in either mode, but a hard probe step forms no mu
+    # or rho and draws nothing: 6 store steps and 3 probe steps in one block.
+    calls.update(dict.fromkeys(STAGES, 0))
+    run_scenario(dataclasses.replace(spec, mode="hard"))
+    assert calls == {
+        **dict.fromkeys(STAGES[:3], 9), "eta_for_familiarity": 18,
+        **dict.fromkeys(("mu_from_u", "rho_from_mu", "draw_winners", "apply_learning"), 6),
+        "hard_max_winners": 3,
+    }
 
 
 def test_retrieve_rejects_unknown_mode(geometry, rng):
@@ -258,6 +268,21 @@ def test_belief_entry_is_an_immutable_named_tuple(geometry, rng):
     best = report.best()
     assert best.label == "P3"
     assert best.likelihood == max(e.likelihood for e in report.entries) == 1.0
+
+
+def test_best_breaks_a_tie_by_store_order(geometry):
+    # Stored twice under seed 0, one input gets the same code both times, so
+    # a hard readout of it ties the two items at likelihood 1.
+    gen = np.random.default_rng(0)
+    model = make_model(geometry, seed=0)
+    other, pattern = random_pattern(geometry, gen), random_pattern(geometry, gen)
+    model.store(other, "X")
+    first, _ = model.store(pattern, "A")
+    second, _ = model.store(pattern, "B")
+    assert np.array_equal(first, second)
+    report = model.belief_update(pattern, "hard", np.random.default_rng(0))
+    assert [e.likelihood for e in report.entries][1:] == [1.0, 1.0]
+    assert report.best() is report.entries[1]
 
 
 # sha256 of repr(report.entries) for test_belief_entries_are_pinned's six
@@ -365,3 +390,27 @@ def test_auto_labels_count_up(geometry, rng):
     model.store(random_pattern(geometry, rng))
     model.store(random_pattern(geometry, rng))
     assert [e.label for e in model.ledger] == ["item-1", "item-2"]
+
+
+def test_verbs_run_a_fixed_number_of_python_frames(geometry, python_calls):
+    # Fixed time at the interpreter's level: no verb runs a Python frame per
+    # stored item.  Only the belief readout's array pass is O(N).  The
+    # store lands inside the ledger's capacity at both sizes (16 and 512),
+    # so neither grows the ledger's arrays.
+    counts = []
+    for n in (10, 300):
+        gen = np.random.default_rng(n)
+        model = make_model(geometry, seed=n)
+        for _ in range(n):
+            model.store(random_pattern(geometry, gen))
+        probe, new = random_pattern(geometry, gen), random_pattern(geometry, gen)
+        reader = np.random.default_rng(n)
+        count = {}
+        for mode in ("soft", "hard"):
+            count[mode] = python_calls(model.retrieve, probe, mode, reader)
+            count[f"belief {mode}"] = python_calls(
+                lambda: model.belief_update(probe, mode, reader).best()
+            )
+        count["store"] = python_calls(model.store, new)
+        counts.append(count)
+    assert counts[0] == counts[1], counts

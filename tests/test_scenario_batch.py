@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from msdc import CsaParams, MemoryModel, ModelGeometry, WeightMatrix, cli, random_pattern
+from msdc.core import mu_from_u, rho_from_mu
 from msdc.experiments import (
     APPENDIX_GEOMETRY,
     ProbeSpec,
@@ -237,6 +238,11 @@ def check_kernel_rows(geometry, mode, densities):
     assert codes.tolist() == [code.tolist() for code, _ in results]
     assert g == [trace.familiarity for _, trace in results]
     assert eta == [trace.eta for _, trace in results]
+    if mode == "hard":
+        # The hard pick forms no mu or rho; the trace forms them from U.
+        assert mu is None and rho is None
+        mu = mu_from_u(u_norm, eta, params)
+        rho = rho_from_mu(mu)
     charts = {"u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
     for row, (_, trace) in enumerate(results):
         for name, chart in charts.items():

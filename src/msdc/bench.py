@@ -26,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, random_pattern
+from .core import (
+    CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, _as_int, random_pattern,
+)
 from .errors import GeometryError
 from .memory import MemoryModel
 
@@ -106,6 +108,13 @@ def run_scaling_bench(
         raise GeometryError("checkpoints must be positive")
     if list(checkpoints) != sorted(set(checkpoints)):
         raise GeometryError("checkpoints must be strictly ascending")
+    trials_per_checkpoint = _as_int(
+        trials_per_checkpoint, "trials_per_checkpoint", GeometryError
+    )
+    if trials_per_checkpoint < 1:
+        raise GeometryError(
+            f"trials_per_checkpoint must be at least 1, got {trials_per_checkpoint}"
+        )
     needed = checkpoints[-1] + len(checkpoints) * (trials_per_checkpoint * 2 + 12)
     if math.comb(geometry.num_pixels, geometry.num_active) < 4 * needed:
         raise GeometryError(
@@ -133,7 +142,7 @@ def run_scaling_bench(
 
     # Phase 2: interleaved timing rounds over the checkpoint snapshots.
     batch = 5
-    rounds = max(1, -(-trials_per_checkpoint // batch))
+    rounds = -(-trials_per_checkpoint // batch)
     store_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
     retrieve_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
     retrieve_rng = np.random.default_rng((seed, 2))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -192,10 +192,7 @@ def cmd_experiment(args) -> int:
     spec = exp_mod.load_scenario(args.spec_path)
     if args.seed is not None:
         # Shift the whole seed list so one flag re-randomizes a run.
-        spec = exp_mod.scenario_from_dict(
-            {**exp_mod.scenario_to_dict(spec),
-             "seeds": [s + args.seed for s in spec.seeds]}
-        )
+        spec = replace(spec, seeds=tuple(s + args.seed for s in spec.seeds))
     records = exp_mod.run_scenario(spec)
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     written = exp_mod.emit_results(records, spec, args.out_dir, formats=formats)

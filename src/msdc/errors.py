@@ -6,7 +6,7 @@ class MsdcError(Exception):
 
 
 class GeometryError(MsdcError, ValueError):
-    """Model geometry or a structural shape constraint is violated."""
+    """Model geometry, a model parameter or argument, or a shape constraint is invalid."""
 
 
 class PatternError(MsdcError, ValueError):

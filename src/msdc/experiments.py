@@ -38,7 +38,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -64,12 +64,6 @@ from .memory import MemoryModel, _select_codes
 from .oracle import oracle_similarity
 
 APPENDIX_GEOMETRY = PAPER_GEOMETRY
-
-# Per-probe overlap with stored items I1..I6, in twelfths.  Each schedule
-# sums to at most S=12 (the feasibility bound for a disjoint corpus).
-APPENDIX_I7_OVERLAPS = (5, 4, 2, 1, 0, 0)
-APPENDIX_I8_OVERLAPS = (0, 7, 3, 2, 0, 0)
-APPENDIX_I9_OVERLAPS = (0, 0, 6, 0, 0, 6)
 
 # Stacked weight planes per seed block: about 1 MiB, 37 seeds at the
 # appendix geometry, so peak memory does not grow with the seed count.
@@ -152,18 +146,9 @@ class ScenarioSpec:
 
 
 def default_appendix_scenario(num_seeds: int = 200) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="appendix",
-        geometry=APPENDIX_GEOMETRY,
-        params=CsaParams(),
-        num_stored=6,
-        probes=(
-            ProbeSpec("I7", APPENDIX_I7_OVERLAPS),
-            ProbeSpec("I8", APPENDIX_I8_OVERLAPS),
-            ProbeSpec("I9", APPENDIX_I9_OVERLAPS),
-        ),
-        seeds=tuple(range(num_seeds)),
-    )
+    """The bundled appendix scenario (``load_scenario("appendix")``), with
+    seeds ``0 .. num_seeds - 1``."""
+    return replace(load_scenario("appendix"), seeds=tuple(range(num_seeds)))
 
 
 def build_appendix_corpus(

@@ -49,6 +49,7 @@ from .core import (
     OpCounter,
     W_MAX,
     WeightMatrix,
+    _as_int,
     apply_learning,
     compute_u,
     draw_winners,
@@ -59,7 +60,7 @@ from .core import (
     normalize_u,
     rho_from_mu,
 )
-from .errors import LabelError, LedgerUnavailableError
+from .errors import GeometryError, LabelError, LedgerUnavailableError
 
 RETRIEVAL_MODES = ("soft", "hard")
 
@@ -99,6 +100,8 @@ class BeliefReport:
 
 
 def _check_label(label: str) -> None:
+    if not isinstance(label, str):
+        raise LabelError(f"ledger label must be a string, got {label!r}")
     try:
         size = len(label.encode("utf-8"))
     except UnicodeEncodeError as exc:
@@ -108,6 +111,13 @@ def _check_label(label: str) -> None:
             f"ledger label is {size} UTF-8 bytes; a snapshot holds at most "
             f"{MAX_LABEL_BYTES}"
         )
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """A model RNG for ``seed``, which must be a non-negative integer."""
+    if _as_int(seed, "seed", GeometryError) < 0:
+        raise GeometryError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _select_codes(
@@ -158,7 +168,7 @@ class MemoryModel:
         self.geometry = geometry
         self.params = params if params is not None else CsaParams()
         self.weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
-        self.rng = np.random.default_rng(seed)
+        self.rng = _seeded_rng(seed)
         # The ledger: a list of entries, a list of their labels, and their
         # winners (Q, capacity) and pixels (S, capacity) as array columns.
         # All four are None with the ledger off.
@@ -182,7 +192,7 @@ class MemoryModel:
         return W_MAX
 
     def reseed(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
+        self.rng = _seeded_rng(seed)
 
     def _run(
         self, pattern: InputPattern, mode: str, rng: np.random.Generator | None, learn: bool
@@ -262,7 +272,7 @@ class MemoryModel:
         """
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:
-            raise ValueError(f"unknown retrieval mode {mode!r}")
+            raise GeometryError(f"unknown retrieval mode {mode!r}")
         return self._run(pattern, mode, rng, learn=False)
 
     def belief_update(

@@ -19,18 +19,19 @@ Layout (all integers little-endian; bit-packed bytes little bit order):
     116     1     ledger-present flag (u8)
     117     -     weight bits, packed 8 per byte, row-major by pixel:
                   ceil(num_pixels * num_units / 8) bytes
-    ...     -     ledger, if present: count (u32); per entry label length
-                  (u16) + UTF-8 bytes, pixel count (u32) + pixel indices
-                  (u32 each), winner count (u32) + winners (u16 each)
+    ...     -     ledger, if present: count (u32), then per entry its label
+                  length (u16), UTF-8 label and ``<I{S}II{Q}H``: pixel
+                  count, pixel indices, winner count, winners
     last 4  4     CRC-32 of all preceding bytes
 
 Round-trips are bit-exact: a loaded model produces traces identical to the
-saved one for the same inputs.  Loading never yields a partial model; any
-defect raises before construction (distinct errors for wrong version,
-truncation, and checksum mismatch).  After the checksum, the ``w_max`` field
-must be 127 and every ledger entry is checked against the geometry (S pixels
-inside the grid, Q winners below K, a UTF-8 label); either defect raises
-``SnapshotFormatError``.
+saved one for the same inputs.  Loading never yields a partial model.  It
+checks, in order, the magic, version, truncation, trailing bytes and
+checksum, reading only the counts that size the sections; so a corrupted
+byte anywhere raises a ``SnapshotError``.  Only then are the fields read: a
+checksum-valid blob with invalid geometry or params, a ``w_max`` other than
+127, or a ledger entry that does not fit the geometry (S pixels inside the
+grid, Q winners below K, a UTF-8 label) raises ``SnapshotFormatError``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import os
 import struct
 import tempfile
 import zlib
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ from .core import (
     _check_w_max,
 )
 from .errors import (
+    GeometryError,
     PatternError,
     SnapshotFormatError,
     SnapshotIntegrityError,
@@ -63,141 +66,102 @@ from .memory import LedgerEntry, MemoryModel
 MAGIC = b"MSDC"
 FORMAT_VERSION = 1
 
-
-def _pack_rng_state(rng: np.random.Generator) -> bytes:
-    state = rng.bit_generator.state
-    if state["bit_generator"] != "PCG64":
-        raise SnapshotFormatError(
-            f"only PCG64 generators can be snapshotted, got {state['bit_generator']}"
-        )
-    inner = state["state"]
-    return (
-        int(inner["state"]).to_bytes(16, "little")
-        + int(inner["inc"]).to_bytes(16, "little")
-        + struct.pack("<II", int(state["has_uint32"]), int(state["uinteger"]))
-    )
-
-
-def _unpack_rng_state(blob: bytes) -> dict:
-    state = int.from_bytes(blob[0:16], "little")
-    inc = int.from_bytes(blob[16:32], "little")
-    has_uint32, uinteger = struct.unpack_from("<II", blob, 32)
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": has_uint32,
-        "uinteger": uinteger,
-    }
+# Bytes 0-116 of the table above, magic through ledger flag.
+_HEADER = struct.Struct("<4sHH5II5d16s16sIIIB")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 def encode_model(model: MemoryModel) -> bytes:
     g, ledger = model.geometry, model.ledger
+    rng = model.rng.bit_generator.state
+    if rng["bit_generator"] != "PCG64":
+        raise SnapshotFormatError(
+            f"only PCG64 generators can be snapshotted, got {rng['bit_generator']}"
+        )
     parts = [
-        MAGIC,
-        struct.pack("<HH", FORMAT_VERSION, 0),
-        struct.pack(
-            "<5I", g.input_width, g.input_height, g.num_active, g.num_cms, g.units_per_cm
+        _HEADER.pack(
+            MAGIC, FORMAT_VERSION, 0, *astuple(g), W_MAX, *astuple(model.params),
+            rng["state"]["state"].to_bytes(16, "little"),
+            rng["state"]["inc"].to_bytes(16, "little"),
+            rng["has_uint32"], rng["uinteger"],
+            model.num_stored,
+            ledger is not None,
         ),
-        struct.pack("<I", W_MAX),
-        struct.pack(
-            "<5d",
-            model.params.eta_max,
-            model.params.steepness,
-            model.params.midpoint,
-            model.params.g_floor,
-            model.params.g_exponent,
-        ),
-        _pack_rng_state(model.rng),
-        struct.pack("<I", model.num_stored),
-        struct.pack("<B", 1 if ledger is not None else 0),
         np.packbits(model.weights.bits, bitorder="little").tobytes(),
     ]
     if ledger is not None:
-        parts.append(struct.pack("<I", len(ledger)))
+        s, q = g.num_active, g.num_cms
+        tail = struct.Struct(f"<I{s}II{q}H")
+        parts.append(_U32.pack(len(ledger)))
         for entry in ledger:
             label = entry.label.encode("utf-8")
-            parts.append(struct.pack("<H", len(label)))
-            parts.append(label)
-            parts.append(struct.pack("<I", len(entry.pattern.active)))
-            parts.append(struct.pack(f"<{len(entry.pattern.active)}I", *entry.pattern.active))
-            parts.append(struct.pack("<I", len(entry.code)))
-            parts.append(struct.pack(f"<{len(entry.code)}H", *entry.code))
+            tail_bytes = tail.pack(s, *entry.pattern.active, q, *entry.code)
+            parts += (_U16.pack(len(label)), label, tail_bytes)
     body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-class _Cursor:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise SnapshotTruncatedError(
-                f"snapshot ends at byte {len(self.blob)}, "
-                f"needed {self.pos + n}"
-            )
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    return body + _U32.pack(zlib.crc32(body))
 
 
 def decode_model(blob: bytes) -> MemoryModel:
-    cur = _Cursor(blob)
-    if cur.take(4) != MAGIC:
+    if blob[:4] != MAGIC[: len(blob)]:
         raise SnapshotFormatError("not a model snapshot (bad magic)")
-    version, _reserved = cur.unpack("<HH")
-    if version != FORMAT_VERSION:
-        raise SnapshotVersionError(
-            f"snapshot format version {version}, expected {FORMAT_VERSION}"
+    version = int.from_bytes(blob[4:6], "little")
+    if len(blob) >= 6 and version != FORMAT_VERSION:
+        raise SnapshotVersionError(f"snapshot format version {version}, expected {FORMAT_VERSION}")
+    # Size every section from its count fields, reading nothing else, so
+    # that no field is interpreted before the checksum holds.
+    try:
+        head = _HEADER.unpack_from(blob)
+        dims, w_max, param_values, state, inc, has_uint32, uinteger, num_stored, has_ledger = (
+            head[3:8], head[8], head[9:14], *head[14:]
         )
-    width, height, active, cms, units = cur.unpack("<5I")
-    (w_max,) = cur.unpack("<I")
-    eta_max, steepness, midpoint, g_floor, g_exponent = cur.unpack("<5d")
-    rng_state = _unpack_rng_state(cur.take(40))
-    (num_stored,) = cur.unpack("<I")
-    (ledger_flag,) = cur.unpack("<B")
-
-    geometry = ModelGeometry(width, height, active, cms, units)
-    n_weight_bytes = -(-geometry.num_pixels * geometry.num_units // 8)
-    packed = np.frombuffer(cur.take(n_weight_bytes), dtype=np.uint8)
-    bits = np.unpackbits(
-        packed, count=geometry.num_pixels * geometry.num_units, bitorder="little"
-    ).reshape(geometry.num_pixels, geometry.num_units)
-
-    raw_ledger = None
-    if ledger_flag:
-        raw_ledger = []
-        (count,) = cur.unpack("<I")
-        for _ in range(count):
-            (label_len,) = cur.unpack("<H")
-            label = cur.take(label_len)
-            (n_pix,) = cur.unpack("<I")
-            pixels = cur.unpack(f"<{n_pix}I")
-            (n_win,) = cur.unpack("<I")
-            winners = cur.unpack(f"<{n_win}H")
-            raw_ledger.append((label, pixels, winners))
-
-    (stored_crc,) = cur.unpack("<I")
-    if cur.pos != len(blob):
-        raise SnapshotFormatError(f"{len(blob) - cur.pos} trailing bytes after checksum")
-    if zlib.crc32(blob[: cur.pos - 4]) != stored_crc:
+        num_bits = dims[0] * dims[1] * dims[3] * dims[4]  # pixels x units
+        weight_bytes = -(-num_bits // 8)
+        pos = _HEADER.size + weight_bytes
+        spans = None  # per ledger entry: label offset, label, pixel and winner counts
+        if has_ledger:
+            (count,) = _U32.unpack_from(blob, pos)
+            pos += 4
+            spans = []
+            for _ in range(count):
+                (n_label,) = _U16.unpack_from(blob, pos)
+                (n_pix,) = _U32.unpack_from(blob, pos + 2 + n_label)
+                (n_win,) = _U32.unpack_from(blob, pos + 6 + n_label + 4 * n_pix)
+                spans.append((pos + 2, n_label, n_pix, n_win))
+                pos += 10 + n_label + 4 * n_pix + 2 * n_win
+        (stored_crc,) = _U32.unpack_from(blob, pos)
+    except (struct.error, OverflowError):  # an offset past the end, or past any buffer
+        raise SnapshotTruncatedError(
+            f"snapshot ends at byte {len(blob)}, before the content its header declares"
+        ) from None
+    if pos + 4 != len(blob):
+        raise SnapshotFormatError(f"{len(blob) - pos - 4} trailing bytes after checksum")
+    if zlib.crc32(blob[:pos]) != stored_crc:
         raise SnapshotIntegrityError("snapshot checksum mismatch")
+
+    try:
+        geometry = ModelGeometry(*dims)
+        params = CsaParams(*param_values)
+    except GeometryError as exc:
+        raise SnapshotFormatError(f"snapshot header: {exc}") from exc
     _check_w_max(w_max, "snapshot w_max", SnapshotFormatError)
     ledger = None
-    if raw_ledger is not None:
-        ledger = [_ledger_entry(geometry, i, *raw) for i, raw in enumerate(raw_ledger)]
+    if spans is not None:
+        ledger = []
+        for i, (at, n_label, n_pix, n_win) in enumerate(spans):
+            label = blob[at : at + n_label]
+            tail = struct.unpack_from(f"<I{n_pix}II{n_win}H", blob, at + n_label)
+            ledger.append(_ledger_entry(geometry, i, label, tail[1 : 1 + n_pix], tail[2 + n_pix :]))
 
-    model = MemoryModel(
-        geometry,
-        CsaParams(eta_max, steepness, midpoint, g_floor, g_exponent),
-        enable_ledger=ledger is not None,
-    )
-    model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=bits)
-    model.rng.bit_generator.state = rng_state
+    model = MemoryModel(geometry, params, enable_ledger=ledger is not None)
+    shape = geometry.num_pixels, geometry.num_units
+    packed = np.frombuffer(blob, np.uint8, weight_bytes, _HEADER.size)
+    bits = np.unpackbits(packed, count=num_bits, bitorder="little").reshape(shape)
+    model.weights = WeightMatrix(*shape, bits=bits)
+    model.rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": has_uint32, "uinteger": uinteger,
+        "state": {"state": int.from_bytes(state, "little"), "inc": int.from_bytes(inc, "little")},
+    }
     model.num_stored = num_stored
     if ledger:
         model._append_ledger(ledger)

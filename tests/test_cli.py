@@ -319,6 +319,14 @@ def test_bench_writes_schema_valid_report(tmp_path, capsys):
     assert [cp["stored_items"] for cp in data["checkpoints"]] == [1, 5, 20]
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_bench_with_fewer_than_one_trial_is_data_error(tmp_path, capsys, trials):
+    out = tmp_path / "bench.json"
+    assert main(["bench", str(out), "--checkpoints", "1,5", f"--trials={trials}"]) == 3
+    assert f"trials_per_checkpoint must be at least 1, got {trials}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Only `msdc experiment` needs scipy; the other commands start without it.
     src = str(Path(msdc.__file__).resolve().parents[1])

@@ -325,6 +325,23 @@ def test_scenario_round_trip_and_bundled_default():
     assert load_scenario("appendix") == spec
 
 
+def test_default_appendix_scenario_is_the_bundled_file():
+    # Every entry point runs the bundled file; these are the paper's
+    # appendix values it must hold.
+    spec = default_appendix_scenario(num_seeds=3)
+    assert spec == dataclasses.replace(load_scenario("appendix"), seeds=(0, 1, 2))
+    assert default_appendix_scenario(200) == load_scenario("appendix")
+    assert (spec.name, spec.geometry, spec.params, spec.num_stored, spec.mode) == (
+        "appendix", APPENDIX_GEOMETRY, msdc.CsaParams(), 6, "soft"
+    )
+    assert spec.probes == (
+        ProbeSpec("I7", (5, 4, 2, 1, 0, 0)),
+        ProbeSpec("I8", (0, 7, 3, 2, 0, 0)),
+        ProbeSpec("I9", (0, 0, 6, 0, 0, 6)),
+    )
+    assert spec.store_order is None
+
+
 def test_store_order_variant():
     base = scenario_to_dict(default_appendix_scenario(num_seeds=5))
     reordered = scenario_from_dict(

@@ -9,6 +9,7 @@ import pytest
 import msdc.memory
 from msdc import (
     BeliefEntry,
+    GeometryError,
     InputPattern,
     LabelError,
     LedgerUnavailableError,
@@ -126,12 +127,13 @@ def test_store_rejects_bad_pattern_and_leaves_model_unchanged(geometry, rng):
     assert model.num_stored == 1
 
 
-@pytest.mark.parametrize("label", ["a" * 65536, "\u00e9" * 32768, "\udcff"])
+@pytest.mark.parametrize("label", ["a" * 65536, "\u00e9" * 32768, "\udcff", 5, b"A"])
 def test_store_rejects_unsnapshottable_label_and_leaves_model_unchanged(
     geometry, rng, label
 ):
     # A snapshot holds a label as at most 65535 UTF-8 bytes; a lone
-    # surrogate, which a non-UTF-8 command-line byte decodes to, has none.
+    # surrogate, which a non-UTF-8 command-line byte decodes to, has none,
+    # and a label that is not a str is not text at all.
     model = make_model(geometry, seed=9)
     model.store(random_pattern(geometry, rng), "A")
     bits = model.weights.bits.copy()
@@ -234,6 +236,32 @@ def test_retrieve_rejects_unknown_mode(geometry, rng):
     model = make_model(geometry)
     with pytest.raises(ValueError):
         model.retrieve(random_pattern(geometry, rng), mode="warm")
+
+
+def test_unknown_mode_is_a_geometry_error_on_every_reader(geometry, rng):
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng), "A")
+    with pytest.raises(GeometryError, match="unknown retrieval mode 'warm'"):
+        model.retrieve(random_pattern(geometry, rng), mode="warm")
+    with pytest.raises(GeometryError, match="unknown retrieval mode 'warm'"):
+        model.belief_update(random_pattern(geometry, rng), mode="warm")
+
+
+@pytest.mark.parametrize("seed", [True, -1, 1.5, "3", None])
+def test_model_seed_must_be_a_non_negative_integer(geometry, seed):
+    # No seed is coerced: True is not seed 1, and None is not fresh entropy.
+    with pytest.raises(GeometryError, match="seed must be"):
+        MemoryModel(geometry, seed=seed)
+    model = make_model(geometry, seed=4)
+    state = model.rng.bit_generator.state
+    with pytest.raises(GeometryError, match="seed must be"):
+        model.reseed(seed)
+    assert model.rng.bit_generator.state == state
+
+
+def test_model_seed_accepts_numpy_integers(geometry):
+    a, b = MemoryModel(geometry, seed=np.int64(7)), MemoryModel(geometry, seed=7)
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def test_belief_update_exact_match_has_likelihood_one(geometry, rng):

@@ -10,6 +10,9 @@ import pytest
 from msdc import (
     CsaParams,
     MemoryModel,
+    ModelGeometry,
+    MsdcError,
+    SnapshotError,
     SnapshotFormatError,
     SnapshotIntegrityError,
     SnapshotTruncatedError,
@@ -208,3 +211,73 @@ def test_header_w_max_other_than_127_is_format_error(geometry, w_max):
         decode_model(bytes(blob))
     with pytest.raises(SnapshotFormatError, match="snapshot w_max must be 127"):
         decode_model(with_crc(bytes(blob[:-CRC_BYTES])))
+
+
+def test_every_single_bit_flip_in_header_and_ledger_entry_is_a_snapshot_error(geometry):
+    # No field is read before the checksum holds, so a flipped bit in the
+    # header or in a ledger entry is never, say, a GeometryError.
+    blob = encode_model(populated_model(geometry, n=3, seed=2038))
+    entry_at = HEADER_BYTES + -(-geometry.num_pixels * geometry.num_units // 8) + 4
+    entry_bytes = 2 + len("item0") + 4 + 4 * geometry.num_active + 4 + 2 * geometry.num_cms
+    wrong = []
+    for at in [*range(HEADER_BYTES), *range(entry_at, entry_at + entry_bytes)]:
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[at] ^= 1 << bit
+            try:
+                decode_model(bytes(flipped))
+                wrong.append((at, bit, "decoded"))
+            except SnapshotError:
+                pass
+            except MsdcError as exc:
+                wrong.append((at, bit, type(exc).__name__))
+    assert wrong == []
+
+
+def test_header_fields_sit_at_their_documented_offsets():
+    geometry = ModelGeometry(7, 5, 3, 6, 4)
+    params = CsaParams(eta_max=123.5, steepness=17.25, midpoint=0.375,
+                       g_floor=0.125, g_exponent=2.5)
+    model = MemoryModel(geometry, params, seed=5)
+    gen = np.random.default_rng(6)
+    for _ in range(3):
+        model.store(random_pattern(geometry, gen))
+    model.rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": 0x0123456789ABCDEF_FEDCBA9876543210, "inc": 0x1357_9BDF_2468_ACE1},
+        "has_uint32": 1,
+        "uinteger": 0xDEADBEEF,
+    }
+    blob = encode_model(model)
+    assert struct.unpack_from("<4sHH", blob, 0) == (b"MSDC", 1, 0)
+    assert struct.unpack_from("<5I", blob, 8) == (7, 5, 3, 6, 4)
+    assert struct.unpack_from("<I", blob, 28) == (127,)
+    assert struct.unpack_from("<5d", blob, 32) == (123.5, 17.25, 0.375, 0.125, 2.5)
+    state = model.rng.bit_generator.state
+    assert int.from_bytes(blob[72:88], "little") == state["state"]["state"]
+    assert int.from_bytes(blob[88:104], "little") == state["state"]["inc"]
+    assert struct.unpack_from("<I", blob, 104) == (1,)
+    assert struct.unpack_from("<I", blob, 108) == (0xDEADBEEF,)
+    assert struct.unpack_from("<I", blob, 112) == (3,)
+    assert struct.unpack_from("<B", blob, 116) == (0,)
+    assert len(blob) == HEADER_BYTES + -(-35 * 24 // 8) + CRC_BYTES
+    loaded = decode_model(blob)
+    assert (loaded.geometry, loaded.params, loaded.num_stored) == (geometry, params, 3)
+    assert loaded.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, message",
+    [
+        (16, "<I", 0, "snapshot header: num_active"),
+        (32, "<d", float("nan"), "snapshot header: eta_max must be finite"),
+    ],
+    ids=["num-active", "eta-max"],
+)
+def test_checksum_valid_header_with_bad_field_is_format_error(
+    geometry, offset, fmt, value, message
+):
+    blob = bytearray(encode_model(populated_model(geometry))[:-CRC_BYTES])
+    struct.pack_into(fmt, blob, offset, value)
+    with pytest.raises(SnapshotFormatError, match=message):
+        decode_model(with_crc(bytes(blob)))

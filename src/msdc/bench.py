@@ -83,12 +83,12 @@ class _PatternStream:
         raise GeometryError("could not draw a fresh distinct pattern")
 
 
-def _summarize(times_ns: list[int], trials: int) -> LatencySummary:
+def _summarize(times_ns: list[int]) -> LatencySummary:
     arr = np.asarray(times_ns, dtype=np.float64)
     return LatencySummary(
         median_ns=float(np.median(arr)),
         p95_ns=float(np.quantile(arr, 0.95)),
-        trials=trials,
+        trials=len(times_ns),
     )
 
 
@@ -103,7 +103,7 @@ def run_scaling_bench(
         geometry = PAPER_GEOMETRY
     if params is None:
         params = CsaParams()
-    checkpoints = tuple(int(c) for c in checkpoints)
+    checkpoints = tuple(_as_int(c, "checkpoint", GeometryError) for c in checkpoints)
     if not checkpoints or any(c < 1 for c in checkpoints):
         raise GeometryError("checkpoints must be positive")
     if list(checkpoints) != sorted(set(checkpoints)):
@@ -115,7 +115,9 @@ def run_scaling_bench(
         raise GeometryError(
             f"trials_per_checkpoint must be at least 1, got {trials_per_checkpoint}"
         )
-    needed = checkpoints[-1] + len(checkpoints) * (trials_per_checkpoint * 2 + 12)
+    # Growth, then per checkpoint one op-count probe, two warm-up calls and
+    # one store and one retrieve per trial, each on a fresh pattern.
+    needed = checkpoints[-1] + len(checkpoints) * (3 + 2 * trials_per_checkpoint)
     if math.comb(geometry.num_pixels, geometry.num_active) < 4 * needed:
         raise GeometryError(
             f"input space too small to draw {needed} distinct patterns"
@@ -140,34 +142,32 @@ def run_scaling_bench(
         op_counts[checkpoint] = {k: after[k] - before[k] for k in after}
         snapshots.append((checkpoint, model.clone()))
 
-    # Phase 2: interleaved timing rounds over the checkpoint snapshots.
-    batch = 5
-    rounds = -(-trials_per_checkpoint // batch)
+    # Phase 2: interleaved timing rounds over the checkpoint snapshots; each
+    # round times one store, on a throwaway clone, and one hard retrieve at
+    # every checkpoint.
     store_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
     retrieve_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
     retrieve_rng = np.random.default_rng((seed, 2))
     for checkpoint, snapshot in snapshots:  # warm code paths and caches
         snapshot.clone().store(patterns.next())
         snapshot.retrieve(patterns.next(), mode="hard", rng=retrieve_rng)
-    for _ in range(rounds):
+    for _ in range(trials_per_checkpoint):
         for checkpoint, snapshot in snapshots:
             scratch = snapshot.clone()
-            for _ in range(batch):
-                pattern = patterns.next()
-                t0 = time.perf_counter_ns()
-                scratch.store(pattern)
-                store_times[checkpoint].append(time.perf_counter_ns() - t0)
-            for _ in range(batch):
-                pattern = patterns.next()
-                t0 = time.perf_counter_ns()
-                snapshot.retrieve(pattern, mode="hard", rng=retrieve_rng)
-                retrieve_times[checkpoint].append(time.perf_counter_ns() - t0)
+            pattern = patterns.next()
+            t0 = time.perf_counter_ns()
+            scratch.store(pattern)
+            store_times[checkpoint].append(time.perf_counter_ns() - t0)
+            pattern = patterns.next()
+            t0 = time.perf_counter_ns()
+            snapshot.retrieve(pattern, mode="hard", rng=retrieve_rng)
+            retrieve_times[checkpoint].append(time.perf_counter_ns() - t0)
 
     results = [
         CheckpointResult(
             stored_items=checkpoint,
-            store_latency=_summarize(store_times[checkpoint], rounds * batch),
-            retrieve_latency=_summarize(retrieve_times[checkpoint], rounds * batch),
+            store_latency=_summarize(store_times[checkpoint]),
+            retrieve_latency=_summarize(retrieve_times[checkpoint]),
             csa_ops=op_counts[checkpoint],
         )
         for checkpoint, _ in snapshots

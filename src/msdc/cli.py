@@ -8,10 +8,11 @@ a failed command never leaves a corrupt model behind.
 Every command is deterministic given its inputs and ``--seed``, a
 non-negative integer except on ``experiment``, where it offsets the
 scenario's seed list (a negative offset is fine while every seed stays
-non-negative).  A JSON
-``--config`` file may supply geometry, params, ``seed`` and ``ledger``
-defaults; explicit flags win over the config file.  It may also hold
-``w_max``, which must be 127, the fixed weight quantum.
+non-negative).  On ``init`` and ``bench``, a JSON ``--config`` file may
+supply geometry, params, ``seed`` and ``ledger`` defaults; explicit flags
+win over the config file.  It may also hold ``w_max``, which must be 127,
+the fixed weight quantum.  ``store`` and ``query`` take ``--trace``.  A flag
+a command does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _seed_flag(args) -> int | None:
 
 def _resolved_config(args) -> dict:
     """Merge built-in defaults, --config file, and explicit flags."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
     geometry = asdict(PAPER_GEOMETRY)
     geometry.update(file_cfg.get("geometry", {}))
     params = asdict(CsaParams())
@@ -120,7 +121,7 @@ def read_pattern_file(path: str | Path) -> InputPattern:
 
 
 def _dump_trace(args, model, trace, extra: dict) -> None:
-    if getattr(args, "trace", None) is None:
+    if args.trace is None:
         return
     payload = dict(extra)
     # Echo the resolved model configuration for provenance.
@@ -224,12 +225,22 @@ def _checkpoint_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON config file with geometry/params/seed defaults")
-    common.add_argument("--seed", type=int, metavar="N",
+    # Each command takes only the flags it reads: --seed everywhere, --config
+    # and the geometry flags on init and bench, --trace on store and query.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, metavar="N",
                         help="override the random seed")
-    common.add_argument("--trace", nargs="?", const="-", metavar="PATH",
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    configured.add_argument("--config", metavar="PATH",
+                            help="JSON config file with geometry/params/seed defaults")
+    configured.add_argument("--width", dest="input_width", type=int)
+    configured.add_argument("--height", dest="input_height", type=int)
+    configured.add_argument("--active", dest="num_active", type=int,
+                            help="active pixels per pattern (S)")
+    configured.add_argument("--cms", dest="num_cms", type=int, help="competitive modules (Q)")
+    configured.add_argument("--units", dest="units_per_cm", type=int, help="units per CM (K)")
+    traced = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    traced.add_argument("--trace", nargs="?", const="-", metavar="PATH",
                         help="dump the selection trace as JSON (default stdout)")
 
     parser = argparse.ArgumentParser(
@@ -239,14 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init", parents=[common], help="create an empty model snapshot")
+    p = sub.add_parser("init", parents=[configured], help="create an empty model snapshot")
     p.add_argument("model_path")
-    p.add_argument("--width", dest="input_width", type=int)
-    p.add_argument("--height", dest="input_height", type=int)
-    p.add_argument("--active", dest="num_active", type=int,
-                   help="active pixels per pattern (S)")
-    p.add_argument("--cms", dest="num_cms", type=int, help="competitive modules (Q)")
-    p.add_argument("--units", dest="units_per_cm", type=int, help="units per CM (K)")
     p.add_argument("--eta-max", dest="eta_max", type=float)
     p.add_argument("--steepness", dest="steepness", type=float)
     p.add_argument("--midpoint", dest="midpoint", type=float)
@@ -257,21 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default on)")
     p.set_defaults(func=cmd_init)
 
-    p = sub.add_parser("store", parents=[common],
+    p = sub.add_parser("store", parents=[traced],
                        help="store a pattern into a model snapshot")
     p.add_argument("model_path")
     p.add_argument("pattern_path")
     p.add_argument("--label", help="ledger label (default: pattern file stem)")
     p.set_defaults(func=cmd_store)
 
-    p = sub.add_parser("query", parents=[common],
+    p = sub.add_parser("query", parents=[traced],
                        help="retrieve a code and report stored-item likelihoods")
     p.add_argument("model_path")
     p.add_argument("pattern_path")
     p.add_argument("--mode", choices=("soft", "hard"), default="soft")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[seeded],
                        help="run a scenario config and emit result files "
                             "(--seed offsets the scenario's whole seed list)")
     p.add_argument("spec_path",
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[configured],
                        help="verify fixed-time scaling and write a JSON report")
     p.add_argument("out_path")
     p.add_argument("--checkpoints", type=_checkpoint_list,
@@ -289,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated stored-item counts")
     p.add_argument("--trials", type=int, default=50,
                    help="timing trials per checkpoint")
-    for key, flag in (("input_width", "--width"), ("input_height", "--height"),
-                      ("num_active", "--active"), ("num_cms", "--cms"),
-                      ("units_per_cm", "--units")):
-        p.add_argument(flag, dest=key, type=int)
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -232,13 +232,6 @@ class InputPattern:
                     raise PatternError(f"invalid character {ch!r} in pattern grid")
         return cls(tuple(active))
 
-    def to_grid(self, width: int, height: int) -> str:
-        on = set(self.active)
-        return "\n".join(
-            "".join("1" if r * width + c in on else "0" for c in range(width))
-            for r in range(height)
-        )
-
     def overlap(self, other: "InputPattern") -> int:
         """Number of active pixels shared with ``other``."""
         return len(set(self.active) & set(other.active))
@@ -455,14 +448,10 @@ def mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
 def rho_from_mu(mu: np.ndarray) -> np.ndarray:
     """Normalize win weights into one probability distribution per CM.
 
-    A CM whose weights are all zero (impossible via ``mu_from_u``, which
-    floors at 1, but allowed for direct callers) falls back to uniform.
+    Every CM's weights must have a positive sum, as ``mu_from_u``'s always
+    do: it floors each weight at 1.
     """
-    sums = mu.sum(axis=-1, keepdims=True)
-    zero = sums == 0.0
-    if zero.any():
-        return np.where(zero, 1.0 / mu.shape[-1], mu / np.where(zero, 1.0, sums))
-    return mu / sums
+    return mu / mu.sum(axis=-1, keepdims=True)
 
 
 def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:

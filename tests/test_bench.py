@@ -54,6 +54,17 @@ def test_checkpoints_must_ascend():
         run_scaling_bench(checkpoints=(10, 5), trials_per_checkpoint=2)
     with pytest.raises(GeometryError):
         run_scaling_bench(checkpoints=(0,), trials_per_checkpoint=2)
+    # A float checkpoint raises rather than running checkpoint 1.
+    with pytest.raises(GeometryError, match="checkpoint must be an integer, got 1.9"):
+        run_scaling_bench(checkpoints=(1.9, 5), trials_per_checkpoint=2)
+
+
+def test_each_checkpoint_times_exactly_the_trials_asked_for():
+    # Each summary's trial count is its number of timing samples.
+    report = run_scaling_bench(checkpoints=(1, 5), trials_per_checkpoint=7)
+    assert report.trials_per_checkpoint == 7
+    for cp in report.checkpoints:
+        assert cp.store_latency.trials == cp.retrieve_latency.trials == 7
 
 
 def test_tiny_input_space_is_rejected():

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: subcommands, exit codes, atomicity."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import msdc
 from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
-from msdc.cli import main
+from msdc.cli import build_parser, main
 from msdc.core import PAPER_GEOMETRY
 from msdc.snapshot import encode_model
 
@@ -328,7 +329,7 @@ def test_bench_with_fewer_than_one_trial_is_data_error(tmp_path, capsys, trials)
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Only `msdc experiment` needs scipy; the other commands start without it.
+    # No module imports scipy; this keeps `msdc.cli` numpy-only.
     src = str(Path(msdc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, msdc.cli; sys.exit('scipy' in sys.modules)"
@@ -485,14 +486,51 @@ def test_w_max_other_than_127_is_data_error(tmp_path, capsys, command, w_max):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["init", "bench"])
-def test_w_max_flag_is_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, flag", [
+    ("init", "--w-max"), ("bench", "--w-max"),
+    ("store", "--config"), ("query", "--config"), ("experiment", "--config"),
+    ("init", "--trace"), ("experiment", "--trace"), ("bench", "--trace"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(
+    model_path, grid_pattern, tmp_path, capsys, command, flag
+):
     out = tmp_path / "out"
+    operands = {
+        "store": [model_path, grid_pattern],
+        "query": [model_path, grid_pattern],
+        "experiment": ["appendix", out],
+    }.get(command, [out])
+    # The flag's value names a file that exists (a valid config) for
+    # --config and one that a trace dump would create for --trace.
+    value = tmp_path / "flag-value.json"
+    if flag == "--config":
+        value.write_text("{}")
+    before = model_path.read_bytes()
     with pytest.raises(SystemExit) as exc:
-        main([command, str(out), "--w-max", "127"])
+        main([command, *map(str, operands), flag, "127" if flag == "--w-max" else str(value)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --w-max" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
+    assert value.exists() == (flag == "--config")
+    assert model_path.read_bytes() == before
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {f for a in p._actions for f in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    configured = {"--seed", "--config", "--width", "--height", "--active", "--cms", "--units"}
+    assert flags == {
+        "init": configured | {"--eta-max", "--steepness", "--midpoint", "--g-floor",
+                              "--g-exponent", "--ledger", "--no-ledger"},
+        "store": {"--seed", "--trace", "--label"},
+        "query": {"--seed", "--trace", "--mode"},
+        "experiment": {"--seed", "--format"},
+        "bench": configured | {"--checkpoints", "--trials"},
+    }
 
 
 def test_scenario_with_duplicate_probe_labels_is_data_error(tmp_path, capsys):

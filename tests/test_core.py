@@ -209,12 +209,6 @@ def test_rho_rows_sum_to_one(rng):
     assert np.all(np.abs(rho.sum(axis=1) - 1.0) <= 1e-9)
 
 
-def test_rho_zero_row_falls_back_to_uniform():
-    rho = rho_from_mu(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 2.0]]))
-    assert np.allclose(rho[0], 1 / 3)
-    assert np.allclose(rho[1], [0.25, 0.25, 0.5])
-
-
 # -------------------------------------------------------------- draw_winners
 
 
@@ -427,11 +421,9 @@ def test_public_names_are_pinned():
     assert all(hasattr(msdc, name) for name in msdc.__all__)
 
 
-def test_pattern_grid_round_trip():
-    text = "1010\n0101\n0000\n1001"
-    pat = InputPattern.from_grid(text)
+def test_pattern_from_grid_reads_row_major_indices():
+    pat = InputPattern.from_grid("1010\n0101\n0000\n1001")
     assert pat.active == (0, 2, 5, 7, 12, 15)
-    assert pat.to_grid(4, 4) == text
 
 
 def test_pattern_grid_rejects_garbage():

@@ -33,10 +33,11 @@ shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
 
 @st.composite
 def mu_arrays(draw):
+    # Win weights as mu_from_u forms them: each at least 1.
     q, k = draw(shapes)
     values = draw(
         st.lists(
-            st.floats(0.0, 1e6, allow_nan=False),
+            st.floats(1.0, 1e6, allow_nan=False),
             min_size=q * k,
             max_size=q * k,
         )

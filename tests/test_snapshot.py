@@ -6,6 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msdc import (
     CsaParams,
@@ -232,6 +233,36 @@ def test_every_single_bit_flip_in_header_and_ledger_entry_is_a_snapshot_error(ge
             except MsdcError as exc:
                 wrong.append((at, bit, type(exc).__name__))
     assert wrong == []
+
+
+_SNAPSHOT_ERRORS = (
+    SnapshotFormatError, SnapshotIntegrityError, SnapshotTruncatedError, SnapshotVersionError,
+)
+# A ledger-on snapshot of 3 items at the desk-scale geometry.
+_FUZZ_BLOB = encode_model(populated_model(ModelGeometry(12, 12, 12, 24, 8), n=3, seed=2038))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, len(_FUZZ_BLOB) - 1)),
+    st.tuples(st.just("insert"), st.integers(0, len(_FUZZ_BLOB)),
+              st.binary(min_size=1, max_size=16)),
+))
+def test_any_single_edit_of_a_snapshot_is_a_snapshot_error(edit):
+    # Never a bare GeometryError, PatternError, struct.error or IndexError:
+    # each edit is one of the four documented snapshot errors.
+    kind, at, *rest = edit
+    blob = bytearray(_FUZZ_BLOB)
+    if kind == "flip":
+        blob[at] ^= rest[0]
+    elif kind == "truncate":
+        del blob[at:]
+    else:
+        blob[at:at] = rest[0]
+    with pytest.raises(SnapshotError) as exc:
+        decode_model(bytes(blob))
+    assert type(exc.value) in _SNAPSHOT_ERRORS
 
 
 def test_header_fields_sit_at_their_documented_offsets():

@@ -404,8 +404,10 @@ def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> 
     int64 array of shape (..., Q, K); entries lie in [0, S * W_MAX].
     """
     # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = bits[..., active, :].sum(axis=-2, dtype=np.min_scalar_type(geometry.num_active))
-    u = count.astype(np.int64) * W_MAX
+    count = bits.take(active, axis=-2).sum(
+        axis=-2, dtype=np.min_scalar_type(geometry.num_active)
+    )
+    u = np.multiply(count, W_MAX, dtype=np.int64)
     return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
 
 
@@ -441,8 +443,15 @@ def mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
     normalization yields uniform win probabilities.
     """
     eta = np.asarray(eta, dtype=np.float64)[..., None, None]
-    z = params.steepness * (u_norm - params.midpoint)
-    return 1.0 + eta / (1.0 + np.exp(np.clip(-z, None, _EXP_CLIP)))
+    # 1 + eta / (1 + exp(min(s * (m - U), _EXP_CLIP))), formed in place.
+    z = params.midpoint - u_norm
+    z *= params.steepness
+    np.minimum(z, _EXP_CLIP, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(eta, z, out=z)
+    z += 1.0
+    return z
 
 
 def rho_from_mu(mu: np.ndarray) -> np.ndarray:
@@ -489,12 +498,14 @@ def apply_learning(
 ) -> None:
     """Set the weight from every active pixel to every winner (in place).
 
-    ``bits`` is (B, P, Q*K) and ``code`` (B, Q): row b learns code b.
+    ``bits`` is (B, P, Q*K) and ``code`` (B, Q): row b learns code b.  Code b
+    becomes a one-hot mask over the Q*K units, which is ORed into row b's S
+    active pixel rows; no other weight is written.
     Idempotent: re-applying the same (pattern, code) changes nothing.
     Weights are only ever raised, never cleared.
     """
-    cols = np.arange(geometry.num_cms) * geometry.units_per_cm + code
-    bits[np.arange(len(bits))[:, None, None], active[None, :, None], cols[:, None, :]] = 1
+    one_hot = np.arange(geometry.units_per_cm) == code[..., None]
+    bits[:, active] |= one_hot.view(np.uint8).reshape(len(code), 1, geometry.num_units)
 
 
 def random_pattern(geometry: ModelGeometry, rng: np.random.Generator) -> InputPattern:

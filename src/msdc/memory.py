@@ -19,9 +19,12 @@ verbs:
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
 held.  The ledger is append-only and private to the model: only ``store``
-and snapshot loading write it, each through ``_append_ledger``, which also
-adds every item's winners and pixels as one column of module-major arrays,
-codes (Q, N) and pixels (S, N), whose capacity doubles as they fill.
+and snapshot loading write it, each through ``_append_ledger``.  Besides
+the entries, it keeps every item's winners and pixels as one column of
+module-major arrays, codes (Q, N) and pixels (S, N), whose capacity doubles
+as they fill.  Callers pass those winners and pixels as arrays, which are
+copied straight into the new columns: ``store`` the code it drew and the
+pixel array it read, snapshot loading one array of each for all entries.
 ``model.ledger`` is a read-only tuple of the stored :class:`LedgerEntry`
 objects.  The belief readout is one vectorised O(N) pass over those arrays;
 each item's figures come back as one :class:`BeliefEntry` named tuple.
@@ -195,16 +198,16 @@ class MemoryModel:
         self.rng = _seeded_rng(seed)
 
     def _run(
-        self, pattern: InputPattern, mode: str, rng: np.random.Generator | None, learn: bool
+        self, active: np.ndarray, mode: str, rng: np.random.Generator | None, learn: bool
     ) -> tuple[np.ndarray, CsaTrace]:
-        """The kernel at B=1 on this model's weights, learning if ``learn``.
+        """The kernel at B=1 on this model's weights for the input whose
+        pixels are ``active`` (S,), learning if ``learn``.
 
         Draws Q uniforms from ``rng``, or from the model RNG when it is None,
         in which case the call's work is added to ``op_counter``.
         """
         g = self.geometry
         bits = self.weights.bits[None]
-        active = np.asarray(pattern.active, dtype=np.intp)
         r = (self.rng if rng is None else rng).random(g.num_cms)
         code, u, u_norm, mu, rho, fam, eta = _select_codes(
             bits, active, g, self.params, mode, r[None], learn
@@ -235,14 +238,22 @@ class MemoryModel:
         if self._entries is not None:
             name = label if label is not None else f"item-{self.num_stored + 1}"
             _check_label(name)
-        code, trace = self._run(pattern, "soft", None, learn=True)
+        active = np.asarray(pattern.active, dtype=np.intp)
+        code, trace = self._run(active, "soft", None, learn=True)
         self.num_stored += 1
         if self._entries is not None:
-            self._append_ledger([LedgerEntry(name, pattern, tuple(code.tolist()))])
+            entry = LedgerEntry(name, pattern, tuple(code.tolist()))
+            self._append_ledger([entry], code[None], active[None])
         return code, trace
 
-    def _append_ledger(self, entries: list[LedgerEntry]) -> None:
-        """Add ``entries``, which fit the geometry, to the end of the ledger."""
+    def _append_ledger(
+        self, entries: list[LedgerEntry], codes: np.ndarray, pixels: np.ndarray
+    ) -> None:
+        """Add ``entries``, which fit the geometry, to the end of the ledger.
+
+        ``codes`` (m, Q) and ``pixels`` (m, S) hold the entries' winners and
+        pixels as integer arrays, row i for entry i.
+        """
         n, m = len(self._entries), len(entries)
         capacity = self._codes.shape[1]
         if n + m > capacity:  # at least double, so appends cost O(1) amortized
@@ -250,10 +261,8 @@ class MemoryModel:
             self._codes, self._pixels = (
                 np.pad(a, ((0, 0), (0, grow))) for a in (self._codes, self._pixels)
             )
-        self._codes[:, n:n + m] = np.array([e.code for e in entries], self._codes.dtype).T
-        self._pixels[:, n:n + m] = np.array(
-            [e.pattern.active for e in entries], self._pixels.dtype
-        ).T
+        self._codes[:, n:n + m] = codes.T
+        self._pixels[:, n:n + m] = pixels.T
         self._entries.extend(entries)
         self._labels.extend(e.label for e in entries)
 
@@ -273,7 +282,7 @@ class MemoryModel:
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:
             raise GeometryError(f"unknown retrieval mode {mode!r}")
-        return self._run(pattern, mode, rng, learn=False)
+        return self._run(np.asarray(pattern.active, dtype=np.intp), mode, rng, learn=False)
 
     def belief_update(
         self,

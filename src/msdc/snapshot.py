@@ -164,7 +164,11 @@ def decode_model(blob: bytes) -> MemoryModel:
     }
     model.num_stored = num_stored
     if ledger:
-        model._append_ledger(ledger)
+        model._append_ledger(
+            ledger,
+            np.array([e.code for e in ledger]),
+            np.array([e.pattern.active for e in ledger]),
+        )
     return model
 
 

@@ -335,6 +335,47 @@ def test_apply_learning_idempotent(geometry, rng):
     assert np.array_equal(weights.bits, before)
 
 
+def _fancy_index_learning(bits, active, code, geometry):
+    """The oracle: ``apply_learning`` as one 3-D fancy-index scatter of 1s."""
+    cols = np.arange(geometry.num_cms) * geometry.units_per_cm + code
+    bits[np.arange(len(bits))[:, None, None], active[None, :, None], cols[:, None, :]] = 1
+
+
+# The golden trace's three geometries.
+@pytest.mark.parametrize(
+    "geometry",
+    (
+        ModelGeometry(12, 12, 12, 24, 8),
+        ModelGeometry(20, 20, 30, 40, 5),
+        ModelGeometry(64, 64, 64, 128, 16),
+    ),
+    ids=str,
+)
+@pytest.mark.parametrize("b", (1, 4))
+def test_apply_learning_matches_the_fancy_index_scatter(geometry, b):
+    gen = np.random.default_rng([geometry.num_units, b])
+    shape = b, geometry.num_pixels, geometry.num_units
+    # Each row's weights are pre-set at its own random density.
+    density = gen.integers(0, 128, (b, 1, 1), dtype=np.uint8)
+    before = (gen.integers(0, 256, shape, dtype=np.uint8) < density).view(np.uint8)
+    active = gen.choice(geometry.num_pixels, geometry.num_active, replace=False)
+    code = gen.integers(0, geometry.units_per_cm, (b, geometry.num_cms))
+    want = before.copy()
+    _fancy_index_learning(want, active, code, geometry)
+    got = before.copy()
+    apply_learning(got, active, code, geometry)
+    assert np.array_equal(got, want)
+    del want
+    # Only row b's active pixel rows, in row b's winner columns, change, and
+    # all of those weights end up set.
+    cols = np.arange(geometry.num_cms) * geometry.units_per_cm + code
+    rows, pixels, units = np.nonzero(got != before)
+    assert np.isin(pixels, active).all()
+    assert (cols[rows, units // geometry.units_per_cm] == units).all()
+    for row in range(b):
+        assert got[row][np.ix_(active, cols[row])].all()
+
+
 # ------------------------------------------------------- fixed step counting
 
 

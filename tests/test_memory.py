@@ -14,7 +14,9 @@ from msdc import (
     LabelError,
     LedgerUnavailableError,
     MemoryModel,
+    ModelGeometry,
     PatternError,
+    code_intersection,
     random_pattern,
 )
 from msdc.experiments import default_appendix_scenario, run_scenario
@@ -411,6 +413,39 @@ def test_clone_is_independent_and_replays(geometry, rng):
     for owner, pattern in ((twin, b), (model, c)):
         report = owner.belief_update(pattern, mode="hard", rng=np.random.default_rng(0))
         assert report.entries[-1].code_intersection == 24
+
+
+@pytest.mark.parametrize(
+    "geometry, winner_dtype, pixel_dtype",
+    (
+        (ModelGeometry(16, 16, 6, 5, 256), np.uint8, np.uint8),
+        (ModelGeometry(16, 16, 6, 5, 257), np.uint16, np.uint8),
+        (ModelGeometry(20, 20, 6, 5, 4), np.uint8, np.uint16),
+    ),
+    ids=str,
+)
+def test_ledger_columns_hold_every_entry_across_a_snapshot(geometry, winner_dtype, pixel_dtype):
+    # Stores and snapshot loading fill the columns through one append path;
+    # store, round-trip, then store again past the loaded capacity.
+    gen = np.random.default_rng(geometry.num_pixels + geometry.units_per_cm)
+    model = make_model(geometry, seed=5)
+    for _ in range(5):
+        model.store(random_pattern(geometry, gen))
+    model = decode_model(encode_model(model))
+    for _ in range(4):
+        model.store(random_pattern(geometry, gen))
+    ledger = model.ledger
+    n = len(ledger)
+    assert n == 9
+    assert model._codes.dtype == winner_dtype and model._pixels.dtype == pixel_dtype
+    assert np.array_equal(model._codes[:, :n], np.array([e.code for e in ledger]).T)
+    assert np.array_equal(model._pixels[:, :n], np.array([e.pattern.active for e in ledger]).T)
+    probe = ledger[6].pattern
+    report = model.belief_update(probe, "hard", np.random.default_rng(0))
+    assert [e.label for e in report.entries] == [e.label for e in ledger]
+    for got, entry in zip(report.entries, ledger):
+        assert got.code_intersection == code_intersection(report.code, np.array(entry.code))
+        assert got.input_similarity == probe.overlap(entry.pattern) / geometry.num_active
 
 
 def test_auto_labels_count_up(geometry, rng):

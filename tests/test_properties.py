@@ -7,7 +7,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msdc import (
     BeliefEntry,
@@ -108,6 +108,27 @@ def test_mu_monotone_and_floored(u_norm, eta):
     order = np.argsort(u_norm, axis=1)
     sorted_mu = np.take_along_axis(mu, order, axis=1)
     assert np.all(np.diff(sorted_mu, axis=1) >= 0)
+
+
+@st.composite
+def blocked_u_norm_and_eta(draw):
+    """A (B, Q, K) block of normalized summations and one eta per row."""
+    b = draw(st.integers(1, 4))
+    q, k = draw(shapes)
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=b * q * k, max_size=b * q * k))
+    # An eta far above the default eta_max keeps the exp cap's value visible.
+    eta = draw(st.lists(st.floats(0.0, 1e300), min_size=b, max_size=b))
+    return np.array(values).reshape(b, q, k), eta
+
+
+@given(blocked_u_norm_and_eta(), st.floats(0.0, 1e6, exclude_min=True), st.floats(0.0, 1.0))
+@example((np.array([[[0.0, 1.0]]]), [1e300]), 1e6, 1.0)  # the exp cap binds at U=0
+def test_mu_from_u_is_the_clipped_sigmoid_bit_for_bit(block, steepness, midpoint):
+    u_norm, eta = block
+    params = CsaParams(steepness=steepness, midpoint=midpoint)
+    z = steepness * (u_norm - midpoint)
+    want = 1.0 + np.array(eta)[:, None, None] / (1.0 + np.exp(np.clip(-z, None, 700.0)))
+    assert np.array_equal(mu_from_u(u_norm, eta, params), want)
 
 
 @settings(max_examples=25, deadline=None)

@@ -172,7 +172,10 @@ class ModelGeometry:
         return self.num_cms * self.units_per_cm
 
     def validate_pattern(self, pattern: "InputPattern") -> None:
-        """Reject patterns whose active count or indices do not fit."""
+        """Reject anything but an ``InputPattern`` whose active count and
+        indices fit."""
+        if not isinstance(pattern, InputPattern):
+            raise PatternError(f"pattern must be an InputPattern, got {pattern!r}")
         if len(pattern.active) != self.num_active:
             raise PatternError(
                 f"pattern has {len(pattern.active)} active pixels, "
@@ -334,11 +337,14 @@ class CsaParams:
 class OpCounter:
     """Tally of the elementary work done by a model's selection pipeline.
 
-    Per call, each field gains the size of the arrays its steps touch: the
-    S x Q x K weights read, 4 x Q x K + Q + 1 element operations, Q x K
-    sigmoids, Q uniforms and, on a store, S x Q weights written.  These
-    follow from the geometry alone, so for a fixed geometry the totals are
-    identical for every trial regardless of how many items the model
+    A tally is the nominal work of one call for the geometry, not a count
+    of the array operations that ran.  Per call, each field gains the size
+    of the arrays the pipeline's steps touch: the S x Q x K weights read,
+    4 x Q x K + Q + 1 element operations, Q x K sigmoids, Q uniforms and, on
+    a store, S x Q weights written.  A hard pick counts the Q x K sigmoids
+    that its trace forms on demand, whether or not the trace is read.
+    These follow from the geometry alone, so for a fixed geometry the totals
+    are identical for every trial regardless of how many items the model
     already stores; the scaling benchmark asserts exactly that.
     """
 
@@ -368,7 +374,13 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class CsaTrace:
-    """Per-trial diagnostics: the (Q, K) charts of one selection pass."""
+    """Per-trial diagnostics: the (Q, K) charts of one selection pass.
+
+    A hard pick reads only U, so its trace is built by ``_deferred`` and
+    forms ``mu`` and ``rho`` on the first read of either, from that pass's
+    own U, eta and parameters, then keeps them.  Either way a trace reads
+    the same values, and callers cannot assign to it.
+    """
 
     u: np.ndarray
     u_norm: np.ndarray
@@ -376,6 +388,26 @@ class CsaTrace:
     rho: np.ndarray
     familiarity: float
     eta: float
+
+    @classmethod
+    def _deferred(cls, u, u_norm, familiarity, eta, form_charts) -> "CsaTrace":
+        """A trace whose ``mu`` and ``rho`` are ``form_charts()``, called on
+        the first read of either."""
+        trace = cls.__new__(cls)
+        trace.__dict__.update(
+            u=u, u_norm=u_norm, familiarity=familiarity, eta=eta, _form_charts=form_charts
+        )
+        return trace
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance does not hold, such as
+        # a deferred trace's mu and rho before their first read.
+        form_charts = self.__dict__.get("_form_charts")
+        if form_charts is None or name not in ("mu", "rho"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        mu, rho = form_charts()
+        self.__dict__.update(mu=mu, rho=rho)
+        return self.__dict__[name]
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,7 +454,9 @@ def familiarity(u_norm: np.ndarray) -> np.ndarray:
     Reduces the last two axes (Q, K).  Invariant under permutation of units
     within a CM and of whole CMs.
     """
-    return u_norm.max(axis=-1).mean(axis=-1)
+    # The sum over Q divided by Q is exactly what ``mean`` forms, without
+    # its Python-level wrapper.
+    return u_norm.max(axis=-1).sum(axis=-1) / u_norm.shape[-2]
 
 
 def eta_for_familiarity(g: float, params: CsaParams) -> float:
@@ -469,8 +503,8 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     ``r`` (..., Q) holds one uniform per CM, CM 0 first; drawing them as
     ``rng.random(Q)`` makes a fixed RNG state reproduce the same code.
     """
-    cum = np.cumsum(rho, axis=-1)
-    if not np.all(np.abs(cum[..., -1] - 1.0) <= 1e-9):
+    cum = rho.cumsum(axis=-1)
+    if not (np.abs(cum[..., -1] - 1.0) <= 1e-9).all():
         raise ValueError("each CM's win probabilities must sum to 1")
     winners = (cum <= r[..., None]).sum(axis=-1)
     return np.minimum(winners, rho.shape[-1] - 1)
@@ -490,7 +524,7 @@ def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
     # The winner is tied unit number floor(r * n) of the n tied units, found
     # as the first unit whose running count of tied units exceeds it.
     pick = np.minimum((r * n).astype(np.int64), n - 1)
-    return (np.cumsum(tied, axis=-1) > pick[..., None]).argmax(axis=-1)
+    return (tied.cumsum(axis=-1) > pick[..., None]).argmax(axis=-1)
 
 
 def apply_learning(

@@ -16,6 +16,11 @@ verbs:
                    ledger item, the fraction of its code that is active —
                    a simultaneous likelihood readout over all stored items
 
+Each verb also reports the call's :class:`CsaTrace`.  A hard pick reads only
+U, so its trace forms ``mu`` and ``rho`` on their first read, through this
+module's ``mu_from_u`` and ``rho_from_mu``, from the call's own U, eta and
+parameters; a soft trace holds the ones the kernel formed for its draw.
+
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
 held.  The ledger is append-only and private to the model: only ``store``
@@ -38,6 +43,7 @@ write nothing on the model and may run concurrently with other readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -158,6 +164,15 @@ def _select_codes(
     return code, u, u_norm, mu, rho, g, eta
 
 
+def _hard_charts(
+    u_norm: np.ndarray, eta: float, params: CsaParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mu and rho a hard pick's trace reports, formed through this
+    module's bindings so that tracers see both steps."""
+    mu = mu_from_u(u_norm, eta, params)
+    return mu, rho_from_mu(mu)
+
+
 class MemoryModel:
     """A coding field plus its weights, parameters, and seeded RNG."""
 
@@ -168,6 +183,12 @@ class MemoryModel:
         seed: int = 0,
         enable_ledger: bool = False,
     ):
+        if not isinstance(geometry, ModelGeometry):
+            raise GeometryError(f"geometry must be a ModelGeometry, got {geometry!r}")
+        if params is not None and not isinstance(params, CsaParams):
+            raise GeometryError(f"params must be a CsaParams or None, got {params!r}")
+        if not isinstance(enable_ledger, (bool, np.bool_)):
+            raise GeometryError(f"enable_ledger must be True or False, got {enable_ledger!r}")
         self.geometry = geometry
         self.params = params if params is not None else CsaParams()
         self.weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
@@ -212,9 +233,6 @@ class MemoryModel:
         code, u, u_norm, mu, rho, fam, eta = _select_codes(
             bits, active, g, self.params, mode, r[None], learn
         )
-        if mu is None:  # a hard pick; the trace still reports mu and rho
-            mu = mu_from_u(u_norm, eta, self.params)
-            rho = rho_from_mu(mu)
         if rng is None:
             counter = self.op_counter
             counter.weight_reads += g.num_active * g.num_units
@@ -223,16 +241,20 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        return code[0], CsaTrace(u[0], u_norm[0], mu[0], rho[0], fam[0], eta[0])
+        u, u_norm, fam, eta = u[0], u_norm[0], fam[0], eta[0]
+        if mu is None:  # a hard pick; its trace forms mu and rho when read
+            form_charts = partial(_hard_charts, u_norm, eta, self.params)
+            return code[0], CsaTrace._deferred(u, u_norm, fam, eta, form_charts)
+        return code[0], CsaTrace(u, u_norm, mu[0], rho[0], fam, eta)
 
     def store(
         self, pattern: InputPattern, label: str | None = None
     ) -> tuple[np.ndarray, CsaTrace]:
         """Select a code for the input and learn the mapping in one trial.
 
-        Rejects a pattern with the wrong active count, and with the ledger
-        on a label a snapshot cannot hold, before touching any state, so a
-        failed store leaves the model unchanged.
+        Rejects anything but an ``InputPattern`` that fits the geometry, and
+        with the ledger on a label a snapshot cannot hold, before touching
+        any state, so a failed store leaves the model unchanged.
         """
         self.geometry.validate_pattern(pattern)
         if self._entries is not None:
@@ -274,14 +296,18 @@ class MemoryModel:
     ) -> tuple[np.ndarray, CsaTrace]:
         """Run the selection pipeline without learning.
 
-        Weights and ledger are untouched.  Pass ``rng`` to leave the model's
-        own RNG state and op counter untouched as well (required for
-        concurrent readers); without it the call draws from the model RNG
-        and counts its operations on ``op_counter``.
+        Weights and ledger are untouched.  Pass ``rng``, a numpy
+        ``Generator``, to leave the model's own RNG state and op counter
+        untouched as well (required for concurrent readers); without it the
+        call draws from the model RNG and counts its operations on
+        ``op_counter``.  A hard pick's trace forms ``mu`` and ``rho`` when
+        first read, from this call's U, eta and ``params``.
         """
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:
             raise GeometryError(f"unknown retrieval mode {mode!r}")
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            raise GeometryError(f"rng must be a numpy Generator or None, got {rng!r}")
         return self._run(np.asarray(pattern.active, dtype=np.intp), mode, rng, learn=False)
 
     def belief_update(

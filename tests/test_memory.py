@@ -19,6 +19,7 @@ from msdc import (
     code_intersection,
     random_pattern,
 )
+from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
 from msdc.experiments import default_appendix_scenario, run_scenario
 from msdc.snapshot import decode_model, encode_model
 
@@ -209,15 +210,21 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
     expected = {
         "store": {**six, "draw_winners": 1, "apply_learning": 1},
         "soft": {**six, "draw_winners": 1},
-        "hard": {**six, "hard_max_winners": 1},
+        "hard": {**dict.fromkeys(STAGES[:4], 1), "hard_max_winners": 1},
     }
     for verb, want in expected.items():
         calls.update(dict.fromkeys(STAGES, 0))
         if verb == "store":
             model.store(pattern)
         else:
-            model.retrieve(pattern, verb)
+            _, trace = model.retrieve(pattern, verb)
         assert calls == {**dict.fromkeys(STAGES, 0), **want}, verb
+    # The hard trace forms mu and rho on its first read, and only then.
+    calls.update(dict.fromkeys(STAGES, 0))
+    trace.mu
+    assert calls == {**dict.fromkeys(STAGES, 0), "mu_from_u": 1, "rho_from_mu": 1}
+    trace.mu, trace.rho
+    assert calls == {**dict.fromkeys(STAGES, 0), "mu_from_u": 1, "rho_from_mu": 1}
     # The seed-blocked scenario runs the same kernel, so the same bindings.
     spec = dataclasses.replace(default_appendix_scenario(1), seeds=(0, 1))
     calls.update(dict.fromkeys(STAGES, 0))
@@ -232,6 +239,55 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
         **dict.fromkeys(("mu_from_u", "rho_from_mu", "draw_winners", "apply_learning"), 6),
         "hard_max_winners": 3,
     }
+
+
+# The golden trace's three geometries: paper geometry, one whose S, Q and K
+# differ from it, and the benchmark's large geometry.
+GOLDEN_GEOMETRIES = (
+    ModelGeometry(12, 12, 12, 24, 8),
+    ModelGeometry(20, 20, 30, 40, 5),
+    ModelGeometry(64, 64, 64, 128, 16),
+)
+
+
+@pytest.mark.parametrize(
+    "geometry", GOLDEN_GEOMETRIES, ids=lambda g: f"S{g.num_active}-Q{g.num_cms}-K{g.units_per_cm}"
+)
+def test_hard_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
+    gen = np.random.default_rng(geometry.num_cms)
+    model = make_model(geometry, seed=3)
+    stored = [random_pattern(geometry, gen) for _ in range(30)]
+    for pattern in stored:
+        model.store(pattern)
+    # A noisy copy of a stored item, so that G and eta lie strictly inside
+    # their ranges, through the model RNG and through a caller's.
+    source, half = stored[0].active, geometry.num_active // 2
+    outside = [p for p in range(geometry.num_pixels) if p not in source]
+    probe = InputPattern.from_indices(source[:half] + tuple(outside[: geometry.num_active - half]))
+    for reader in (None, np.random.default_rng(1)):
+        params = model.params
+        _, trace = model.retrieve(probe, "hard", reader)
+        assert 0 < trace.familiarity < 1 and 0 < trace.eta < params.eta_max
+        bits = model.weights.bits.copy()
+        state = model.rng.bit_generator.state
+        counter = model.op_counter.copy()
+        # Replacing the model's parameters leaves the call's own in force.
+        model.params = dataclasses.replace(params, steepness=3.0, midpoint=0.2)
+        for name in ("u", "u_norm", "mu", "rho", "familiarity", "eta"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, None)
+        mu = mu_from_u(trace.u_norm, trace.eta, params)
+        assert np.array_equal(trace.mu, mu)
+        assert np.array_equal(trace.rho, rho_from_mu(mu))
+        assert trace.rho is trace.rho and trace.mu is trace.mu
+        assert not np.array_equal(trace.mu, mu_from_u(trace.u_norm, trace.eta, model.params))
+        for name in ("mu", "rho"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(trace, name, None)
+        assert np.array_equal(model.weights.bits, bits)
+        assert model.rng.bit_generator.state == state
+        assert model.op_counter == counter
+        model.params = params
 
 
 def test_retrieve_rejects_unknown_mode(geometry, rng):
@@ -264,6 +320,59 @@ def test_model_seed_must_be_a_non_negative_integer(geometry, seed):
 def test_model_seed_accepts_numpy_integers(geometry):
     a, b = MemoryModel(geometry, seed=np.int64(7)), MemoryModel(geometry, seed=7)
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def test_model_rejects_params_that_are_not_csa_params(geometry):
+    # A dict would be accepted and then fail inside the first store, after
+    # that store had already drawn from the model RNG.
+    with pytest.raises(GeometryError, match="params must be a CsaParams"):
+        MemoryModel(geometry, params={"eta_max": 3})
+
+
+def test_model_rejects_a_geometry_that_is_not_a_model_geometry(geometry):
+    with pytest.raises(GeometryError, match="geometry must be a ModelGeometry"):
+        MemoryModel(dataclasses.astuple(geometry))
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_model_rejects_a_ledger_flag_that_is_not_a_bool(geometry, flag):
+    with pytest.raises(GeometryError, match="enable_ledger must be True or False"):
+        MemoryModel(geometry, enable_ledger=flag)
+    assert MemoryModel(geometry, enable_ledger=np.bool_(True)).ledger == ()
+
+
+@pytest.mark.parametrize("bad", [(0, 1, 2), None, "0 1 2"])
+def test_verbs_reject_a_pattern_that_is_not_an_input_pattern(geometry, rng, bad):
+    model = make_model(geometry, seed=9)
+    model.store(random_pattern(geometry, rng))
+    bits = model.weights.bits.copy()
+    state = model.rng.bit_generator.state
+    counter = model.op_counter.copy()
+    for call in (model.store, model.retrieve, model.belief_update):
+        with pytest.raises(PatternError, match="pattern must be an InputPattern"):
+            call(bad)
+    assert np.array_equal(model.weights.bits, bits)
+    assert model.rng.bit_generator.state == state
+    assert model.op_counter == counter
+    assert model.num_stored == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [5, np.random.RandomState(5), np.random, np.random.PCG64(5)],
+    ids=["int", "RandomState", "np.random", "PCG64"],
+)
+def test_readers_reject_an_rng_that_is_not_a_generator(geometry, rng, bad):
+    model = make_model(geometry, seed=9)
+    model.store(random_pattern(geometry, rng))
+    state = model.rng.bit_generator.state
+    counter = model.op_counter.copy()
+    pattern = random_pattern(geometry, rng)
+    for mode in ("soft", "hard"):
+        for call in (model.retrieve, model.belief_update):
+            with pytest.raises(GeometryError, match="rng must be a numpy Generator"):
+                call(pattern, mode, bad)
+    assert model.rng.bit_generator.state == state
+    assert model.op_counter == counter
 
 
 def test_belief_update_exact_match_has_likelihood_one(geometry, rng):
@@ -477,3 +586,16 @@ def test_verbs_run_a_fixed_number_of_python_frames(geometry, python_calls):
         count["store"] = python_calls(model.store, new)
         counts.append(count)
     assert counts[0] == counts[1], counts
+
+
+def test_caller_rng_retrieve_runs_a_pinned_number_of_python_frames(python_calls):
+    # The kernel calls ndarray methods rather than numpy's Python-level
+    # function wrappers, and a hard pick forms no mu or rho until its trace
+    # is read; a step that brought back either would raise these counts.
+    gen = np.random.default_rng(5)
+    model = make_model(PAPER_GEOMETRY, seed=5)
+    for _ in range(50):
+        model.store(random_pattern(PAPER_GEOMETRY, gen))
+    probe, reader = random_pattern(PAPER_GEOMETRY, gen), np.random.default_rng(5)
+    counts = {mode: python_calls(model.retrieve, probe, mode, reader) for mode in ("soft", "hard")}
+    assert counts == {"soft": 21, "hard": 19}

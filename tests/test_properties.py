@@ -85,6 +85,24 @@ def test_familiarity_permutation_invariant(u_norm, seed):
     assert 0.0 <= g <= 1.0
 
 
+@st.composite
+def normalized_summations(draw):
+    """U as the kernel forms it, count * 127 / (S * 127), with counts in
+    [0, S], over no or one leading block axis and Q and K up to 256."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), max_size=1)))
+    q, k, s = draw(st.integers(1, 256)), draw(st.integers(1, 256)), draw(st.integers(1, 4096))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = gen.integers(0, s + 1, size=lead + (q, k))
+    return np.multiply(count, 127, dtype=np.int64) / float(s * 127)
+
+
+@settings(deadline=None)
+@given(normalized_summations())
+def test_familiarity_is_the_mean_of_cm_maxima_byte_for_byte(u_norm):
+    got, want = np.asarray(familiarity(u_norm)), np.asarray(u_norm.max(-1).mean(-1))
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @given(
     st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),

@@ -47,9 +47,10 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -341,8 +342,9 @@ class OpCounter:
     of the array operations that ran.  Per call, each field gains the size
     of the arrays the pipeline's steps touch: the S x Q x K weights read,
     4 x Q x K + Q + 1 element operations, Q x K sigmoids, Q uniforms and, on
-    a store, S x Q weights written.  A hard pick counts the Q x K sigmoids
-    that its trace forms on demand, whether or not the trace is read.
+    a store, S x Q weights written.  Every call counts the Q x K sigmoids
+    of one mu: a soft draw forms it, and a hard pick's trace forms it only
+    if read.
     These follow from the geometry alone, so for a fixed geometry the totals
     are identical for every trial regardless of how many items the model
     already stores; the scaling benchmark asserts exactly that.
@@ -376,38 +378,28 @@ class OpCounter:
 class CsaTrace:
     """Per-trial diagnostics: the (Q, K) charts of one selection pass.
 
-    A hard pick reads only U, so its trace is built by ``_deferred`` and
-    forms ``mu`` and ``rho`` on the first read of either, from that pass's
-    own U, eta and parameters, then keeps them.  Either way a trace reads
-    the same values, and callers cannot assign to it.
+    ``mu`` and ``rho`` are formed on the first read of either, by the
+    private chart former the pass supplies, from its own U, eta and
+    parameters, and then kept.  Callers cannot assign to a trace.
     """
 
     u: np.ndarray
     u_norm: np.ndarray
-    mu: np.ndarray
-    rho: np.ndarray
     familiarity: float
     eta: float
+    _form_charts: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
-    @classmethod
-    def _deferred(cls, u, u_norm, familiarity, eta, form_charts) -> "CsaTrace":
-        """A trace whose ``mu`` and ``rho`` are ``form_charts()``, called on
-        the first read of either."""
-        trace = cls.__new__(cls)
-        trace.__dict__.update(
-            u=u, u_norm=u_norm, familiarity=familiarity, eta=eta, _form_charts=form_charts
-        )
-        return trace
+    @cached_property
+    def _charts(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._form_charts()
 
-    def __getattr__(self, name):
-        # Reached only for an attribute the instance does not hold, such as
-        # a deferred trace's mu and rho before their first read.
-        form_charts = self.__dict__.get("_form_charts")
-        if form_charts is None or name not in ("mu", "rho"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        mu, rho = form_charts()
-        self.__dict__.update(mu=mu, rho=rho)
-        return self.__dict__[name]
+    @property
+    def mu(self) -> np.ndarray:
+        return self._charts[0]
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._charts[1]
 
     def to_json_dict(self) -> dict:
         return {

@@ -16,10 +16,11 @@ verbs:
                    ledger item, the fraction of its code that is active —
                    a simultaneous likelihood readout over all stored items
 
-Each verb also reports the call's :class:`CsaTrace`.  A hard pick reads only
-U, so its trace forms ``mu`` and ``rho`` on their first read, through this
-module's ``mu_from_u`` and ``rho_from_mu``, from the call's own U, eta and
-parameters; a soft trace holds the ones the kernel formed for its draw.
+Each verb also reports the call's :class:`CsaTrace`, which forms ``mu`` and
+``rho`` on their first read through ``_charts``, from the call's own U, eta
+and parameters, by this module's ``mu_from_u`` and ``rho_from_mu``.  A hard
+pick reads only U, so it forms neither unless its trace is read; a soft draw
+forms both for itself, and its trace forms the same values again if read.
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
@@ -144,31 +145,27 @@ def _select_codes(
     input's pixels, ``mode`` is "soft" or "hard", and ``r`` (B, Q) each
     model's Q uniforms, CM 0 first.  Row b gets the code that model b alone
     would get from its uniforms, and with ``learn`` each row learns its code
-    in place.  Returns the codes (B, Q), the (B, Q, K) charts u, U, mu and
-    rho, and G and eta per row as Python floats.  The hard pick reads only
-    U, so in hard mode mu and rho are not formed and come back as None.
+    in place.  Returns the codes (B, Q), the (B, Q, K) charts u and U, and
+    G and eta per row as Python floats, in both modes.
     """
     u = compute_u(bits, active, geometry)
     u_norm = normalize_u(u, geometry.num_active)
     g = familiarity(u_norm).tolist()
     eta = [eta_for_familiarity(x, params) for x in g]
     if mode == "soft":
-        mu = mu_from_u(u_norm, eta, params)
-        rho = rho_from_mu(mu)
-        code = draw_winners(rho, r)
+        code = draw_winners(rho_from_mu(mu_from_u(u_norm, eta, params)), r)
     else:
-        mu = rho = None
         code = hard_max_winners(u_norm, r)
     if learn:
         apply_learning(bits, active, code, geometry)
-    return code, u, u_norm, mu, rho, g, eta
+    return code, u, u_norm, g, eta
 
 
-def _hard_charts(
+def _charts(
     u_norm: np.ndarray, eta: float, params: CsaParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The mu and rho a hard pick's trace reports, formed through this
-    module's bindings so that tracers see both steps."""
+    """The mu and rho a trace reports, formed through this module's
+    bindings so that tracers see both steps."""
     mu = mu_from_u(u_norm, eta, params)
     return mu, rho_from_mu(mu)
 
@@ -230,7 +227,7 @@ class MemoryModel:
         g = self.geometry
         bits = self.weights.bits[None]
         r = (self.rng if rng is None else rng).random(g.num_cms)
-        code, u, u_norm, mu, rho, fam, eta = _select_codes(
+        code, u, u_norm, fam, eta = _select_codes(
             bits, active, g, self.params, mode, r[None], learn
         )
         if rng is None:
@@ -241,11 +238,9 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        u, u_norm, fam, eta = u[0], u_norm[0], fam[0], eta[0]
-        if mu is None:  # a hard pick; its trace forms mu and rho when read
-            form_charts = partial(_hard_charts, u_norm, eta, self.params)
-            return code[0], CsaTrace._deferred(u, u_norm, fam, eta, form_charts)
-        return code[0], CsaTrace(u, u_norm, mu[0], rho[0], fam, eta)
+        u_norm, eta = u_norm[0], eta[0]
+        form_charts = partial(_charts, u_norm, eta, self.params)
+        return code[0], CsaTrace(u[0], u_norm, fam[0], eta, form_charts)
 
     def store(
         self, pattern: InputPattern, label: str | None = None
@@ -253,18 +248,20 @@ class MemoryModel:
         """Select a code for the input and learn the mapping in one trial.
 
         Rejects anything but an ``InputPattern`` that fits the geometry, and
-        with the ledger on a label a snapshot cannot hold, before touching
-        any state, so a failed store leaves the model unchanged.
+        a label a snapshot cannot hold, before touching any state, so a
+        failed store leaves the model unchanged.  With the ledger off a
+        valid label is dropped.
         """
         self.geometry.validate_pattern(pattern)
-        if self._entries is not None:
-            name = label if label is not None else f"item-{self.num_stored + 1}"
-            _check_label(name)
+        if label is None and self._entries is not None:
+            label = f"item-{self.num_stored + 1}"
+        if label is not None:
+            _check_label(label)
         active = np.asarray(pattern.active, dtype=np.intp)
         code, trace = self._run(active, "soft", None, learn=True)
         self.num_stored += 1
         if self._entries is not None:
-            entry = LedgerEntry(name, pattern, tuple(code.tolist()))
+            entry = LedgerEntry(label, pattern, tuple(code.tolist()))
             self._append_ledger([entry], code[None], active[None])
         return code, trace
 
@@ -300,8 +297,8 @@ class MemoryModel:
         ``Generator``, to leave the model's own RNG state and op counter
         untouched as well (required for concurrent readers); without it the
         call draws from the model RNG and counts its operations on
-        ``op_counter``.  A hard pick's trace forms ``mu`` and ``rho`` when
-        first read, from this call's U, eta and ``params``.
+        ``op_counter``.  The trace forms ``mu`` and ``rho`` when first read,
+        from this call's U, eta and ``params``.
         """
         self.geometry.validate_pattern(pattern)
         if mode not in RETRIEVAL_MODES:

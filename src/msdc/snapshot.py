@@ -37,6 +37,7 @@ grid, Q winners below K, a UTF-8 label) raises ``SnapshotFormatError``.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 import tempfile
 import zlib
@@ -210,12 +211,18 @@ def _ledger_entry(
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, flushed to disk, then
+    rename it over the target, keeping the target's permission bits if it
+    exists."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
+            if path.exists():
+                os.fchmod(fd, stat.S_IMODE(path.stat().st_mode))
             fh.write(data)
+            fh.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import numpy as np
@@ -32,7 +33,9 @@ def _python_calls(fn, *args):
     """Run ``fn(*args)`` and return how many Python frames it entered.
 
     Counts the profiler's "call" events, one per Python function, method or
-    generator resumption; calls into C functions are not counted.
+    generator resumption; calls into C functions are not counted.  The
+    garbage collector is paused for the call, so that a finalizer it would
+    run there adds no frames of its own.
     """
     calls = 0
 
@@ -40,12 +43,16 @@ def _python_calls(fn, *args):
         nonlocal calls
         calls += event == "call"
 
+    collecting = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls
 
 

@@ -166,6 +166,16 @@ def test_store_overlong_label_is_data_error(model_path, grid_pattern, capsys):
     assert model_path.read_bytes() == before
 
 
+def test_init_and_store_keep_the_model_file_mode(model_path, grid_pattern):
+    # Each write replaces the file with a new one, which takes the old
+    # file's permission bits rather than the temp file's 0600.
+    model_path.chmod(0o644)
+    assert main(["init", str(model_path)]) == 0
+    assert model_path.stat().st_mode & 0o777 == 0o644
+    assert main(["store", str(model_path), str(grid_pattern)]) == 0
+    assert model_path.stat().st_mode & 0o777 == 0o644
+
+
 def test_store_missing_pattern_file_is_io_error(model_path, tmp_path, capsys):
     assert main(["store", str(model_path), str(tmp_path / "nope.txt")]) == 4
 

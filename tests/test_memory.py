@@ -130,29 +130,32 @@ def test_store_rejects_bad_pattern_and_leaves_model_unchanged(geometry, rng):
     assert model.num_stored == 1
 
 
+@pytest.mark.parametrize("ledger", [True, False], ids=["ledger-on", "ledger-off"])
 @pytest.mark.parametrize("label", ["a" * 65536, "\u00e9" * 32768, "\udcff", 5, b"A"])
 def test_store_rejects_unsnapshottable_label_and_leaves_model_unchanged(
-    geometry, rng, label
+    geometry, rng, label, ledger
 ):
     # A snapshot holds a label as at most 65535 UTF-8 bytes; a lone
     # surrogate, which a non-UTF-8 command-line byte decodes to, has none,
-    # and a label that is not a str is not text at all.
-    model = make_model(geometry, seed=9)
+    # and a label that is not a str is not text at all.  A model without a
+    # ledger drops a valid label but rejects these by the same rule.
+    model = make_model(geometry, seed=9, ledger=ledger)
     model.store(random_pattern(geometry, rng), "A")
     bits = model.weights.bits.copy()
     state = model.rng.bit_generator.state
     counter = model.op_counter.copy()
-    ledger = model.ledger
+    entries = model.ledger
     with pytest.raises(LabelError):
         model.store(random_pattern(geometry, rng), label)
     assert np.array_equal(model.weights.bits, bits)
     assert model.rng.bit_generator.state == state
     assert model.op_counter == counter
-    assert model.ledger == ledger
+    assert model.ledger == entries
     assert model.num_stored == 1
     longest = "a" * 65535
     model.store(random_pattern(geometry, rng), longest)
-    assert decode_model(encode_model(model)).ledger[-1].label == longest
+    if ledger:
+        assert decode_model(encode_model(model)).ledger[-1].label == longest
 
 
 def test_readers_reject_bad_pattern_and_leave_model_unchanged(geometry, rng):
@@ -212,19 +215,20 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
         "soft": {**six, "draw_winners": 1},
         "hard": {**dict.fromkeys(STAGES[:4], 1), "hard_max_winners": 1},
     }
+    charts = {**dict.fromkeys(STAGES, 0), "mu_from_u": 1, "rho_from_mu": 1}
     for verb, want in expected.items():
         calls.update(dict.fromkeys(STAGES, 0))
         if verb == "store":
-            model.store(pattern)
+            _, trace = model.store(pattern)
         else:
             _, trace = model.retrieve(pattern, verb)
         assert calls == {**dict.fromkeys(STAGES, 0), **want}, verb
-    # The hard trace forms mu and rho on its first read, and only then.
-    calls.update(dict.fromkeys(STAGES, 0))
-    trace.mu
-    assert calls == {**dict.fromkeys(STAGES, 0), "mu_from_u": 1, "rho_from_mu": 1}
-    trace.mu, trace.rho
-    assert calls == {**dict.fromkeys(STAGES, 0), "mu_from_u": 1, "rho_from_mu": 1}
+        # Every trace forms mu and rho on its first read, and only then.
+        calls.update(dict.fromkeys(STAGES, 0))
+        trace.mu
+        assert calls == charts, verb
+        trace.mu, trace.rho
+        assert calls == charts, verb
     # The seed-blocked scenario runs the same kernel, so the same bindings.
     spec = dataclasses.replace(default_appendix_scenario(1), seeds=(0, 1))
     calls.update(dict.fromkeys(STAGES, 0))
@@ -253,7 +257,7 @@ GOLDEN_GEOMETRIES = (
 @pytest.mark.parametrize(
     "geometry", GOLDEN_GEOMETRIES, ids=lambda g: f"S{g.num_active}-Q{g.num_cms}-K{g.units_per_cm}"
 )
-def test_hard_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
+def test_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
     gen = np.random.default_rng(geometry.num_cms)
     model = make_model(geometry, seed=3)
     stored = [random_pattern(geometry, gen) for _ in range(30)]
@@ -264,9 +268,11 @@ def test_hard_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
     source, half = stored[0].active, geometry.num_active // 2
     outside = [p for p in range(geometry.num_pixels) if p not in source]
     probe = InputPattern.from_indices(source[:half] + tuple(outside[: geometry.num_active - half]))
-    for reader in (None, np.random.default_rng(1)):
+    readers = [(mode, reader) for mode in ("soft", "hard")
+               for reader in (None, np.random.default_rng(1))]
+    for mode, reader in readers:
         params = model.params
-        _, trace = model.retrieve(probe, "hard", reader)
+        _, trace = model.retrieve(probe, mode, reader)
         assert 0 < trace.familiarity < 1 and 0 < trace.eta < params.eta_max
         bits = model.weights.bits.copy()
         state = model.rng.bit_generator.state

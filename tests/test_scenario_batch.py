@@ -217,7 +217,7 @@ def check_kernel_rows(geometry, mode, densities):
         model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=row.copy())
         models.append(model)
     if mode == "store":
-        codes, u, u_norm, mu, rho, g, eta = _select_codes(
+        codes, u, u_norm, g, eta = _select_codes(
             bits, active, geometry, params, "soft", r, learn=True
         )
         results = [model.store(pattern) for model in models]
@@ -225,7 +225,7 @@ def check_kernel_rows(geometry, mode, densities):
             assert np.array_equal(row, model.weights.bits)
     else:
         before = bits.copy()
-        codes, u, u_norm, mu, rho, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+        codes, u, u_norm, g, eta = _select_codes(bits, active, geometry, params, mode, r)
         assert np.array_equal(bits, before)
         results = [
             model.retrieve(pattern, mode, rng=np.random.default_rng(s))
@@ -238,11 +238,10 @@ def check_kernel_rows(geometry, mode, densities):
     assert codes.tolist() == [code.tolist() for code, _ in results]
     assert g == [trace.familiarity for _, trace in results]
     assert eta == [trace.eta for _, trace in results]
-    if mode == "hard":
-        # The hard pick forms no mu or rho; the trace forms them from U.
-        assert mu is None and rho is None
-        mu = mu_from_u(u_norm, eta, params)
-        rho = rho_from_mu(mu)
+    # The kernel returns no mu or rho in either mode; each trace forms them
+    # from its own U, so they must equal the charts formed from the block's.
+    mu = mu_from_u(u_norm, eta, params)
+    rho = rho_from_mu(mu)
     charts = {"u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
     for row, (_, trace) in enumerate(results):
         for name, chart in charts.items():

@@ -1,12 +1,12 @@
 """Empirical check of the fixed-time claim.
 
 Grows a model through a series of stored-item checkpoints and, at each one,
-measures (a) the exact elementary-operation count of a single store through
-the instrumented pipeline and (b) wall-clock store / hard-retrieve latency
-over fresh random probes.  The operation counts must be exactly equal at
-every checkpoint: the pipeline touches only units and weights, never the
-stored items.  Wall-clock medians get a tolerance since cache behavior
-shifts with weight density even when the step count does not.
+records (a) the nominal elementary-operation tally of a single store, which
+``OpCounter`` computes from the geometry, and (b) wall-clock store /
+hard-retrieve latency over fresh random probes.  The tallies must be
+exactly equal at every checkpoint: the pipeline touches only units and
+weights, never the stored items.  Wall-clock medians get a tolerance since
+cache behavior shifts with weight density even when the step count does not.
 
 Timed stores run on throwaway clones so the model under measurement stays
 exactly at its checkpoint; retrieval timing runs read-only on the
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -35,35 +35,6 @@ from .memory import MemoryModel
 DEFAULT_CHECKPOINTS = (1, 10, 100, 1000, 5000)
 
 BENCH_SCHEMA = "msdc-scaling-bench-v1"
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    median_ns: float
-    p95_ns: float
-    trials: int
-
-
-@dataclass(frozen=True)
-class CheckpointResult:
-    stored_items: int
-    store_latency: LatencySummary
-    retrieve_latency: LatencySummary
-    csa_ops: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    geometry: ModelGeometry
-    params: CsaParams
-    seed: int
-    trials_per_checkpoint: int
-    checkpoints: tuple[CheckpointResult, ...]
-
-    @property
-    def csa_ops_equal(self) -> bool:
-        first = self.checkpoints[0].csa_ops
-        return all(cp.csa_ops == first for cp in self.checkpoints)
 
 
 class _PatternStream:
@@ -83,13 +54,13 @@ class _PatternStream:
         raise GeometryError("could not draw a fresh distinct pattern")
 
 
-def _summarize(times_ns: list[int]) -> LatencySummary:
+def _summarize(times_ns: list[int]) -> dict:
     arr = np.asarray(times_ns, dtype=np.float64)
-    return LatencySummary(
-        median_ns=float(np.median(arr)),
-        p95_ns=float(np.quantile(arr, 0.95)),
-        trials=len(times_ns),
-    )
+    return {
+        "median_ns": float(np.median(arr)),
+        "p95_ns": float(np.quantile(arr, 0.95)),
+        "trials": len(times_ns),
+    }
 
 
 def run_scaling_bench(
@@ -98,7 +69,12 @@ def run_scaling_bench(
     checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS,
     trials_per_checkpoint: int = 50,
     seed: int = 0,
-) -> ScalingReport:
+) -> dict:
+    """The report as the JSON-ready dict ``save_report`` writes:
+    ``schema``; ``config`` (geometry, params, ``w_max``, seed,
+    ``trials_per_checkpoint``); ``csa_ops_equal``; and ``checkpoints``, one
+    ``{stored_items, store_ns, retrieve_ns, csa_ops}`` per checkpoint, whose
+    latencies are ``{median_ns, p95_ns, trials}``."""
     if geometry is None:
         geometry = PAPER_GEOMETRY
     if params is None:
@@ -115,9 +91,9 @@ def run_scaling_bench(
         raise GeometryError(
             f"trials_per_checkpoint must be at least 1, got {trials_per_checkpoint}"
         )
-    # Growth, then per checkpoint one op-count probe, two warm-up calls and
-    # one store and one retrieve per trial, each on a fresh pattern.
-    needed = checkpoints[-1] + len(checkpoints) * (3 + 2 * trials_per_checkpoint)
+    # Growth, then per checkpoint two warm-up calls and one store and one
+    # retrieve per trial, each on a fresh pattern.
+    needed = checkpoints[-1] + len(checkpoints) * (2 + 2 * trials_per_checkpoint)
     if math.comb(geometry.num_pixels, geometry.num_active) < 4 * needed:
         raise GeometryError(
             f"input space too small to draw {needed} distinct patterns"
@@ -126,30 +102,30 @@ def run_scaling_bench(
     model = MemoryModel(geometry, params, seed=seed)
     patterns = _PatternStream(geometry, np.random.default_rng((seed, 1)))
 
-    # Phase 1: grow the model, snapshotting it and its exact single-store
-    # operation count at every checkpoint.
+    # Phase 1: grow the model, snapshotting it at every checkpoint.
     snapshots = []
-    op_counts = {}
     stored = 0
     for checkpoint in checkpoints:
         while stored < checkpoint:
             model.store(patterns.next())
             stored += 1
-        probe = model.clone()
-        before = probe.op_counter.as_dict()
-        probe.store(patterns.next())
-        after = probe.op_counter.as_dict()
-        op_counts[checkpoint] = {k: after[k] - before[k] for k in after}
         snapshots.append((checkpoint, model.clone()))
 
     # Phase 2: interleaved timing rounds over the checkpoint snapshots; each
     # round times one store, on a throwaway clone, and one hard retrieve at
-    # every checkpoint.
+    # every checkpoint.  The warm-up store's op-count delta is the
+    # checkpoint's single-store tally; a retrieve with a caller RNG counts
+    # nothing.
     store_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
     retrieve_times: dict[int, list[int]] = {cp: [] for cp in checkpoints}
+    op_counts = {}
     retrieve_rng = np.random.default_rng((seed, 2))
     for checkpoint, snapshot in snapshots:  # warm code paths and caches
-        snapshot.clone().store(patterns.next())
+        warm = snapshot.clone()
+        before = warm.op_counter.as_dict()
+        warm.store(patterns.next())
+        after = warm.op_counter.as_dict()
+        op_counts[checkpoint] = {k: after[k] - before[k] for k in after}
         snapshot.retrieve(patterns.next(), mode="hard", rng=retrieve_rng)
     for _ in range(trials_per_checkpoint):
         for checkpoint, snapshot in snapshots:
@@ -163,48 +139,28 @@ def run_scaling_bench(
             snapshot.retrieve(pattern, mode="hard", rng=retrieve_rng)
             retrieve_times[checkpoint].append(time.perf_counter_ns() - t0)
 
-    results = [
-        CheckpointResult(
-            stored_items=checkpoint,
-            store_latency=_summarize(store_times[checkpoint]),
-            retrieve_latency=_summarize(retrieve_times[checkpoint]),
-            csa_ops=op_counts[checkpoint],
-        )
-        for checkpoint, _ in snapshots
-    ]
-    return ScalingReport(
-        geometry=geometry,
-        params=params,
-        seed=seed,
-        trials_per_checkpoint=trials_per_checkpoint,
-        checkpoints=tuple(results),
-    )
-
-
-def report_to_dict(report: ScalingReport) -> dict:
+    first = op_counts[checkpoints[0]]
     return {
         "schema": BENCH_SCHEMA,
         "config": {
-            "geometry": asdict(report.geometry),
-            "params": asdict(report.params),
+            "geometry": asdict(geometry),
+            "params": asdict(params),
             "w_max": W_MAX,
-            "seed": report.seed,
-            "trials_per_checkpoint": report.trials_per_checkpoint,
+            "seed": seed,
+            "trials_per_checkpoint": trials_per_checkpoint,
         },
-        "csa_ops_equal": report.csa_ops_equal,
+        "csa_ops_equal": all(ops == first for ops in op_counts.values()),
         "checkpoints": [
             {
-                "stored_items": cp.stored_items,
-                "store_ns": asdict(cp.store_latency),
-                "retrieve_ns": asdict(cp.retrieve_latency),
-                "csa_ops": cp.csa_ops,
+                "stored_items": checkpoint,
+                "store_ns": _summarize(store_times[checkpoint]),
+                "retrieve_ns": _summarize(retrieve_times[checkpoint]),
+                "csa_ops": op_counts[checkpoint],
             }
-            for cp in report.checkpoints
+            for checkpoint in checkpoints
         ],
     }
 
 
-def save_report(report: ScalingReport, destination: str | Path) -> None:
-    Path(destination).write_text(
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    )
+def save_report(report: dict, destination: str | Path) -> None:
+    Path(destination).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -38,7 +38,7 @@ from .core import (
     _read_text,
 )
 from .errors import ConfigError, MsdcError, PatternError
-from .memory import MemoryModel
+from .memory import RETRIEVAL_MODES, MemoryModel
 from .snapshot import encode_model, atomic_write_bytes, load_model
 
 EXIT_OK = 0
@@ -158,10 +158,15 @@ def cmd_store(args) -> int:
         model.reseed(seed)
     label = args.label if args.label is not None else Path(args.pattern_path).stem
     code, trace = model.store(pattern, label)
+    extra = {"command": "store", "label": label, "code": [int(c) for c in code]}
+    # A trace file is written before the model, so a trace path that cannot
+    # be written fails the command with the model file unchanged.
+    if args.trace != "-":
+        _dump_trace(args, model, trace, extra)
     atomic_write_bytes(args.model_path, encode_model(model))
     print(f"stored {label}: G={trace.familiarity} code={' '.join(map(str, code))}")
-    _dump_trace(args, model, trace, {"command": "store", "label": label,
-                              "code": [int(c) for c in code]})
+    if args.trace == "-":
+        _dump_trace(args, model, trace, extra)
     return EXIT_OK
 
 
@@ -212,7 +217,7 @@ def cmd_bench(args) -> int:
         seed=cfg["seed"],
     )
     bench_mod.save_report(report, args.out_path)
-    flag = "equal" if report.csa_ops_equal else "UNEQUAL"
+    flag = "equal" if report["csa_ops_equal"] else "UNEQUAL"
     print(f"wrote {args.out_path}; CSA op counts {flag} across checkpoints")
     return EXIT_OK
 
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retrieve a code and report stored-item likelihoods")
     p.add_argument("model_path")
     p.add_argument("pattern_path")
-    p.add_argument("--mode", choices=("soft", "hard"), default="soft")
+    p.add_argument("--mode", choices=RETRIEVAL_MODES, default="soft")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("experiment", parents=[seeded],

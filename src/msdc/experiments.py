@@ -60,7 +60,7 @@ from .core import (
     _read_text,
 )
 from .errors import ConfigError, ScheduleError
-from .memory import MemoryModel, _select_codes
+from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
 from .oracle import oracle_similarity
 
 APPENDIX_GEOMETRY = PAPER_GEOMETRY
@@ -131,7 +131,7 @@ class ScenarioSpec:
             raise ScheduleError("scenario needs at least one seed")
         if min(seeds) < 0:
             raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
-        if self.mode not in ("soft", "hard"):
+        if self.mode not in RETRIEVAL_MODES:
             raise ScheduleError(f"unknown retrieval mode {self.mode!r}")
         if self.store_order is not None:
             order = tuple(self.store_order)
@@ -258,7 +258,8 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         seeds = spec.seeds[first : first + block]
         # Each seed's own model supplies its RNG stream: Q uniforms per
         # step, stores first, then probes.  Its weights are not used; the
-        # block's stacked planes stand in for them.
+        # block's stacked planes stand in for them.  A whole model is built,
+        # not just its RNG, because perfbench reads `memory.init.us` here.
         draws = np.stack(
             [
                 MemoryModel(g, spec.params, seed=seed)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import stat
 import struct
-import tempfile
 import zlib
 from dataclasses import astuple
 from pathlib import Path
@@ -212,10 +211,12 @@ def _ledger_entry(
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the target directory, flushed to disk, then
-    rename it over the target, keeping the target's permission bits if it
-    exists."""
+    rename it over the target.  The result keeps the target's permission
+    bits if it exists; a new file gets ``0o666`` less the umask, as
+    ``open()`` would give it."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             if path.exists():

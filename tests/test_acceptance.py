@@ -241,10 +241,10 @@ def test_criterion_7_fixed_time():
             trials_per_checkpoint=200,
             seed=0,
         )
-        first = report.checkpoints[0].csa_ops
-        for cp in report.checkpoints:
-            assert cp.csa_ops == first, (cp.stored_items, cp.csa_ops)
-        medians = {cp.stored_items: cp.store_latency.median_ns for cp in report.checkpoints}
+        first = report["checkpoints"][0]["csa_ops"]
+        for cp in report["checkpoints"]:
+            assert cp["csa_ops"] == first, (cp["stored_items"], cp["csa_ops"])
+        medians = {cp["stored_items"]: cp["store_ns"]["median_ns"] for cp in report["checkpoints"]}
         ratio = medians[5000] / medians[10]
         assert ratio <= 1.25, f"median store latency ratio {ratio:.3f} > 1.25"
         info["detail"] = (

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from msdc import GeometryError, ModelGeometry
+from msdc import GeometryError, MemoryModel, ModelGeometry
 from msdc.bench import (
     BENCH_SCHEMA,
-    report_to_dict,
     run_scaling_bench,
     save_report,
 )
@@ -21,10 +20,10 @@ def small_report():
 
 
 def test_op_counts_exactly_equal_across_checkpoints(small_report):
-    first = small_report.checkpoints[0].csa_ops
-    for cp in small_report.checkpoints:
-        assert cp.csa_ops == first
-    assert small_report.csa_ops_equal
+    first = small_report["checkpoints"][0]["csa_ops"]
+    for cp in small_report["checkpoints"]:
+        assert cp["csa_ops"] == first
+    assert small_report["csa_ops_equal"]
     # The counts are the geometry's arithmetic: one store touches
     # S*Q*K weight reads, Q*K sigmoids, Q draws, S*Q writes.
     assert first["weight_reads"] == 12 * 24 * 8
@@ -34,7 +33,7 @@ def test_op_counts_exactly_equal_across_checkpoints(small_report):
 
 
 def test_report_schema(small_report, tmp_path):
-    data = report_to_dict(small_report)
+    data = small_report
     assert data["schema"] == BENCH_SCHEMA
     assert data["csa_ops_equal"] is True
     assert [cp["stored_items"] for cp in data["checkpoints"]] == [1, 10, 50]
@@ -44,9 +43,10 @@ def test_report_schema(small_report, tmp_path):
             assert cp[section]["median_ns"] > 0
         assert cp["csa_ops"]["total"] > 0
     assert data["config"]["geometry"]["num_cms"] == 24
+    assert json.loads(json.dumps(data)) == data
     out = tmp_path / "bench.json"
     save_report(small_report, out)
-    assert json.loads(out.read_text()) == data
+    assert out.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_checkpoints_must_ascend():
@@ -62,9 +62,25 @@ def test_checkpoints_must_ascend():
 def test_each_checkpoint_times_exactly_the_trials_asked_for():
     # Each summary's trial count is its number of timing samples.
     report = run_scaling_bench(checkpoints=(1, 5), trials_per_checkpoint=7)
-    assert report.trials_per_checkpoint == 7
-    for cp in report.checkpoints:
-        assert cp.store_latency.trials == cp.retrieve_latency.trials == 7
+    assert report["config"]["trials_per_checkpoint"] == 7
+    for cp in report["checkpoints"]:
+        assert cp["store_ns"]["trials"] == cp["retrieve_ns"]["trials"] == 7
+
+
+def test_each_checkpoint_clones_once_to_snapshot_and_once_per_store(monkeypatch):
+    # One snapshot per checkpoint, one warm-up store clone, whose op-count
+    # delta is the checkpoint's tally, and one clone per timed store.
+    clones = 0
+    original = MemoryModel.clone
+
+    def counting_clone(self):
+        nonlocal clones
+        clones += 1
+        return original(self)
+
+    monkeypatch.setattr(MemoryModel, "clone", counting_clone)
+    run_scaling_bench(checkpoints=(1, 5, 9), trials_per_checkpoint=4)
+    assert clones == 3 * (1 + 1 + 4)
 
 
 def test_tiny_input_space_is_rejected():

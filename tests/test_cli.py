@@ -168,12 +168,37 @@ def test_store_overlong_label_is_data_error(model_path, grid_pattern, capsys):
 
 def test_init_and_store_keep_the_model_file_mode(model_path, grid_pattern):
     # Each write replaces the file with a new one, which takes the old
-    # file's permission bits rather than the temp file's 0600.
+    # file's permission bits rather than those the umask would give it.
     model_path.chmod(0o644)
     assert main(["init", str(model_path)]) == 0
     assert model_path.stat().st_mode & 0o777 == 0o644
     assert main(["store", str(model_path), str(grid_pattern)]) == 0
     assert model_path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_init_gives_a_new_file_the_mode_the_umask_allows(tmp_path, umask, mode):
+    path = tmp_path / "n.msdc"
+    old = os.umask(umask)
+    try:
+        assert main(["init", str(path)]) == 0
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == mode
+
+
+def test_store_with_an_unwritable_trace_path_leaves_the_model_unchanged(
+    model_path, grid_pattern, tmp_path, capsys
+):
+    # The command fails, so the model must not hold the item: a retry
+    # would otherwise store it twice.
+    before = model_path.read_bytes()
+    argv = ["store", str(model_path), str(grid_pattern),
+            "--trace", str(tmp_path / "missing" / "t.json")]
+    assert main(argv) == 4
+    assert "no such file" in capsys.readouterr().err
+    assert model_path.read_bytes() == before
+    assert load_model(model_path).ledger == ()
 
 
 def test_store_missing_pattern_file_is_io_error(model_path, tmp_path, capsys):

@@ -428,8 +428,8 @@ def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> 
     int64 array of shape (..., Q, K); entries lie in [0, S * W_MAX].
     """
     # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = bits.take(active, axis=-2).sum(
-        axis=-2, dtype=np.min_scalar_type(geometry.num_active)
+    count = np.add.reduce(
+        bits.take(active, axis=-2), axis=-2, dtype=np.min_scalar_type(geometry.num_active)
     )
     u = np.multiply(count, W_MAX, dtype=np.int64)
     return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
@@ -448,7 +448,7 @@ def familiarity(u_norm: np.ndarray) -> np.ndarray:
     """
     # The sum over Q divided by Q is exactly what ``mean`` forms, without
     # its Python-level wrapper.
-    return u_norm.max(axis=-1).sum(axis=-1) / u_norm.shape[-2]
+    return np.add.reduce(np.maximum.reduce(u_norm, axis=-1), axis=-1) / u_norm.shape[-2]
 
 
 def eta_for_familiarity(g: float, params: CsaParams) -> float:
@@ -486,7 +486,7 @@ def rho_from_mu(mu: np.ndarray) -> np.ndarray:
     Every CM's weights must have a positive sum, as ``mu_from_u``'s always
     do: it floors each weight at 1.
     """
-    return mu / mu.sum(axis=-1, keepdims=True)
+    return mu / np.add.reduce(mu, axis=-1, keepdims=True)
 
 
 def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -496,9 +496,9 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     ``rng.random(Q)`` makes a fixed RNG state reproduce the same code.
     """
     cum = rho.cumsum(axis=-1)
-    if not (np.abs(cum[..., -1] - 1.0) <= 1e-9).all():
+    if not np.logical_and.reduce(np.abs(cum[..., -1] - 1.0) <= 1e-9, axis=None):
         raise ValueError("each CM's win probabilities must sum to 1")
-    winners = (cum <= r[..., None]).sum(axis=-1)
+    winners = np.add.reduce(cum <= r[..., None], axis=-1)
     return np.minimum(winners, rho.shape[-1] - 1)
 
 
@@ -509,9 +509,10 @@ def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
     (..., Q), which is used whether or not that CM is tied, keeping the work
     and the RNG stream a pure function of geometry.
     """
-    tied = u_norm == u_norm.max(axis=-1, keepdims=True)
-    n = tied.sum(axis=-1)
-    if not n.all():  # a NaN in a CM makes its max NaN, equal to no unit
+    tied = u_norm == np.maximum.reduce(u_norm, axis=-1, keepdims=True)
+    n = np.add.reduce(tied, axis=-1)
+    # A NaN in a CM makes its max NaN, equal to no unit.
+    if not np.logical_and.reduce(n, axis=None):
         raise ValueError("normalized summations must not be NaN")
     # The winner is tied unit number floor(r * n) of the n tied units, found
     # as the first unit whose running count of tied units exceeds it.

@@ -21,16 +21,19 @@ a scenario plus its seed list fully determines every output byte.
 
 Each seed is an independent single-trial run: a fresh
 ``MemoryModel(..., seed=seed)`` stores every item, then reads a belief for
-every probe.  Code selection is fixed-time, so all seeds do the same array
-work on arrays of the same shape, and ``run_scenario`` runs them in blocks.
-A block stacks its seeds' weight bits as one (B, P, Q*K) array and runs the
-model's selection kernel once per store and probe step over the whole
-block.  Each seed's own model RNG still supplies that seed's Q uniforms per
-step, in the single-model order: one step per store in store order, then
-one per probe.  So every record is the one a seed-by-seed loop over
-``MemoryModel.store`` and ``belief_update`` would give, bit for bit.  A
-block holds about 1 MiB of weight bits (37 seeds at the appendix geometry,
-never fewer than one), so memory does not grow with the seed count.
+every probe.  Code selection is fixed-time, so ``run_scenario`` runs the
+seeds in blocks: a block stacks its seeds' weight bits as one (B, P, Q*K)
+array, about 1 MiB (37 seeds at the appendix geometry, never fewer than
+one), and runs the selection kernel once per store and probe step over it.
+Each seed's own model RNG still supplies its Q uniforms per step in the
+single-model order (stores in store order, then probes), so every record
+is the one a seed-by-seed loop over ``MemoryModel.store`` and
+``belief_update`` would give, bit for bit.
+
+``run_scenario`` returns the kernel's arrays as a ``ScenarioResult``, which
+builds a ``TrialRecord`` only when one is read.  The aggregates and the
+trial writers work on those arrays; the writers format each distinct value
+once, from per-value text tables.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import abc, namedtuple
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
@@ -48,16 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CsaParams,
-    InputPattern,
-    ModelGeometry,
-    PAPER_GEOMETRY,
-    W_MAX,
-    _as_int,
-    _check_w_max,
-    _config_object,
-    _parse_json,
-    _read_text,
+    CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, _as_int, _check_w_max,
+    _config_object, _parse_json, _read_text,
 )
 from .errors import ConfigError, ScheduleError
 from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
@@ -70,23 +65,11 @@ APPENDIX_GEOMETRY = PAPER_GEOMETRY
 _BLOCK_BYTES = 1 << 20
 
 TRIAL_COLUMNS = (
-    "seed",
-    "probe",
-    "item",
-    "input_similarity",
-    "code_intersection",
-    "likelihood",
-    "familiarity",
+    "seed", "probe", "item", "input_similarity", "code_intersection", "likelihood", "familiarity"
 )
 AGGREGATE_COLUMNS = (
-    "probe",
-    "item",
-    "input_similarity",
-    "mean_intersection",
-    "std_intersection",
-    "mean_likelihood",
-    "std_likelihood",
-    "num_seeds",
+    "probe", "item", "input_similarity", "mean_intersection", "std_intersection",
+    "mean_likelihood", "std_likelihood", "num_seeds",
 )
 
 
@@ -229,31 +212,74 @@ class TrialRecord:
     likelihoods: dict[str, float]
 
 
+@dataclass(frozen=True, eq=False)
+class ScenarioResult(abc.Sequence):
+    """``run_scenario``'s trials: the kernel's arrays, read as records.
+
+    Item columns follow ``items`` (``spec.stored_labels()``); ``store_order``
+    holds the item indices in the order they were stored.  Record ``i``, seed
+    ``i // len(probes)`` under probe ``i % len(probes)``, is built when read,
+    with the mapping order and leaf types of a seed-by-seed run.  A result
+    equals a list of the same records.
+    """
+
+    seeds: tuple[int, ...]
+    probes: tuple[str, ...]
+    items: tuple[str, ...]
+    store_order: tuple[int, ...]
+    codes: np.ndarray  # (seeds, probes, Q)
+    familiarity: np.ndarray  # (seeds, probes)
+    eta: np.ndarray  # (seeds, probes)
+    intersections: np.ndarray  # (seeds, probes, items)
+    similarities: np.ndarray  # (probes, items), the same for every seed
+
+    def __len__(self) -> int:
+        return len(self.seeds) * len(self.probes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        s, p = divmod(range(len(self))[index], len(self.probes))
+        keys = [self.items[i] for i in self.store_order]
+        inter = self.intersections[s, p, self.store_order]
+        return TrialRecord(
+            self.seeds[s], self.probes[p], float(self.familiarity[s, p]), float(self.eta[s, p]),
+            tuple(self.codes[s, p].tolist()),
+            dict(zip(keys, self.similarities[p, self.store_order].tolist())),
+            dict(zip(keys, inter.tolist())),
+            dict(zip(keys, (inter / self.codes.shape[-1]).tolist())),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (ScenarioResult, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def _seed_block_size(geometry: ModelGeometry) -> int:
     """Seeds per block: as many weight planes as fit in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (geometry.num_pixels * geometry.num_units))
 
 
-def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
+def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Per seed: fresh model, store all items in order, probe in order.
 
-    Seeds run in blocks (see the module docstring); the records are those
-    of one model per seed, in seed order, then probe order.
+    Seeds run in blocks (see the module docstring).  The result holds the
+    kernel's arrays; its records, each built only when read, are those of
+    one model per seed, in seed order, then probe order.
     """
     stored, probes = build_appendix_corpus(spec)
-    if spec.store_order is not None:
-        by_label = dict(stored)
-        stored = [(label, by_label[label]) for label in spec.store_order]
+    items = [label for label, _ in stored]
+    order = [items.index(label) for label in spec.store_order or items]
     g = spec.geometry
-    labels = [label for label, _ in stored]
-    similarities = [
-        [pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes
-    ]
-    store_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in stored]
+    similarities = np.array(
+        [[pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes]
+    )
+    store_pixels = [np.asarray(stored[i][1].active, dtype=np.intp) for i in order]
     probe_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
-    records = []
+    parts = []
     for first in range(0, len(spec.seeds), block):
         seeds = spec.seeds[first : first + block]
         # Each seed's own model supplies its RNG stream: Q uniforms per
@@ -262,79 +288,81 @@ def run_scenario(spec: ScenarioSpec) -> list[TrialRecord]:
         # not just its RNG, because perfbench reads `memory.init.us` here.
         draws = np.stack(
             [
-                MemoryModel(g, spec.params, seed=seed)
-                .rng.random(num_draws)
-                .reshape(-1, g.num_cms)
+                MemoryModel(g, spec.params, seed=seed).rng.random(num_draws).reshape(-1, g.num_cms)
                 for seed in seeds
             ],
             axis=1,
         )
         bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
+        stores = zip(store_pixels, draws)
         ledger = np.stack(
-            [
-                _select_codes(bits, active, g, spec.params, "soft", r, learn=True)[0]
-                for active, r in zip(store_pixels, draws)
-            ],
+            [_select_codes(bits, a, g, spec.params, "soft", r, learn=True)[0] for a, r in stores],
             axis=1,
+        )[:, np.argsort(order)]  # item columns in stored-label order
+        readouts = [
+            _select_codes(bits, active, g, spec.params, spec.mode, r)
+            for active, r in zip(probe_pixels, draws[len(stored) :])
+        ]
+        code = np.stack([out[0] for out in readouts], axis=1)
+        inter = (ledger[:, None] == code[:, :, None]).sum(axis=3)
+        parts.append((code, [out[3] for out in readouts], [out[4] for out in readouts], inter))
+    codes, fam, eta, inter = zip(*parts)
+    return ScenarioResult(
+        spec.seeds, tuple(label for label, _ in probes), tuple(items), tuple(order),
+        np.concatenate(codes), np.concatenate(fam, axis=1).T, np.concatenate(eta, axis=1).T,
+        np.concatenate(inter), similarities,
+    )
+
+
+# Trials as flat arrays, one row per record, item columns in stored-label
+# order; seeds and probes as object arrays, so seeds stay Python ints.
+_Trials = namedtuple("_Trials", "seeds probes codes fam eta inter like sims")
+
+
+def _trials(records: Sequence[TrialRecord], spec: ScenarioSpec) -> _Trials:
+    """The one input of the readers and writers below: a ``ScenarioResult``
+    over this spec's items as it is, or any records gathered in one pass."""
+    items = spec.stored_labels()
+    if isinstance(records, ScenarioResult) and records.items == tuple(items):
+        inter = records.intersections.reshape(len(records), len(items))
+        return _Trials(
+            np.array(records.seeds, dtype=object).repeat(len(records.probes)),
+            np.tile(np.array(records.probes, dtype=object), len(records.seeds)),
+            records.codes.reshape(len(records), -1), records.familiarity.ravel(),
+            records.eta.ravel(), inter, inter / records.codes.shape[-1],
+            np.tile(records.similarities, (len(records.seeds), 1)),
         )
-        readouts = []
-        for active, r in zip(probe_pixels, draws[len(stored) :]):
-            code, *_, fam, eta = _select_codes(bits, active, g, spec.params, spec.mode, r)
-            inter = (ledger == code[:, None, :]).sum(axis=2)
-            readouts.append(
-                (code.tolist(), fam, eta, inter.tolist(), (inter / g.num_cms).tolist())
-            )
-        for b, seed in enumerate(seeds):
-            for (probe, _), sims, (code, fam, eta, inter, like) in zip(
-                probes, similarities, readouts
-            ):
-                records.append(
-                    TrialRecord(
-                        seed=seed,
-                        probe=probe,
-                        familiarity=fam[b],
-                        eta=eta[b],
-                        code=tuple(code[b]),
-                        similarities=dict(zip(labels, sims)),
-                        intersections=dict(zip(labels, inter[b])),
-                        likelihoods=dict(zip(labels, like[b])),
-                    )
-                )
-    return records
+    rows = [
+        (r.seed, r.probe, r.code, r.familiarity, r.eta,
+         *([m[i] for i in items] for m in (r.intersections, r.likelihoods, r.similarities)))
+        for r in records
+    ]
+    dtypes = (object, object, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64)
+    columns = zip(*rows) if rows else [()] * len(dtypes)
+    return _Trials(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
 
 
 def aggregate_records(records: Sequence[TrialRecord], spec: ScenarioSpec) -> list[dict]:
     """Per (probe, stored item): mean and stddev of intersection/likelihood."""
-    items = spec.stored_labels()
-    return [row for p in spec.probes for row in _probe_aggregates(records, p.label, items)]
+    trials, items = _trials(records, spec), spec.stored_labels()
+    return [row for p in spec.probes for row in _probe_aggregates(trials, p.label, items)]
 
 
-def _probe_aggregates(
-    records: Sequence[TrialRecord], probe_label: str, items: Sequence[str]
-) -> list[dict]:
+def _probe_aggregates(trials: _Trials, probe_label: str, items: Sequence[str]) -> list[dict]:
     """``aggregate_records``'s rows for one probe label, one per stored item."""
-    probe_records = [r for r in records if r.probe == probe_label]
-    if not probe_records:
+    rows = np.flatnonzero(trials.probes == probe_label)
+    if not len(rows):
         return []
-    rows = []
-    for item in items:
-        inter = np.array([r.intersections[item] for r in probe_records], dtype=float)
-        like = np.array([r.likelihoods[item] for r in probe_records], dtype=float)
-        sims = {r.similarities[item] for r in probe_records}
-        assert len(sims) == 1, "corpus construction must not vary across seeds"
-        rows.append(
-            {
-                "probe": probe_label,
-                "item": item,
-                "input_similarity": sims.pop(),
-                "mean_intersection": float(inter.mean()),
-                "std_intersection": float(inter.std()),
-                "mean_likelihood": float(like.mean()),
-                "std_likelihood": float(like.std()),
-                "num_seeds": len(probe_records),
-            }
-        )
-    return rows
+    sims = trials.sims[rows]
+    assert (sims == sims[0]).all(), "corpus construction must not vary across seeds"
+    # Each item's series is one contiguous row, as in a 1-D array of it, so
+    # numpy's pairwise sums give each mean and std the same bits.
+    series = (trials.inter[rows].T.astype(np.float64, order="C"), trials.like[rows].T.copy())
+    stats = [f(a, axis=1).tolist() for a in series for f in (np.mean, np.std)]
+    return [
+        dict(zip(AGGREGATE_COLUMNS, (probe_label, *row, len(rows))))
+        for row in zip(items, sims[0].tolist(), *stats)
+    ]
 
 
 def similarity_rank_correlation(
@@ -345,7 +373,7 @@ def similarity_rank_correlation(
     Over the ``aggregate_records`` rows of ``probe_label``; NaN for a label
     that no record carries.
     """
-    rows = _probe_aggregates(records, probe_label, spec.stored_labels())
+    rows = _probe_aggregates(_trials(records, spec), probe_label, spec.stored_labels())
     sims = [r["input_similarity"] for r in rows]
     inter = [r["mean_intersection"] for r in rows]
     # Spearman is undefined when either side is constant: NaN, with no warning.
@@ -368,32 +396,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: Sequence[str], rows) -> None:
+def _texts(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt`` of each entry, as an object array of ``values``'s shape, each
+    distinct value formatted once.  Floats are keyed by their bits, so -0.0
+    keeps a text of its own and every NaN finds one."""
+    keys = values.ravel()
+    distinct, index = np.unique(
+        keys.view(np.uint64) if keys.dtype == np.float64 else keys, return_inverse=True
+    )
+    table = np.array([fmt(v) for v in distinct.view(keys.dtype).tolist()], dtype=object)
+    return table[index.ravel()].reshape(values.shape)
+
+
+def _csv_lines(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _trial_csv_rows(records: Sequence[TrialRecord], items: Sequence[str]) -> list[tuple]:
-    """trials.csv rows, one per record and stored item, as ``_fmt`` gives them.
-
-    Floats become ``.10g`` text; ints pass through, since ``csv.writer``
-    writes them as ``str`` does.
-    """
-    rows = []
-    for r in records:
-        rows += zip(
-            repeat(r.seed),
-            repeat(r.probe),
-            items,
-            [format(r.similarities[i], ".10g") for i in items],
-            map(r.intersections.__getitem__, items),
-            [format(r.likelihoods[i], ".10g") for i in items],
-            repeat(format(r.familiarity, ".10g")),
-        )
-    return rows
+def _trial_csv_text(trials: _Trials, items: Sequence[str]) -> str:
+    """trials.csv's rows, one per record and stored item: what
+    ``csv.writer`` writes for ``_fmt``-formatted cells."""
+    cells = np.empty((*trials.inter.shape, len(TRIAL_COLUMNS)), dtype=object)
+    cells[..., 0] = _texts(trials.seeds, _fmt)[:, None]
+    # A probe label as csv.writer writes it within a row, quoted if need be.
+    cells[..., 1] = _texts(trials.probes, lambda p: _csv_lines([(p, "")])[:-2])[:, None]
+    cells[..., 2] = items
+    cells[..., 3] = _texts(trials.sims, _fmt)
+    cells[..., 4] = _texts(trials.inter, _fmt)
+    cells[..., 5] = _texts(trials.like, _fmt)
+    cells[..., 6] = _texts(trials.fam, _fmt)[:, None]
+    row = ",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n"
+    return (row * trials.inter.size) % tuple(cells.ravel().tolist())
 
 
 # What json.encoder writes for the non-finite floats, whose float.__repr__
@@ -409,54 +443,37 @@ def _json_float(value: float) -> str:
 def _json_block(opener: str, lines: Sequence[str], closer: str, indent: int) -> str:
     """A JSON array or object laid out as ``json.dumps(indent=2)`` does,
     its closer at ``indent`` spaces and each line two deeper."""
-    if not lines:
-        return opener + closer
     inner = "\n" + " " * (indent + 2)
     return opener + inner + ("," + inner).join(lines) + "\n" + " " * indent + closer
 
 
-def _trial_json_records(
-    records: Sequence[TrialRecord], items: Sequence[str], num_codes: int
-) -> list[str]:
-    """Each record's object in the "trials" array of results.json, as
-    ``json.dumps(indent=2, sort_keys=True)`` writes it at depth two.
-
-    One ``%`` template for every record: keys in sorted order (the stored
-    labels sorted as strings, as ``sort_keys`` does), and each leaf encoded
-    as ``json.encoder`` encodes its declared type.  ``float.__repr__``, not
-    ``repr``, since a numpy float64 reprs as ``np.float64(...)``.
-    """
-    items = sorted(items)
-    entries = [encode_basestring_ascii(i) + ": %s" for i in items]
+def _trial_json_text(trials: _Trials, items: Sequence[str], num_codes: int) -> str:
+    """The records of the "trials" array of results.json, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes them at depth two: one
+    ``%`` template per record, keys sorted as strings, and each leaf encoded
+    as ``json.encoder`` encodes its declared type (``float.__repr__``, not
+    ``repr``, which gives ``np.float64(...)`` for a numpy float64)."""
+    order = sorted(range(len(items)), key=items.__getitem__)
+    mapping = _json_block("{", [encode_basestring_ascii(items[i]) + ": %s" for i in order], "}", 6)
     template = _json_block(
         "{",
         [
             '"code": ' + _json_block("[", ["%s"] * num_codes, "]", 6),
-            '"eta": %s',
-            '"familiarity": %s',
-            '"intersections": ' + _json_block("{", entries, "}", 6),
-            '"likelihoods": ' + _json_block("{", entries, "}", 6),
-            '"probe": %s',
-            '"seed": %s',
-            '"similarities": ' + _json_block("{", entries, "}", 6),
+            '"eta": %s', '"familiarity": %s',
+            '"intersections": ' + mapping, '"likelihoods": ' + mapping,
+            '"probe": %s', '"seed": %s', '"similarities": ' + mapping,
         ],
         "}",
         4,
     )
-    return [
-        template
-        % (
-            *map(int.__repr__, r.code),
-            _json_float(r.eta),
-            _json_float(r.familiarity),
-            *map(int.__repr__, map(r.intersections.__getitem__, items)),
-            *map(_json_float, map(r.likelihoods.__getitem__, items)),
-            encode_basestring_ascii(r.probe),
-            int.__repr__(r.seed),
-            *map(_json_float, map(r.similarities.__getitem__, items)),
-        )
-        for r in records
+    columns = [
+        (trials.codes, int.__repr__), (trials.eta, _json_float), (trials.fam, _json_float),
+        (trials.inter[:, order], int.__repr__), (trials.like[:, order], _json_float),
+        (trials.probes, encode_basestring_ascii), (trials.seeds, int.__repr__),
+        (trials.sims[:, order], _json_float),
     ]
+    cells = np.column_stack([_texts(values, fmt) for values, fmt in columns])
+    return ",\n    ".join([template] * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
@@ -476,15 +493,7 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
 
 
 _SCENARIO_KEYS = (
-    "name",
-    "geometry",
-    "params",
-    "w_max",
-    "num_stored",
-    "probes",
-    "seeds",
-    "mode",
-    "store_order",
+    "name", "geometry", "params", "w_max", "num_stored", "probes", "seeds", "mode", "store_order"
 )
 _SCENARIO_REQUIRED = ("geometry", "num_stored", "probes", "seeds")
 
@@ -557,50 +566,41 @@ def emit_results(
 ) -> list[Path]:
     """Write trial rows, aggregates, and the resolved scenario config.
 
-    Output is a pure function of (spec, records): identical runs produce
-    byte-identical files.  ``results.json`` is the
-    ``json.dumps(payload, indent=2, sort_keys=True)`` text of
-    ``{"aggregates", "scenario", "trials"}``, and the CSVs are what
-    ``csv.writer`` writes for ``_fmt``-formatted cells.  The small
-    sections go through those encoders; the trial sections are written by
-    fixed-layout writers that reproduce them byte for byte.  Those writers
-    take each leaf as ``TrialRecord`` declares it: ints (not bools) for
+    ``formats`` is a non-empty collection of "csv" and "json"; anything else
+    raises ``ConfigError`` before a file is written.  Identical runs produce
+    byte-identical files: ``results.json`` is the ``json.dumps(payload,
+    indent=2, sort_keys=True)`` text of ``{"aggregates", "scenario",
+    "trials"}``, and the CSVs are what ``csv.writer`` writes for
+    ``_fmt``-formatted cells.  The trial sections come from the trials'
+    arrays (a ``ScenarioResult``'s own, building no record, or a list's,
+    gathered), through value tables that format each distinct value once.
+    Leaves are taken as ``TrialRecord`` declares them: ints (not bools) for
     ``seed``, ``code`` and ``intersections``, floats (numpy float64
     included) for the rest, and one entry per stored label in each mapping.
     """
+    chosen = set() if isinstance(formats, str) else set(formats)
+    if not chosen or not chosen <= {"csv", "json"}:
+        raise ConfigError(f"formats must be some of 'csv' and 'json', got {formats!r}")
     if not records:
         raise ScheduleError("no trial records to emit")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    trials, items = _trials(records, spec), spec.stored_labels()
     aggregates = aggregate_records(records, spec)
     scenario = scenario_to_dict(spec)
-    items = spec.stored_labels()
-    written = []
-    if "csv" in formats:
-        trials_path = out_dir / "trials.csv"
-        _write_csv(trials_path, TRIAL_COLUMNS, _trial_csv_rows(records, items))
-        agg_path = out_dir / "aggregate.csv"
-        _write_csv(
-            agg_path,
-            AGGREGATE_COLUMNS,
-            ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates),
-        )
-        written += [trials_path, agg_path]
-    if "json" in formats:
+    texts = {}
+    if "csv" in chosen:
+        texts["trials.csv"] = _csv_lines([TRIAL_COLUMNS]) + _trial_csv_text(trials, items)
+        rows = ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates)
+        texts["aggregate.csv"] = _csv_lines([AGGREGATE_COLUMNS, *rows])
+    if "json" in chosen:
         head = json.dumps(
             {"aggregates": aggregates, "scenario": scenario}, indent=2, sort_keys=True
         )
-        trials = _json_block(
-            "[",
-            _trial_json_records(records, items, spec.geometry.num_cms),
-            "]",
-            2,
-        )
+        trial_text = _trial_json_text(trials, items, spec.geometry.num_cms)
         # "trials" sorts last, so it goes where head's closing "\n}" was.
-        json_path = out_dir / "results.json"
-        json_path.write_text(f'{head[:-2]},\n  "trials": {trials}\n}}\n')
-        written.append(json_path)
-    config_path = out_dir / "scenario.json"
-    config_path.write_text(json.dumps(scenario, indent=2, sort_keys=True) + "\n")
-    written.append(config_path)
-    return written
+        texts["results.json"] = f'{head[:-2]},\n  "trials": [\n    {trial_text}\n  ]\n}}\n'
+    texts["scenario.json"] = json.dumps(scenario, indent=2, sort_keys=True) + "\n"
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
+    return [out_dir / name for name in texts]

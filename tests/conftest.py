@@ -29,8 +29,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def _python_calls(fn, *args):
-    """Run ``fn(*args)`` and return how many Python frames it entered.
+def _python_calls(fn, *args, code=None):
+    """Run ``fn(*args)`` and return how many Python frames it entered, or
+    with ``code`` given, how many frames of that code object.
 
     Counts the profiler's "call" events, one per Python function, method or
     generator resumption; calls into C functions are not counted.  The
@@ -41,7 +42,7 @@ def _python_calls(fn, *args):
 
     def profile(frame, event, arg):
         nonlocal calls
-        calls += event == "call"
+        calls += event == "call" and (code is None or frame.f_code is code)
 
     collecting = gc.isenabled()
     gc.disable()

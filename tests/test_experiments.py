@@ -24,6 +24,9 @@ from msdc.experiments import (
     ScenarioSpec,
     TrialRecord,
     _average_ranks,
+    _fmt,
+    _json_float,
+    _texts,
     aggregate_records,
     build_appendix_corpus,
     default_appendix_scenario,
@@ -239,7 +242,9 @@ def reference_emit(records, spec, out_dir):
 def hand_built_trials():
     """Twelve stored items (so "I10" sorts before "I2"), probe labels that
     need quoting or escaping, non-finite and signed-zero floats, and numpy
-    float64 leaves."""
+    float64 leaves.  I1's code intersection is 0 in every record, and its
+    likelihood -0.0 under seed 3 and 0.0 under the others, so one column
+    holds both zeros."""
     probes = ('say "hi"', "a,b", "two\nlines", "ünïcödé ✓", "100%s %d")
     spec = ScenarioSpec(
         name="odd", geometry=APPENDIX_GEOMETRY, params=default_appendix_scenario(1).params,
@@ -257,7 +262,7 @@ def hand_built_trials():
     for k, seed in enumerate(spec.seeds):
         for j, probe in enumerate(probes):
             order = [int(i) for i in gen.permutation(len(labels))]
-            inter = [int(x) for x in gen.integers(0, 25, len(labels))]
+            inter = [0] + [int(x) for x in gen.integers(0, 25, len(labels))][1:]
             records.append(TrialRecord(
                 seed=seed,
                 probe=probe,
@@ -268,7 +273,7 @@ def hand_built_trials():
                               else np.float64(sims[probe][i]) if i % 2 else sims[probe][i]
                               for i in order},
                 intersections={labels[i]: inter[i] for i in order},
-                likelihoods={labels[i]: -0.0 if inter[i] == 0 and i % 2
+                likelihoods={labels[i]: -0.0 if inter[i] == 0 and (i % 2 or k == 0)
                              else np.float64(inter[i] / 24) for i in order},
             ))
     return spec, records
@@ -289,6 +294,61 @@ def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path,
                        ("json", ["results.json", "scenario.json"])):
         emit_results(records, spec, tmp_path / fmt, formats=(fmt,))
         assert files_of(tmp_path / fmt) == {name: want[name] for name in names}
+
+
+@pytest.mark.parametrize("case", ["appendix", "store_order"])
+def test_a_result_and_its_record_list_read_and_write_alike(tmp_path, case):
+    # One array path: a result is read from its own arrays, a list of its
+    # records is gathered into the same arrays, and both give the same output.
+    spec = default_appendix_scenario(num_seeds=200)
+    if case == "store_order":
+        spec = dataclasses.replace(
+            spec, seeds=(7, 7, 8, 9, 10), store_order=("I4", "I1", "I6", "I2", "I5", "I3")
+        )
+    result = run_scenario(spec)
+    records = list(result)
+    emit_results(result, spec, tmp_path / "result")
+    emit_results(records, spec, tmp_path / "list")
+    assert files_of(tmp_path / "result") == files_of(tmp_path / "list")
+    assert aggregate_records(result, spec) == aggregate_records(records, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the unknown label's empty correlation
+        for label in ("I7", "I8", "I9", "nope"):
+            a = similarity_rank_correlation(result, spec, label)
+            b = similarity_rank_correlation(records, spec, label)
+            assert a == b or (label == "nope" and math.isnan(a) and math.isnan(b))
+
+
+def test_the_user_path_builds_no_records(tmp_path, python_calls):
+    spec = default_appendix_scenario(num_seeds=40)
+    init = TrialRecord.__init__.__code__
+
+    def user_path():
+        emit_results(run_scenario(spec), spec, tmp_path)
+
+    assert python_calls(user_path, code=init) == 0
+    # The hook does see records, once they are read.
+    assert python_calls(lambda: list(run_scenario(spec)), code=init) == 40 * 3
+
+
+def test_value_tables_keep_signed_zeros_and_every_nan():
+    values = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, math.inf, -0.0])
+    assert _texts(values, _json_float).tolist() == [
+        "0.0", "-0.0", "NaN", "NaN", "0.0", "Infinity", "-0.0"
+    ]
+    assert _texts(values.reshape(7, 1), _fmt)[:, 0].tolist() == [
+        "0", "-0", "nan", "nan", "0", "inf", "-0"
+    ]
+    seeds = np.array([2**70, 3, 2**70], dtype=object)
+    assert _texts(seeds, int.__repr__).tolist() == [str(2**70), "3", str(2**70)]
+
+
+@pytest.mark.parametrize("formats", ["jsonl", "csv", (), set(), ("xml",), ["csv", "xml"]])
+def test_emit_rejects_formats_other_than_csv_and_json(spec_40, records_40, tmp_path, formats):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="formats must be some of 'csv' and 'json'"):
+        emit_results(records_40, spec_40, out, formats=formats)
+    assert not out.exists()
 
 
 def test_hard_retrieve_of_ramped_probe_recovers_best_match_code():

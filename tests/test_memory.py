@@ -595,13 +595,14 @@ def test_verbs_run_a_fixed_number_of_python_frames(geometry, python_calls):
 
 
 def test_caller_rng_retrieve_runs_a_pinned_number_of_python_frames(python_calls):
-    # The kernel calls ndarray methods rather than numpy's Python-level
-    # function wrappers, and a hard pick forms no mu or rho until its trace
-    # is read; a step that brought back either would raise these counts.
+    # The kernel reduces through the ufuncs' own C methods rather than
+    # numpy's Python-level function and ndarray-method wrappers, and a hard
+    # pick forms no mu or rho until its trace is read; a step that brought
+    # back any of these would raise the counts.
     gen = np.random.default_rng(5)
     model = make_model(PAPER_GEOMETRY, seed=5)
     for _ in range(50):
         model.store(random_pattern(PAPER_GEOMETRY, gen))
     probe, reader = random_pattern(PAPER_GEOMETRY, gen), np.random.default_rng(5)
     counts = {mode: python_calls(model.retrieve, probe, mode, reader) for mode in ("soft", "hard")}
-    assert counts == {"soft": 21, "hard": 19}
+    assert counts == {"soft": 15, "hard": 13}

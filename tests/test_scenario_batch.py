@@ -164,6 +164,57 @@ def test_matches_reference_on_a_wide_geometry(mode):
     assert_matches_reference(spec)
 
 
+def leaf_types(record):
+    """Each field's type, and for a tuple or mapping its keys and leaf types."""
+    return {
+        name: [(key, type(v)) for key, v in value.items()] if isinstance(value, dict)
+        else [type(v) for v in value] if isinstance(value, tuple) else type(value)
+        for name, value in vars(record).items()
+    }
+
+
+def wide_spec(mode):
+    """20x20, S=30, Q=300, K=2 over eleven seeds, a few to a block."""
+    return ScenarioSpec(
+        name="wide",
+        geometry=ModelGeometry(20, 20, 30, 300, 2),
+        params=CsaParams(),
+        num_stored=6,
+        probes=(
+            ProbeSpec("A", (12, 9, 5, 3, 1, 0)),
+            ProbeSpec("B", (0, 20, 6, 4, 0, 0)),
+            ProbeSpec("C", (0, 0, 15, 0, 0, 15)),
+        ),
+        seeds=tuple(range(11)),
+        mode=mode,
+    )
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+@pytest.mark.parametrize("case", ["store_order", "wide"])
+def test_the_result_reads_as_the_reference_record_list(mode, case):
+    if case == "wide":
+        spec = wide_spec(mode)
+    else:
+        spec = appendix([7, 7, 8, 9], mode=mode, store_order=("I4", "I1", "I6", "I2", "I5", "I3"))
+    result = run_scenario(spec)
+    want = reference_run_scenario(spec)
+    got = list(result)
+    assert got == want
+    assert [leaf_types(r) for r in got] == [leaf_types(r) for r in want]
+    assert len(result) == len(want) == len(spec.seeds) * len(spec.probes)
+    for index in (0, 4, -1, -2, -len(want)):
+        assert result[index] == want[index]
+    for part in (slice(None), slice(2, 7), slice(-5, None), slice(None, None, -2), slice(5, 1)):
+        assert result[part] == want[part]
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            result[index]
+    # Sequence equality against records, in either order, and against results.
+    assert result == want and want == result and result == run_scenario(spec)
+    assert result != want[:-1] and result != tuple(want)
+
+
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
 def test_matches_reference_at_block_boundaries(count):
     assert_matches_reference(appendix(range(1000, 1000 + count)))

@@ -17,7 +17,6 @@ from .core import (
     ModelGeometry,
     OpCounter,
     WeightMatrix,
-    code_intersection,
     random_pattern,
 )
 from .errors import (
@@ -35,13 +34,6 @@ from .errors import (
     SnapshotVersionError,
 )
 from .memory import BeliefEntry, BeliefReport, LedgerEntry, MemoryModel
-from .oracle import (
-    OracleReport,
-    oracle_expected_uniform_intersection,
-    oracle_nearest,
-    oracle_report,
-    oracle_similarity,
-)
 from .snapshot import load_model, save_model
 
 __version__ = "0.1.0"
@@ -61,7 +53,6 @@ __all__ = [
     "ModelGeometry",
     "MsdcError",
     "OpCounter",
-    "OracleReport",
     "PatternError",
     "ScheduleError",
     "SnapshotError",
@@ -70,12 +61,7 @@ __all__ = [
     "SnapshotTruncatedError",
     "SnapshotVersionError",
     "WeightMatrix",
-    "code_intersection",
     "load_model",
-    "oracle_expected_uniform_intersection",
-    "oracle_nearest",
-    "oracle_report",
-    "oracle_similarity",
     "random_pattern",
     "save_model",
 ]

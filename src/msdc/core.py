@@ -412,15 +412,6 @@ class CsaTrace:
         }
 
 
-def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of CMs in which two codes picked the same winner."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise GeometryError(f"code shapes differ: {a.shape} vs {b.shape}")
-    return int((a == b).sum())
-
-
 def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
     """Raw input summation: per unit, the total weight from active pixels.
 

@@ -51,14 +51,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, _as_int, _check_w_max,
+    CsaParams, InputPattern, ModelGeometry, W_MAX, _as_int, _check_w_max,
     _config_object, _parse_json, _read_text,
 )
 from .errors import ConfigError, ScheduleError
 from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
-from .oracle import oracle_similarity
-
-APPENDIX_GEOMETRY = PAPER_GEOMETRY
 
 # Stacked weight planes per seed block: about 1 MiB, 37 seeds at the
 # appendix geometry, so peak memory does not grow with the seed count.
@@ -142,8 +139,8 @@ def build_appendix_corpus(
     Stored patterns are consecutive S-pixel blocks (hence pairwise
     disjoint); each probe takes the demanded number of pixels from the
     front of each stored block and fills the remainder from the free zone
-    after all blocks.  Overlap constraints are re-verified against the
-    similarity oracle before returning.
+    after all blocks.  Overlap constraints are re-verified as exact pixel
+    counts before returning.
     """
     g = spec.geometry
     s = g.num_active
@@ -186,15 +183,15 @@ def build_appendix_corpus(
         pixels.extend(range(free_base, free_base + fill))
         probes.append((probe.label, InputPattern.from_indices(pixels)))
 
-    # Post-hoc verification through the oracle: stored items disjoint,
+    # Post-hoc verification on exact pixel counts: stored items disjoint,
     # probe overlaps exactly as scheduled.
     for i, (_, a) in enumerate(stored):
         for _, b in stored[i + 1 :]:
             assert a.overlap(b) == 0
     for (label, pattern), probe in zip(probes, spec.probes):
         for (_, stored_pattern), want in zip(stored, probe.overlaps):
-            got = oracle_similarity(pattern, stored_pattern)
-            assert got == want / s, (label, got, want)
+            got = pattern.overlap(stored_pattern)
+            assert got == want, (label, got, want)
     return stored, probes
 
 
@@ -374,6 +371,8 @@ def similarity_rank_correlation(
     that no record carries.
     """
     rows = _probe_aggregates(_trials(records, spec), probe_label, spec.stored_labels())
+    if not rows:
+        return float("nan")
     sims = [r["input_similarity"] for r in rows]
     inter = [r["mean_intersection"] for r in rows]
     # Spearman is undefined when either side is constant: NaN, with no warning.

@@ -4,18 +4,29 @@ These operate only on raw patterns and codes, never on a weight matrix, so
 they can arbitrate what the memory *should* report.  ``oracle_similarity``
 is the ground-truth pixel overlap; ``oracle_nearest`` the exhaustive
 best-match; ``oracle_expected_uniform_intersection`` the Monte-Carlo chance
-level for code intersections (Q/K for Q CMs of K units).
+level for code intersections (Q/K for Q CMs of K units);
+``code_intersection`` the number of CMs two codes share.
+
+A helper module for the tests, not a test file: pytest puts ``tests/`` on
+``sys.path``, so test files import it as ``from oracle import ...``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import InputPattern, code_intersection
-from .errors import PatternError
+from msdc import GeometryError, InputPattern, PatternError
+
+
+def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of CMs in which two codes picked the same winner."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape:
+        raise GeometryError(f"code shapes differ: {a.shape} vs {b.shape}")
+    return int((a == b).sum())
 
 
 def oracle_similarity(a: InputPattern, b: InputPattern) -> float:
@@ -68,30 +79,3 @@ def oracle_expected_uniform_intersection(
         total += int((a == b).sum())
         remaining -= n
     return total / trials
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Ground truth for one query against a labeled, coded corpus."""
-
-    nearest_labels: tuple[str, ...]
-    input_similarities: dict[str, float]
-    code_intersections: dict[str, int]
-
-
-def oracle_report(
-    query: InputPattern,
-    query_code: np.ndarray,
-    corpus: Sequence[tuple[str, InputPattern, np.ndarray]],
-) -> OracleReport:
-    """Exhaustive similarities and code intersections for every item."""
-    labeled = [(label, pattern) for label, pattern, _ in corpus]
-    return OracleReport(
-        nearest_labels=tuple(oracle_nearest(query, labeled)),
-        input_similarities={
-            label: oracle_similarity(query, pattern) for label, pattern in labeled
-        },
-        code_intersections={
-            label: code_intersection(query_code, code) for label, _, code in corpus
-        },
-    )

@@ -22,8 +22,6 @@ import pytest
 from msdc import (
     MemoryModel,
     ModelGeometry,
-    code_intersection,
-    oracle_expected_uniform_intersection,
     random_pattern,
 )
 from msdc.bench import run_scaling_bench
@@ -37,6 +35,8 @@ from msdc.experiments import (
     similarity_rank_correlation,
 )
 from msdc.snapshot import encode_model, load_model, save_model
+
+from oracle import code_intersection, oracle_expected_uniform_intersection
 
 SPOTCHECK_SEED_RAMP = 2038   # I7: 18/24 with I1, 12/24 with I2
 ANCHOR_SEED_PEAK = 83        # I8: 21/24 with I2, G = 0.6493

@@ -363,11 +363,13 @@ def test_bench_with_fewer_than_one_trial_is_data_error(tmp_path, capsys, trials)
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # No module imports scipy; this keeps `msdc.cli` numpy-only.
+@pytest.mark.parametrize("module", ["msdc.cli", "msdc.experiments"])
+def test_import_leaves_scipy_unloaded(module):
+    # No module imports scipy; this keeps the command line and the scenario
+    # harness numpy-only.
     src = str(Path(msdc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, msdc.cli; sys.exit('scipy' in sys.modules)"
+    probe = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, timeout=120
     )

@@ -19,7 +19,6 @@ from msdc import (
     OpCounter,
     PatternError,
     WeightMatrix,
-    code_intersection,
     random_pattern,
 )
 from msdc.core import (
@@ -35,6 +34,8 @@ from msdc.core import (
     normalize_u,
     rho_from_mu,
 )
+
+from oracle import code_intersection
 
 
 def pattern_of(*pixels):
@@ -452,13 +453,11 @@ def test_public_names_are_pinned():
         "BeliefEntry", "BeliefReport", "ConfigError", "CsaParams", "CsaTrace",
         "GeometryError", "InputPattern", "LabelError", "LedgerEntry",
         "LedgerUnavailableError", "MemoryModel", "ModelGeometry", "MsdcError",
-        "OpCounter", "OracleReport", "PatternError", "ScheduleError", "SnapshotError",
+        "OpCounter", "PatternError", "ScheduleError", "SnapshotError",
         "SnapshotFormatError", "SnapshotIntegrityError", "SnapshotTruncatedError",
-        "SnapshotVersionError", "WeightMatrix", "code_intersection", "load_model",
-        "oracle_expected_uniform_intersection", "oracle_nearest", "oracle_report",
-        "oracle_similarity", "random_pattern", "save_model",
+        "SnapshotVersionError", "WeightMatrix", "load_model", "random_pattern", "save_model",
     ]
-    assert len(msdc.__all__) == 31
+    assert len(msdc.__all__) == 25
     assert all(hasattr(msdc, name) for name in msdc.__all__)
 
 
@@ -474,12 +473,6 @@ def test_pattern_grid_rejects_garbage():
         InputPattern.from_grid("1x\n00")
     with pytest.raises(PatternError):
         InputPattern.from_grid("")
-
-
-def test_code_intersection_counts_matching_cms():
-    assert code_intersection(np.array([1, 2, 3]), np.array([1, 0, 3])) == 2
-    with pytest.raises(GeometryError):
-        code_intersection(np.array([1]), np.array([1, 2]))
 
 
 @pytest.mark.parametrize("bad", [12.9, 12.0, "12", True, None])

@@ -16,12 +16,13 @@ from msdc import (
     MemoryModel,
     ModelGeometry,
     PatternError,
-    code_intersection,
     random_pattern,
 )
 from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
 from msdc.experiments import default_appendix_scenario, run_scenario
 from msdc.snapshot import decode_model, encode_model
+
+from oracle import code_intersection
 
 
 def make_model(geometry, seed=0, ledger=True):

@@ -1,14 +1,14 @@
-"""Brute-force oracle checks and their internal consistency."""
+"""The brute-force reference in ``oracle.py`` and its internal consistency."""
 
 import numpy as np
 import pytest
 
-from msdc import (
-    InputPattern,
-    PatternError,
+from msdc import GeometryError, InputPattern, PatternError
+
+from oracle import (
+    code_intersection,
     oracle_expected_uniform_intersection,
     oracle_nearest,
-    oracle_report,
     oracle_similarity,
 )
 
@@ -81,13 +81,7 @@ def test_uniform_intersection_rejects_no_trials():
         oracle_expected_uniform_intersection(2, 2, trials=0)
 
 
-def test_oracle_report_collects_everything():
-    a = pat(0, 1, 2, 3)
-    corpus = [
-        ("A", a, np.array([1, 2, 3])),
-        ("B", pat(8, 9, 10, 11), np.array([1, 0, 1])),
-    ]
-    report = oracle_report(a, np.array([1, 2, 0]), corpus)
-    assert report.nearest_labels == ("A",)
-    assert report.input_similarities == {"A": 1.0, "B": 0.0}
-    assert report.code_intersections == {"A": 2, "B": 1}
+def test_code_intersection_counts_matching_cms():
+    assert code_intersection(np.array([1, 2, 3]), np.array([1, 0, 3])) == 2
+    with pytest.raises(GeometryError):
+        code_intersection(np.array([1]), np.array([1, 2]))

@@ -14,7 +14,6 @@ from msdc import (
     CsaParams,
     MemoryModel,
     ModelGeometry,
-    code_intersection,
     load_model,
     random_pattern,
     save_model,
@@ -27,6 +26,8 @@ from msdc.core import (
     mu_from_u,
     rho_from_mu,
 )
+
+from oracle import code_intersection
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
 

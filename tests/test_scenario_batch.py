@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from msdc import CsaParams, MemoryModel, ModelGeometry, WeightMatrix, cli, random_pattern
-from msdc.core import mu_from_u, rho_from_mu
+from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
 from msdc.experiments import (
-    APPENDIX_GEOMETRY,
     ProbeSpec,
     ScenarioSpec,
     TrialRecord,
@@ -47,7 +46,7 @@ EMIT_SHA256 = {
     },
 }
 
-BLOCK = _seed_block_size(APPENDIX_GEOMETRY)
+BLOCK = _seed_block_size(PAPER_GEOMETRY)
 
 
 def reference_run_scenario(spec):

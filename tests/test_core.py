@@ -1,6 +1,7 @@
 """Unit tests for the code selection pipeline, step by step."""
 
 import dataclasses
+import importlib.util
 import inspect
 import math
 from fractions import Fraction
@@ -459,6 +460,16 @@ def test_public_names_are_pinned():
     ]
     assert len(msdc.__all__) == 25
     assert all(hasattr(msdc, name) for name in msdc.__all__)
+
+
+def test_the_package_ships_no_brute_force_reference():
+    # The oracle and code_intersection live in tests/oracle.py; the package
+    # keeps only the model, with one name for the paper's geometry.
+    import msdc.experiments
+
+    assert importlib.util.find_spec("msdc.oracle") is None
+    assert not hasattr(msdc.core, "code_intersection")
+    assert not hasattr(msdc.experiments, "APPENDIX_GEOMETRY")
 
 
 def test_pattern_from_grid_reads_row_major_indices():

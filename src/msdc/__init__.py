@@ -12,7 +12,6 @@ fixed number of steps regardless of how many items are stored.
 
 from .core import (
     CsaParams,
-    CsaTrace,
     InputPattern,
     ModelGeometry,
     OpCounter,
@@ -33,7 +32,7 @@ from .errors import (
     SnapshotTruncatedError,
     SnapshotVersionError,
 )
-from .memory import BeliefEntry, BeliefReport, LedgerEntry, MemoryModel
+from .memory import BeliefEntry, BeliefReport, CsaTrace, LedgerEntry, MemoryModel
 from .snapshot import load_model, save_model
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .core import (
 )
 from .errors import ConfigError, MsdcError, PatternError
 from .memory import RETRIEVAL_MODES, MemoryModel
-from .snapshot import encode_model, atomic_write_bytes, load_model
+from .snapshot import load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -143,7 +143,7 @@ def cmd_init(args) -> int:
     geometry = ModelGeometry(**cfg["geometry"])
     params = CsaParams(**cfg["params"])
     model = MemoryModel(geometry, params, seed=cfg["seed"], enable_ledger=cfg["ledger"])
-    atomic_write_bytes(args.model_path, encode_model(model))
+    save_model(model, args.model_path)
     print(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
           f"{geometry.units_per_cm} units, {geometry.input_width}x"
           f"{geometry.input_height} input, S={geometry.num_active}")
@@ -163,7 +163,7 @@ def cmd_store(args) -> int:
     # be written fails the command with the model file unchanged.
     if args.trace != "-":
         _dump_trace(args, model, trace, extra)
-    atomic_write_bytes(args.model_path, encode_model(model))
+    save_model(model, args.model_path)
     print(f"stored {label}: G={trace.familiarity} code={' '.join(map(str, code))}")
     if args.trace == "-":
         _dump_trace(args, model, trace, extra)

@@ -31,8 +31,9 @@ similar inputs land on more highly intersecting codes.
 
 Each step works along the trailing (Q, K) axes (or Q, for a code), so one
 call serves one model or a leading block of B models; ``memory`` composes
-them into the one selection kernel.  The steps trust their inputs: patterns,
-geometry and parameters are validated once, where they are built.
+them into the one selection kernel and reports each call's charts as a
+``CsaTrace``.  The steps trust their inputs: patterns, geometry and
+parameters are validated once, where they are built.
 
 No step iterates over previously stored items, so the work per trial is a
 pure function of the geometry; a model tallies it on its
@@ -47,10 +48,9 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -244,44 +244,21 @@ class InputPattern:
 class WeightMatrix:
     """Binary weights from input pixels to coding units.
 
-    Stored as a 0/1 bit plane of shape (num_pixels, num_units); a set bit
-    reads as ``W_MAX``.  Bits only ever go 0 -> 1 (learning never clears a
-    weight), so the matrix is monotone over a model's lifetime.
+    Only a 0/1 bit plane ``bits`` of shape (num_pixels, num_units), which the
+    steps read and learn into directly; a set bit reads as ``W_MAX``.  Bits
+    only ever go 0 -> 1 (learning never clears a weight), so the matrix is
+    monotone over a model's lifetime.
     """
 
     __slots__ = ("bits",)
 
-    def __init__(self, num_pixels: int, num_units: int, bits: np.ndarray | None = None):
-        if bits is None:
-            try:
-                bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
-            except (MemoryError, ValueError) as exc:  # too large for memory or for numpy
-                raise GeometryError(
-                    f"cannot allocate {num_pixels} x {num_units} weight bits: {exc}"
-                ) from None
-        else:
-            bits = np.ascontiguousarray(bits, dtype=np.uint8)
-            if bits.shape != (num_pixels, num_units):
-                raise GeometryError(
-                    f"weight bits shape {bits.shape} != ({num_pixels}, {num_units})"
-                )
-            if bits.max(initial=0) > 1:
-                raise GeometryError("weight bits must be 0 or 1")
-        self.bits = bits
-
-    @property
-    def num_pixels(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def num_units(self) -> int:
-        return self.bits.shape[1]
-
-    def set_count(self) -> int:
-        return int(self.bits.sum())
-
-    def copy(self) -> "WeightMatrix":
-        return WeightMatrix(self.num_pixels, self.num_units, bits=self.bits.copy())
+    def __init__(self, num_pixels: int, num_units: int):
+        try:
+            self.bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
+        except (MemoryError, ValueError) as exc:  # too large for memory or for numpy
+            raise GeometryError(
+                f"cannot allocate {num_pixels} x {num_units} weight bits: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -306,16 +283,23 @@ class CsaParams:
     g_exponent: float = 1.0
 
     def __post_init__(self):
+        # Each field becomes a Python int or float: a numpy scalar could narrow
+        # the float64 arithmetic or break a JSON writer.
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise GeometryError(f"{f.name} must be a number, got {value!r}")
+            if isinstance(value, numbers.Integral):
+                value = int(value)
             try:
-                finite = math.isfinite(value)
+                number = float(value)
             except OverflowError:  # an int beyond the float64 range
-                finite = False
-            if not finite:
+                number = math.inf
+            if not math.isfinite(number):
                 raise GeometryError(f"{f.name} must be finite, got {value}")
+            if number != value:
+                raise GeometryError(f"{f.name} must be exactly a float64 value, got {value!r}")
+            object.__setattr__(self, f.name, value if isinstance(value, int) else number)
         if not self.eta_max > 0:
             raise GeometryError(f"eta_max must be positive, got {self.eta_max}")
         # A CM's win weights lie in [1, 1 + eta_max] and must sum finitely.
@@ -372,44 +356,6 @@ class OpCounter:
 
     def copy(self) -> "OpCounter":
         return OpCounter(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-
-@dataclass(frozen=True)
-class CsaTrace:
-    """Per-trial diagnostics: the (Q, K) charts of one selection pass.
-
-    ``mu`` and ``rho`` are formed on the first read of either, by the
-    private chart former the pass supplies, from its own U, eta and
-    parameters, and then kept.  Callers cannot assign to a trace.
-    """
-
-    u: np.ndarray
-    u_norm: np.ndarray
-    familiarity: float
-    eta: float
-    _form_charts: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    @cached_property
-    def _charts(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._form_charts()
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self._charts[0]
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self._charts[1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "familiarity": self.familiarity,
-            "eta": self.eta,
-            "u": self.u.tolist(),
-            "u_norm": self.u_norm.tolist(),
-            "mu": self.mu.tolist(),
-            "rho": self.rho.tolist(),
-        }
 
 
 def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> np.ndarray:

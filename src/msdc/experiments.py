@@ -113,6 +113,34 @@ class ScenarioSpec:
             raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
         if self.mode not in RETRIEVAL_MODES:
             raise ScheduleError(f"unknown retrieval mode {self.mode!r}")
+        # Each probe must fit num_stored disjoint S-pixel blocks plus filler.
+        g, n, s = self.geometry, num_stored, self.geometry.num_active
+        if n * s > g.num_pixels:
+            raise ScheduleError(
+                f"{n} disjoint patterns of {s} pixels do not fit "
+                f"in a {g.num_pixels}-pixel grid"
+            )
+        free = g.num_pixels - n * s
+        for probe in self.probes:
+            if len(probe.overlaps) != n:
+                raise ScheduleError(
+                    f"probe {probe.label!r} has {len(probe.overlaps)} overlap entries, "
+                    f"expected {n}"
+                )
+            if any(o < 0 or o > s for o in probe.overlaps):
+                raise ScheduleError(f"probe {probe.label!r} overlap outside [0, {s}]")
+            demanded = sum(probe.overlaps)
+            if demanded > s:
+                raise ScheduleError(
+                    f"probe {probe.label!r} demands {demanded} overlapping pixels "
+                    f"but patterns have only {s}; disjoint stored patterns make "
+                    f"overlaps sum to at most {s}"
+                )
+            if s - demanded > free:
+                raise ScheduleError(
+                    f"probe {probe.label!r} needs {s - demanded} filler pixels but only "
+                    f"{free} are free"
+                )
         if self.store_order is not None:
             order = tuple(self.store_order)
             object.__setattr__(self, "store_order", order)
@@ -139,16 +167,10 @@ def build_appendix_corpus(
     Stored patterns are consecutive S-pixel blocks (hence pairwise
     disjoint); each probe takes the demanded number of pixels from the
     front of each stored block and fills the remainder from the free zone
-    after all blocks.  Overlap constraints are re-verified as exact pixel
-    counts before returning.
+    after all blocks.  The spec has already checked that its schedules fit;
+    the overlaps are re-verified as exact pixel counts before returning.
     """
-    g = spec.geometry
-    s = g.num_active
-    if spec.num_stored * s > g.num_pixels:
-        raise ScheduleError(
-            f"{spec.num_stored} disjoint patterns of {s} pixels do not fit "
-            f"in a {g.num_pixels}-pixel grid"
-        )
+    s = spec.geometry.num_active
     stored = [
         (f"I{i + 1}", InputPattern.from_indices(range(i * s, (i + 1) * s)))
         for i in range(spec.num_stored)
@@ -157,30 +179,10 @@ def build_appendix_corpus(
     free_base = spec.num_stored * s
     probes = []
     for probe in spec.probes:
-        if len(probe.overlaps) != spec.num_stored:
-            raise ScheduleError(
-                f"probe {probe.label!r} has {len(probe.overlaps)} overlap entries, "
-                f"expected {spec.num_stored}"
-            )
-        if any(o < 0 or o > s for o in probe.overlaps):
-            raise ScheduleError(f"probe {probe.label!r} overlap outside [0, {s}]")
-        demanded = sum(probe.overlaps)
-        if demanded > s:
-            raise ScheduleError(
-                f"probe {probe.label!r} demands {demanded} overlapping pixels "
-                f"but patterns have only {s}; disjoint stored patterns make "
-                f"overlaps sum to at most {s}"
-            )
-        fill = s - demanded
-        if free_base + fill > g.num_pixels:
-            raise ScheduleError(
-                f"probe {probe.label!r} needs {fill} filler pixels but only "
-                f"{g.num_pixels - free_base} are free"
-            )
         pixels = []
         for i, count in enumerate(probe.overlaps):
             pixels.extend(range(i * s, i * s + count))
-        pixels.extend(range(free_base, free_base + fill))
+        pixels.extend(range(free_base, free_base + s - sum(probe.overlaps)))
         probes.append((probe.label, InputPattern.from_indices(pixels)))
 
     # Post-hoc verification on exact pixel counts: stored items disjoint,

@@ -16,10 +16,10 @@ verbs:
                    ledger item, the fraction of its code that is active —
                    a simultaneous likelihood readout over all stored items
 
-Each verb also reports the call's :class:`CsaTrace`, which forms ``mu`` and
-``rho`` on their first read through ``_charts``, from the call's own U, eta
-and parameters, by this module's ``mu_from_u`` and ``rho_from_mu``.  A hard
-pick reads only U, so it forms neither unless its trace is read; a soft draw
+Each verb also reports the call's :class:`CsaTrace`: its U, G, eta and
+parameters.  The trace forms ``mu`` and ``rho`` together on the first read
+of either, by this module's ``mu_from_u`` and ``rho_from_mu``.  A hard pick
+reads only U, so it forms neither unless its trace is read; a soft draw
 forms both for itself, and its trace forms the same values again if read.
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
@@ -43,8 +43,9 @@ write nothing on the model and may run concurrently with other readers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -53,7 +54,6 @@ import numpy as np
 
 from .core import (
     CsaParams,
-    CsaTrace,
     InputPattern,
     ModelGeometry,
     OpCounter,
@@ -76,6 +76,46 @@ RETRIEVAL_MODES = ("soft", "hard")
 
 # A snapshot stores each ledger label's UTF-8 length as a u16.
 MAX_LABEL_BYTES = 0xFFFF
+
+
+@dataclass(frozen=True)
+class CsaTrace:
+    """Per-trial diagnostics: the (Q, K) charts of one selection pass.
+
+    ``mu`` and ``rho`` are formed together on the first read of either,
+    from the trace's own U, eta and ``params``, and then kept.  Callers
+    cannot assign to a trace.
+    """
+
+    u: np.ndarray
+    u_norm: np.ndarray
+    familiarity: float
+    eta: float
+    params: CsaParams = field(repr=False)
+
+    @cached_property
+    def _mu_rho(self) -> tuple[np.ndarray, np.ndarray]:
+        # Through this module's bindings, so that tracers see both steps.
+        mu = mu_from_u(self.u_norm, self.eta, self.params)
+        return mu, rho_from_mu(mu)
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self._mu_rho[0]
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self._mu_rho[1]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "familiarity": self.familiarity,
+            "eta": self.eta,
+            "u": self.u.tolist(),
+            "u_norm": self.u_norm.tolist(),
+            "mu": self.mu.tolist(),
+            "rho": self.rho.tolist(),
+        }
 
 
 @dataclass(frozen=True)
@@ -161,15 +201,6 @@ def _select_codes(
     return code, u, u_norm, g, eta
 
 
-def _charts(
-    u_norm: np.ndarray, eta: float, params: CsaParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mu and rho a trace reports, formed through this module's
-    bindings so that tracers see both steps."""
-    mu = mu_from_u(u_norm, eta, params)
-    return mu, rho_from_mu(mu)
-
-
 class MemoryModel:
     """A coding field plus its weights, parameters, and seeded RNG."""
 
@@ -238,9 +269,7 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        u_norm, eta = u_norm[0], eta[0]
-        form_charts = partial(_charts, u_norm, eta, self.params)
-        return code[0], CsaTrace(u[0], u_norm, fam[0], eta, form_charts)
+        return code[0], CsaTrace(u[0], u_norm[0], fam[0], eta[0], self.params)
 
     def store(
         self, pattern: InputPattern, label: str | None = None
@@ -359,19 +388,14 @@ class MemoryModel:
         )
 
     def clone(self) -> "MemoryModel":
-        """Deep copy: weights, RNG state, ledger, and counters."""
-        other = MemoryModel.__new__(MemoryModel)
-        other.geometry = self.geometry
-        other.params = self.params
-        other.weights = self.weights.copy()
-        other.rng = np.random.default_rng()
-        other.rng.bit_generator.state = self.rng.bit_generator.state
-        other._entries = other._labels = other._codes = other._pixels = None
-        if self._entries is not None:
-            other._entries = list(self._entries)
-            other._labels = list(self._labels)
-            other._codes = self._codes.copy()
-            other._pixels = self._pixels.copy()
+        """Deep copy of the mutable state: weights, RNG, ledger and counters;
+        the immutable geometry, params and ledger entries are shared."""
+        other = copy.copy(self)
+        other.weights = copy.copy(self.weights)
+        other.weights.bits = self.weights.bits.copy()
+        other.rng = copy.deepcopy(self.rng)
         other.op_counter = self.op_counter.copy()
-        other.num_stored = self.num_stored
+        if self._entries is not None:
+            other._entries, other._labels = list(self._entries), list(self._labels)
+            other._codes, other._pixels = self._codes.copy(), self._pixels.copy()
         return other

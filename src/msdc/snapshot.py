@@ -50,7 +50,6 @@ from .core import (
     InputPattern,
     ModelGeometry,
     W_MAX,
-    WeightMatrix,
     _check_w_max,
 )
 from .errors import (
@@ -154,10 +153,9 @@ def decode_model(blob: bytes) -> MemoryModel:
             ledger.append(_ledger_entry(geometry, i, label, tail[1 : 1 + n_pix], tail[2 + n_pix :]))
 
     model = MemoryModel(geometry, params, enable_ledger=ledger is not None)
-    shape = geometry.num_pixels, geometry.num_units
     packed = np.frombuffer(blob, np.uint8, weight_bytes, _HEADER.size)
-    bits = np.unpackbits(packed, count=num_bits, bitorder="little").reshape(shape)
-    model.weights = WeightMatrix(*shape, bits=bits)
+    bits = np.unpackbits(packed, count=num_bits, bitorder="little")
+    model.weights.bits = bits.reshape(geometry.num_pixels, geometry.num_units)
     model.rng.bit_generator.state = {
         "bit_generator": "PCG64", "has_uint32": has_uint32, "uinteger": uinteger,
         "state": {"state": int.from_bytes(state, "little"), "inc": int.from_bytes(inc, "little")},

@@ -60,7 +60,7 @@ def model_path(tmp_path):
 
 def test_init_creates_empty_model(model_path, capsys):
     model = load_model(model_path)
-    assert model.weights.set_count() == 0
+    assert int(model.weights.bits.sum()) == 0
     assert model.geometry.num_cms == 24
     assert model.ledger == ()
 

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import inspect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -313,18 +314,18 @@ def test_apply_learning_sets_exactly_s_times_q_weights(small_geometry):
     # 5 active pixels x 5 winners = 25 weights raised from 0 to full.
     weights = WeightMatrix(9, 15)
     learn(pattern_of(0, 2, 4, 6, 8), np.array([0, 1, 2, 0, 1]), weights, small_geometry)
-    assert weights.set_count() == 25
+    assert int(weights.bits.sum()) == 25
 
 
 def test_apply_learning_desk_scale_cap(geometry, rng):
     weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
     learn(random_pattern(geometry, rng), rng.integers(0, 8, 24), weights, geometry)
-    assert weights.set_count() == 12 * 24 == 288
+    assert int(weights.bits.sum()) == 12 * 24 == 288
     # A second, overlapping pattern can only add fewer than 288 new weights.
     pat = random_pattern(geometry, rng)
     code = rng.integers(0, 8, 24)
     learn(pat, code, weights, geometry)
-    assert weights.set_count() <= 2 * 288
+    assert int(weights.bits.sum()) <= 2 * 288
 
 
 def test_apply_learning_idempotent(geometry, rng):
@@ -513,6 +514,26 @@ def test_pattern_accepts_numpy_integers():
     assert InputPattern((np.uint16(4), 0)).active == (0, 4)
 
 
+def test_params_hold_numpy_scalars_as_python_numbers():
+    # A float16 eta_max once made the summability check overflow in float16,
+    # and an int64 one reached the JSON writers; each field is now a Python
+    # int or float, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = CsaParams(eta_max=np.float16(300), steepness=np.float32(28.1),
+                           midpoint=np.int8(1), g_floor=np.float64(0.25), g_exponent=np.int64(2))
+    assert dataclasses.astuple(params) == (300.0, float(np.float32(28.1)), 1, 0.25, 2)
+    assert [type(v) for v in dataclasses.astuple(params)] == [float, float, int, float, int]
+    assert type(CsaParams(eta_max=np.int64(299)).eta_max) is int
+
+
+@pytest.mark.parametrize("bad", [2**53 + 1, np.uint64(2**64 - 1), Fraction(1, 3)])
+def test_params_reject_values_float64_cannot_hold(bad):
+    # Rounding would make a snapshot-loaded copy compute with another value.
+    with pytest.raises(GeometryError, match="exactly a float64"):
+        CsaParams(eta_max=bad)
+
+
 @pytest.mark.parametrize("bad", ["big", None, True, [1.0]])
 def test_params_reject_non_numbers(bad):
     with pytest.raises(GeometryError, match="must be a number"):
@@ -541,6 +562,14 @@ def test_weight_allocation_failure_is_geometry_error(geometry, monkeypatch):
         WeightMatrix(geometry.num_pixels, geometry.num_units)
     with pytest.raises(GeometryError, match="cannot allocate"):
         MemoryModel(geometry)
+
+
+def test_weights_are_only_their_bit_plane(geometry):
+    weights = MemoryModel(geometry).weights
+    assert [name for name in dir(weights) if not name.startswith("_")] == ["bits"]
+    assert weights.bits.shape == (144, 192) and weights.bits.dtype == np.uint8
+    assert not hasattr(msdc.core, "CsaTrace")
+    assert msdc.CsaTrace is msdc.memory.CsaTrace
 
 
 def test_weight_quantum_is_fixed_at_127(geometry):

@@ -75,32 +75,29 @@ def test_corpus_satisfies_every_overlap_constraint():
 def test_infeasible_schedule_is_rejected():
     # Overlaps summing past S cannot coexist with disjoint stored patterns:
     # a 12-pixel probe cannot share 5+4+3+2+1+0 = 15 pixels with them.
-    spec = ScenarioSpec(
-        name="bad",
-        geometry=default_appendix_scenario(1).geometry,
-        params=default_appendix_scenario(1).params,
-        num_stored=6,
-        probes=(ProbeSpec("P", (5, 4, 3, 2, 1, 0)),),
-        seeds=(0,),
-    )
     with pytest.raises(ScheduleError, match="at most 12"):
-        build_appendix_corpus(spec)
+        ScenarioSpec(
+            name="bad",
+            geometry=default_appendix_scenario(1).geometry,
+            params=default_appendix_scenario(1).params,
+            num_stored=6,
+            probes=(ProbeSpec("P", (5, 4, 3, 2, 1, 0)),),
+            seeds=(0,),
+        )
 
 
 def test_schedule_validation_errors():
     base = default_appendix_scenario(1)
-    too_many_items = ScenarioSpec(
-        name="big", geometry=base.geometry, params=base.params,
-        num_stored=13, probes=(ProbeSpec("P", (0,) * 13),), seeds=(0,),
-    )
     with pytest.raises(ScheduleError, match="do not fit"):
-        build_appendix_corpus(too_many_items)
-    wrong_len = ScenarioSpec(
-        name="len", geometry=base.geometry, params=base.params,
-        num_stored=6, probes=(ProbeSpec("P", (1, 2)),), seeds=(0,),
-    )
+        ScenarioSpec(
+            name="big", geometry=base.geometry, params=base.params,
+            num_stored=13, probes=(ProbeSpec("P", (0,) * 13),), seeds=(0,),
+        )
     with pytest.raises(ScheduleError, match="overlap entries"):
-        build_appendix_corpus(wrong_len)
+        ScenarioSpec(
+            name="len", geometry=base.geometry, params=base.params,
+            num_stored=6, probes=(ProbeSpec("P", (1, 2)),), seeds=(0,),
+        )
 
 
 def test_run_scenario_shape_and_determinism(spec_40, records_40):
@@ -232,11 +229,12 @@ def hand_built_trials():
     need quoting or escaping, non-finite and signed-zero floats, and numpy
     float64 leaves.  I1's code intersection is 0 in every record, and its
     likelihood -0.0 under seed 3 and 0.0 under the others, so one column
-    holds both zeros."""
+    holds both zeros.  Twelve 12-pixel items fill the paper's grid, so each
+    probe's schedule takes one pixel from every item."""
     probes = ('say "hi"', "a,b", "two\nlines", "ünïcödé ✓", "100%s %d")
     spec = ScenarioSpec(
         name="odd", geometry=PAPER_GEOMETRY, params=default_appendix_scenario(1).params,
-        num_stored=12, probes=tuple(ProbeSpec(p, (0,) * 12) for p in probes),
+        num_stored=12, probes=tuple(ProbeSpec(p, (1,) * 12) for p in probes),
         seeds=(3, 0, 11),
     )
     labels = spec.stored_labels()
@@ -386,6 +384,23 @@ def test_default_appendix_scenario_is_the_bundled_file():
         ProbeSpec("I9", (0, 0, 6, 0, 0, 6)),
     )
     assert spec.store_order is None
+
+
+def test_numpy_integer_params_emit_like_python_ints(tmp_path):
+    base = dataclasses.replace(default_appendix_scenario(3), params=msdc.CsaParams(eta_max=299))
+    spec = dataclasses.replace(base, params=msdc.CsaParams(eta_max=np.int64(299)))
+    emit_results(run_scenario(base), base, tmp_path / "int")
+    emit_results(run_scenario(spec), spec, tmp_path / "int64")
+    assert files_of(tmp_path / "int64") == files_of(tmp_path / "int")
+
+
+def test_schedules_are_checked_before_the_store_order():
+    # An oversized corpus is rejected before store_order's check lists every
+    # stored label.
+    data = {**scenario_to_dict(default_appendix_scenario(1)), "num_stored": 10**5,
+            "store_order": ["I1"]}
+    with pytest.raises(ScheduleError, match="do not fit"):
+        scenario_from_dict(data)
 
 
 def test_store_order_variant():

@@ -531,6 +531,21 @@ def test_clone_is_independent_and_replays(geometry, rng):
         assert report.entries[-1].code_intersection == 24
 
 
+def test_clone_copies_any_bit_generator(geometry, rng):
+    # The model RNG is copied whole, not re-seated on a new PCG64.
+    model = make_model(geometry)
+    model.rng = np.random.Generator(np.random.MT19937(1))
+    model.store(random_pattern(geometry, rng))
+    twin = model.clone()
+    assert type(twin.rng.bit_generator) is np.random.MT19937
+    assert twin.rng is not model.rng
+    pattern = random_pattern(geometry, rng)
+    (code_a, trace_a), (code_b, trace_b) = model.store(pattern), twin.store(pattern)
+    assert np.array_equal(code_a, code_b)
+    assert np.array_equal(trace_a.rho, trace_b.rho)
+    assert model.rng.random() == twin.rng.random()
+
+
 @pytest.mark.parametrize(
     "geometry, winner_dtype, pixel_dtype",
     (

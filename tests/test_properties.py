@@ -26,6 +26,7 @@ from msdc.core import (
     mu_from_u,
     rho_from_mu,
 )
+from msdc.snapshot import decode_model, encode_model
 
 from oracle import code_intersection
 
@@ -261,6 +262,59 @@ def test_belief_update_matches_per_item_loop(seed, steps):
                 save_model(model, path)
                 model = load_model(path)
             check()
+
+
+def _param(lo, hi):
+    """A float in [lo, hi], sometimes as a numpy float32 scalar."""
+    return st.floats(lo, hi) | st.floats(lo, hi).map(np.float32)
+
+
+@st.composite
+def replay_cases(draw):
+    """A small geometry, params with some fields as numpy float32 scalars, a
+    seed, a store count, the ledger flag and the model's bit generator."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    geometry = ModelGeometry(width, height, draw(st.integers(1, width * height)),
+                             draw(st.integers(1, 6)), draw(st.integers(1, 5)))
+    params = CsaParams(draw(_param(1e-3, 1e3)), draw(_param(1e-3, 100.0)), draw(_param(0.0, 1.0)),
+                       draw(_param(0.0, 0.99)), draw(_param(0.1, 5.0)))
+    return (geometry, params, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 6)),
+            draw(st.booleans()), draw(st.sampled_from(["PCG64", "MT19937"])))
+
+
+def _replay(model, pattern, mode, seed):
+    """Everything a retrieve with a caller RNG seeded ``seed`` reports, as
+    bytes and reprs, so equal results are equal bit for bit and type."""
+    code, trace = model.retrieve(pattern, mode, np.random.default_rng(seed))
+    arrays = (code, trace.u, trace.u_norm, trace.mu, trace.rho)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], repr(trace.familiarity), repr(trace.eta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(replay_cases())
+def test_copies_replay_exactly(case):
+    # A clone, and a snapshot-loaded copy where the generator allows one,
+    # report what the original does for the same caller RNG, and keep its
+    # RNG stream: a next store draws the same code.
+    geometry, params, seed, n, ledger, bit_generator = case
+    gen = np.random.default_rng(seed)
+    model = MemoryModel(geometry, params, seed=seed, enable_ledger=ledger)
+    model.rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+    for _ in range(n):
+        model.store(random_pattern(geometry, gen))
+    copies = [model.clone()]
+    if bit_generator == "PCG64":
+        copies.append(decode_model(encode_model(model)))
+    for mode in ("soft", "hard"):
+        pattern = random_pattern(geometry, gen)
+        want = _replay(model, pattern, mode, seed)
+        assert all(_replay(twin, pattern, mode, seed) == want for twin in copies)
+    pattern = random_pattern(geometry, gen)
+    code = model.store(pattern)[0]
+    for twin in copies:
+        assert np.array_equal(twin.store(pattern)[0], code)
+    draws = [m.rng.random(4).tolist() for m in (model, *copies)]
+    assert all(d == draws[0] for d in draws)
 
 
 def test_belief_update_counts_past_255():

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from msdc import CsaParams, MemoryModel, ModelGeometry, WeightMatrix, cli, random_pattern
+from msdc import CsaParams, MemoryModel, ModelGeometry, cli, random_pattern
 from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
 from msdc.experiments import (
     ProbeSpec,
@@ -264,7 +264,7 @@ def check_kernel_rows(geometry, mode, densities):
     models = []
     for row, seed in zip(bits, seeds):
         model = MemoryModel(geometry, params, seed=int(seed))
-        model.weights = WeightMatrix(geometry.num_pixels, geometry.num_units, bits=row.copy())
+        model.weights.bits = row.copy()
         models.append(model)
     if mode == "store":
         codes, u, u_norm, g, eta = _select_codes(

@@ -65,6 +65,27 @@ def test_round_trip_is_bit_exact(geometry, tmp_path, rng):
     assert encode_model(loaded) == encode_model(model)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("eta_max", np.float32(299.1)), ("g_floor", np.float32(0.1)), ("g_exponent", np.float32(1.3))],
+)
+def test_float32_params_replay_after_a_round_trip(geometry, name, value):
+    # A float32 field once kept eta in float32, while the snapshot holds it
+    # as a float64; the loaded copy then drew from other win distributions.
+    model = MemoryModel(geometry, CsaParams(**{name: value}), seed=6)
+    gen = np.random.default_rng(6)
+    for _ in range(20):
+        model.store(random_pattern(geometry, gen))
+    loaded = decode_model(encode_model(model))
+    assert loaded.params == model.params
+    for i in range(200):
+        probe = random_pattern(geometry, gen)
+        code_a, a = model.retrieve(probe, "soft", np.random.default_rng(i))
+        code_b, b = loaded.retrieve(probe, "soft", np.random.default_rng(i))
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(code_a, code_b)
+        assert repr(a.eta) == repr(b.eta)
+
+
 def test_encoded_model_is_pinned(geometry):
     model = MemoryModel(geometry, seed=2038, enable_ledger=True)
     gen = np.random.default_rng(83)

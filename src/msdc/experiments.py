@@ -24,10 +24,13 @@ Each seed is an independent single-trial run: a fresh
 every probe.  Code selection is fixed-time, so ``run_scenario`` runs the
 seeds in blocks: a block stacks its seeds' weight bits as one (B, P, Q*K)
 array, about 1 MiB (37 seeds at the appendix geometry, never fewer than
-one), and runs the selection kernel once per store and probe step over it.
-Each seed's own model RNG still supplies its Q uniforms per step in the
-single-model order (stores in store order, then probes), so every record
-is the one a seed-by-seed loop over ``MemoryModel.store`` and
+one).  The stored items are disjoint, so every store is wholly novel
+(G = 0) and draws from the flat chart of an empty model: one kernel call
+on a single empty plane draws all of a block's store codes, which are then
+learned into its planes.  The kernel then runs once per probe step over
+the block.  Each seed's own model RNG still supplies its Q uniforms per
+step in the single-model order (stores in store order, then probes), so
+every record is the one a seed-by-seed loop over ``MemoryModel.store`` and
 ``belief_update`` would give, bit for bit.
 
 ``run_scenario`` returns the kernel's arrays as a ``ScenarioResult``, which
@@ -50,11 +53,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import memory
 from .core import (
     CsaParams, InputPattern, ModelGeometry, W_MAX, _as_int, _check_w_max,
     _config_object, _parse_json, _read_text,
 )
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
 
 # Stacked weight planes per seed block: about 1 MiB, 37 seeds at the
@@ -95,6 +99,10 @@ class ScenarioSpec:
     store_order: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.geometry, ModelGeometry):
+            raise GeometryError(f"geometry must be a ModelGeometry, got {self.geometry!r}")
+        if not isinstance(self.params, CsaParams):
+            raise GeometryError(f"params must be a CsaParams, got {self.params!r}")
         object.__setattr__(self, "probes", tuple(self.probes))
         seen = set()
         for probe in self.probes:
@@ -278,6 +286,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     probe_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
+    empty = np.zeros((1, g.num_pixels, g.num_units), dtype=np.uint8)
     parts = []
     for first in range(0, len(spec.seeds), block):
         seeds = spec.seeds[first : first + block]
@@ -292,12 +301,19 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             ],
             axis=1,
         )
+        # build_appendix_corpus stores pairwise-disjoint items, so each store
+        # reads only weight rows that no earlier store wrote: G is 0 and the
+        # charts are the flat ones of an empty model, whatever the params.
+        # One draw from a single empty plane gives every store's codes, its
+        # (stores * B, Q) uniform rows broadcast against that plane's chart.
+        stores = draws[: len(stored)].reshape(-1, g.num_cms)
+        stored_codes = _select_codes(empty, store_pixels[0], g, spec.params, "soft", stores)[0]
+        stored_codes = stored_codes.reshape(len(stored), len(seeds), g.num_cms)
         bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
-        stores = zip(store_pixels, draws)
-        ledger = np.stack(
-            [_select_codes(bits, a, g, spec.params, "soft", r, learn=True)[0] for a, r in stores],
-            axis=1,
-        )[:, np.argsort(order)]  # item columns in stored-label order
+        for active, code in zip(store_pixels, stored_codes):
+            memory.apply_learning(bits, active, code, g)
+        # (B, items, Q), item columns in stored-label order.
+        ledger = stored_codes.transpose(1, 0, 2)[:, np.argsort(order)]
         readouts = [
             _select_codes(bits, active, g, spec.params, spec.mode, r)
             for active, r in zip(probe_pixels, draws[len(stored) :])
@@ -343,7 +359,12 @@ def _trials(records: Sequence[TrialRecord], spec: ScenarioSpec) -> _Trials:
 
 def aggregate_records(records: Sequence[TrialRecord], spec: ScenarioSpec) -> list[dict]:
     """Per (probe, stored item): mean and stddev of intersection/likelihood."""
-    trials, items = _trials(records, spec), spec.stored_labels()
+    return _aggregates(_trials(records, spec), spec)
+
+
+def _aggregates(trials: _Trials, spec: ScenarioSpec) -> list[dict]:
+    """``aggregate_records``'s rows from trials already gathered."""
+    items = spec.stored_labels()
     return [row for p in spec.probes for row in _probe_aggregates(trials, p.label, items)]
 
 
@@ -585,7 +606,7 @@ def emit_results(
     if not records:
         raise ScheduleError("no trial records to emit")
     trials, items = _trials(records, spec), spec.stored_labels()
-    aggregates = aggregate_records(records, spec)
+    aggregates = _aggregates(trials, spec)
     scenario = scenario_to_dict(spec)
     texts = {}
     if "csv" in chosen:

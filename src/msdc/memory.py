@@ -78,13 +78,14 @@ RETRIEVAL_MODES = ("soft", "hard")
 MAX_LABEL_BYTES = 0xFFFF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsaTrace:
     """Per-trial diagnostics: the (Q, K) charts of one selection pass.
 
     ``mu`` and ``rho`` are formed together on the first read of either,
     from the trace's own U, eta and ``params``, and then kept.  Callers
-    cannot assign to a trace.
+    cannot assign to a trace.  Traces compare and hash by identity, since
+    their charts are arrays.
     """
 
     u: np.ndarray
@@ -187,6 +188,11 @@ def _select_codes(
     would get from its uniforms, and with ``learn`` each row learns its code
     in place.  Returns the codes (B, Q), the (B, Q, K) charts u and U, and
     G and eta per row as Python floats, in both modes.
+
+    Without ``learn``, a single plane (B = 1) takes any number N of uniform
+    rows (N, Q): its one chart broadcasts against them, and row n gets the
+    code that plane's model would get from uniforms n.  The codes are then
+    (N, Q); the charts, G and eta stay the plane's one.
     """
     u = compute_u(bits, active, geometry)
     u_norm = normalize_u(u, geometry.num_active)
@@ -357,7 +363,10 @@ class MemoryModel:
             raise LedgerUnavailableError("belief_update requires at least one stored item")
         code, trace = self.retrieve(pattern, mode=mode, rng=rng)
         g = self.geometry
-        inter = (self._codes[:, :n] == code[:, None]).sum(
+        # In the ledger's narrow dtype, which every winner fits, so the
+        # (Q, N) block is compared without an upcast copy.
+        codes = self._codes[:, :n]
+        inter = (codes == code.astype(codes.dtype)[:, None]).sum(
             axis=0, dtype=np.min_scalar_type(g.num_cms)
         )
         probe = np.zeros(g.num_pixels, dtype=bool)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import msdc
-from msdc import ConfigError, ScheduleError
+from msdc import ConfigError, GeometryError, ScheduleError
 from msdc.core import PAPER_GEOMETRY
 from msdc.experiments import (
     AGGREGATE_COLUMNS,
@@ -447,6 +447,21 @@ def test_probe_overlaps_must_be_integers():
 def test_scenario_spec_rejects_non_integral_values(change, error, message):
     with pytest.raises(error, match=message):
         dataclasses.replace(default_appendix_scenario(2), **change)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("geometry", "geo", "geometry must be a ModelGeometry, got 'geo'"),
+        ("params", None, "params must be a CsaParams, got None"),
+        ("params", {"eta_max": 1.0}, "params must be a CsaParams, got {'eta_max': 1.0}"),
+    ],
+)
+def test_scenario_spec_rejects_a_wrong_geometry_or_params_type(field, value, message):
+    fields = {"geometry": PAPER_GEOMETRY, "params": msdc.CsaParams(), field: value}
+    with pytest.raises(GeometryError) as raised:
+        ScenarioSpec("x", num_stored=1, probes=(), seeds=(0,), **fields)
+    assert str(raised.value) == message
 
 
 def test_scenario_spec_accepts_numpy_integer_seeds():

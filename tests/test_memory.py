@@ -235,15 +235,27 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
     calls.update(dict.fromkeys(STAGES, 0))
     run_scenario(spec)
     assert [name for name, n in calls.items() if not n] == ["hard_max_winners"]
-    # Stores draw softly in either mode, but a hard probe step forms no mu
-    # or rho and draws nothing: 6 store steps and 3 probe steps in one block.
+    # One block: the six stores are one soft chart-and-draw step over an
+    # empty plane (one G, so one eta), then six learning calls; a hard probe
+    # step forms no mu or rho and draws nothing: 3 probe steps of 2 seeds.
     calls.update(dict.fromkeys(STAGES, 0))
     run_scenario(dataclasses.replace(spec, mode="hard"))
     assert calls == {
-        **dict.fromkeys(STAGES[:3], 9), "eta_for_familiarity": 18,
-        **dict.fromkeys(("mu_from_u", "rho_from_mu", "draw_winners", "apply_learning"), 6),
-        "hard_max_winners": 3,
+        **dict.fromkeys(STAGES[:3], 4), "eta_for_familiarity": 7,
+        **dict.fromkeys(("mu_from_u", "rho_from_mu", "draw_winners"), 1),
+        "apply_learning": 6, "hard_max_winners": 3,
     }
+
+
+def test_traces_compare_and_hash_by_identity(geometry, rng):
+    model = make_model(geometry)
+    pattern = random_pattern(geometry, rng)
+    model.store(pattern)
+    _, a = model.retrieve(pattern, rng=np.random.default_rng(5))
+    _, b = model.retrieve(pattern, rng=np.random.default_rng(5))
+    assert np.array_equal(a.rho, b.rho) and a.eta == b.eta
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 # The golden trace's three geometries: paper geometry, one whose S, Q and K

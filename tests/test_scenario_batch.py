@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import msdc.memory
 from msdc import CsaParams, MemoryModel, ModelGeometry, cli, random_pattern
 from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
 from msdc.experiments import (
@@ -214,6 +215,48 @@ def test_the_result_reads_as_the_reference_record_list(mode, case):
     assert result != want[:-1] and result != tuple(want)
 
 
+INVARIANT_CASES = {
+    "appendix": lambda: appendix(range(BLOCK + 3)),
+    "store_order": lambda: appendix([7, 7, 8, 9], store_order=("I4", "I1", "I6", "I2", "I5", "I3")),
+    "wide": lambda: wide_spec("soft"),
+    "hard": lambda: appendix(range(2000, 2000 + BLOCK + 3), mode="hard"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVARIANT_CASES))
+def test_every_store_is_wholly_novel_and_draws_the_loop_code(case, monkeypatch):
+    # run_scenario draws all of a block's store codes from one empty plane,
+    # which holds only because the corpus's stored items are disjoint: a
+    # seed-by-seed loop must see G = 0 at every store and draw the same code.
+    spec = INVARIANT_CASES[case]()
+    stored, _ = build_appendix_corpus(spec)
+    by_label = dict(stored)
+    patterns = [by_label[label] for label in spec.store_order or by_label]
+    want = []
+    for seed in spec.seeds:
+        model = MemoryModel(spec.geometry, spec.params, seed=seed)
+        codes = []
+        for pattern in patterns:
+            code, trace = model.store(pattern)
+            assert trace.familiarity == 0.0
+            codes.append(code)
+        want.append(codes)
+    learned = []
+    original = msdc.memory.apply_learning
+
+    def recording(bits, active, code, geometry):
+        learned.append(code.copy())
+        return original(bits, active, code, geometry)
+
+    monkeypatch.setattr(msdc.memory, "apply_learning", recording)
+    run_scenario(spec)
+    # One learning call per store and block, each with its block's codes.
+    n = len(patterns)
+    assert len(learned) == n * -(-len(spec.seeds) // _seed_block_size(spec.geometry))
+    got = np.concatenate([np.stack(learned[i : i + n], axis=1) for i in range(0, len(learned), n)])
+    assert np.array_equal(got, np.array(want))
+
+
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
 def test_matches_reference_at_block_boundaries(count):
     assert_matches_reference(appendix(range(1000, 1000 + count)))
@@ -296,3 +339,21 @@ def check_kernel_rows(geometry, mode, densities):
     for row, (_, trace) in enumerate(results):
         for name, chart in charts.items():
             assert np.array_equal(chart[row], getattr(trace, name))
+
+
+@pytest.mark.parametrize("geometry", KERNEL_GEOMETRIES)
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_one_plane_broadcasts_over_many_uniform_rows(geometry, mode):
+    # One model's weights against N = 7 rows of uniforms: row n is the code
+    # that model draws from uniforms n alone, and the charts stay its one.
+    gen = np.random.default_rng([geometry.num_units, len(mode)])
+    params = CsaParams(eta_max=80.0, steepness=12.0, g_floor=0.1)
+    bits = (gen.random((1, geometry.num_pixels, geometry.num_units)) < 0.3).astype(np.uint8)
+    active = np.asarray(random_pattern(geometry, gen).active, dtype=np.intp)
+    r = gen.random((7, geometry.num_cms))
+    codes, u, u_norm, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+    assert codes.shape == (7, geometry.num_cms) and u.shape[0] == len(g) == len(eta) == 1
+    for row, uniforms in zip(codes, r):
+        alone = _select_codes(bits, active, geometry, params, mode, uniforms[None])
+        assert np.array_equal(row, alone[0][0])
+        assert np.array_equal(u_norm, alone[2]) and (g, eta) == (alone[3], alone[4])

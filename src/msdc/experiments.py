@@ -22,16 +22,20 @@ a scenario plus its seed list fully determines every output byte.
 Each seed is an independent single-trial run: a fresh
 ``MemoryModel(..., seed=seed)`` stores every item, then reads a belief for
 every probe.  Code selection is fixed-time, so ``run_scenario`` runs the
-seeds in blocks: a block stacks its seeds' weight bits as one (B, P, Q*K)
-array, about 1 MiB (37 seeds at the appendix geometry, never fewer than
-one).  The stored items are disjoint, so every store is wholly novel
-(G = 0) and draws from the flat chart of an empty model: one kernel call
-on a single empty plane draws all of a block's store codes, which are then
-learned into its planes.  The kernel then runs once per probe step over
-the block.  Each seed's own model RNG still supplies its Q uniforms per
-step in the single-model order (stores in store order, then probes), so
-every record is the one a seed-by-seed loop over ``MemoryModel.store`` and
-``belief_update`` would give, bit for bit.
+seeds in blocks (37 seeds at the appendix geometry, never fewer than one).
+The stored items are disjoint, so every pixel of item i carries the same
+weight row, one-hot of item i's code, and a pixel no item holds keeps a
+zero row.  A block therefore stacks one row per item plus one shared zero
+row, as a (B, items + 1, Q*K) array, and every pixel array the kernel
+would take becomes the array of those pixels' rows: the kernel sums the
+same rows, so u, G, eta and every code are unchanged.  Every store is
+wholly novel (G = 0) and draws from the flat chart of an empty model: one
+kernel call on a single empty plane draws all of a block's store codes,
+which are then learned into its planes.  The kernel then runs once per
+probe step over the block.  Each seed's own model RNG still supplies its
+Q uniforms per step in the single-model order (stores in store order, then
+probes), so every record is the one a seed-by-seed loop over
+``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
 
 ``run_scenario`` returns the kernel's arrays as a ``ScenarioResult``, which
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
@@ -61,8 +65,10 @@ from .core import (
 from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
 
-# Stacked weight planes per seed block: about 1 MiB, 37 seeds at the
-# appendix geometry, so peak memory does not grow with the seed count.
+# Seeds per block, sized as if each seed held a full (P, Q*K) weight plane
+# of 1 MiB in all: 37 seeds at the appendix geometry.  A block's per-item
+# planes hold only (items + 1) of those P rows, so it stays well under the
+# budget, and peak memory does not grow with the seed count.
 _BLOCK_BYTES = 1 << 20
 
 TRIAL_COLUMNS = (
@@ -80,6 +86,8 @@ class ProbeSpec:
     overlaps: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ScheduleError(f"probe label must be a string, got {self.label!r}")
         where = f"probe {self.label!r} overlap"
         overlaps = tuple(_as_int(o, where, ScheduleError) for o in self.overlaps)
         object.__setattr__(self, "overlaps", overlaps)
@@ -152,6 +160,8 @@ class ScenarioSpec:
         if self.store_order is not None:
             order = tuple(self.store_order)
             object.__setattr__(self, "store_order", order)
+            if not all(isinstance(label, str) for label in order):
+                raise ScheduleError(f"store_order must hold labels, got {list(order)}")
             if sorted(order) != sorted(self.stored_labels()):
                 raise ScheduleError(
                     f"store_order must permute {self.stored_labels()}, got {list(order)}"
@@ -264,8 +274,20 @@ class ScenarioResult(abc.Sequence):
 
 
 def _seed_block_size(geometry: ModelGeometry) -> int:
-    """Seeds per block: as many weight planes as fit in ``_BLOCK_BYTES``."""
+    """Seeds per block: as many full (P, Q*K) weight planes as would fit in
+    ``_BLOCK_BYTES``, although a block stores only its per-item rows."""
     return max(1, _BLOCK_BYTES // (geometry.num_pixels * geometry.num_units))
+
+
+def _item_rows(stored: Sequence[tuple[str, InputPattern]], num_pixels: int) -> np.ndarray:
+    """Each pixel's row in a block's per-item planes: the index of the
+    stored item that holds it, or ``len(stored)``, the shared zero row, for
+    a pixel that no item holds.  Read from the items' own pixels, so it
+    relies only on their being disjoint."""
+    row_of = np.full(num_pixels, len(stored), dtype=np.intp)
+    for i, (_, pattern) in enumerate(stored):
+        row_of[list(pattern.active)] = i
+    return row_of
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -282,11 +304,12 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     similarities = np.array(
         [[pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes]
     )
-    store_pixels = [np.asarray(stored[i][1].active, dtype=np.intp) for i in order]
-    probe_pixels = [np.asarray(p.active, dtype=np.intp) for _, p in probes]
+    row_of = _item_rows(stored, g.num_pixels)
+    store_rows = [row_of[list(stored[i][1].active)] for i in order]
+    probe_rows = [row_of[list(p.active)] for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
-    empty = np.zeros((1, g.num_pixels, g.num_units), dtype=np.uint8)
+    empty = np.zeros((1, len(stored) + 1, g.num_units), dtype=np.uint8)
     parts = []
     for first in range(0, len(spec.seeds), block):
         seeds = spec.seeds[first : first + block]
@@ -307,16 +330,16 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         # One draw from a single empty plane gives every store's codes, its
         # (stores * B, Q) uniform rows broadcast against that plane's chart.
         stores = draws[: len(stored)].reshape(-1, g.num_cms)
-        stored_codes = _select_codes(empty, store_pixels[0], g, spec.params, "soft", stores)[0]
+        stored_codes = _select_codes(empty, store_rows[0], g, spec.params, "soft", stores)[0]
         stored_codes = stored_codes.reshape(len(stored), len(seeds), g.num_cms)
-        bits = np.zeros((len(seeds), g.num_pixels, g.num_units), dtype=np.uint8)
-        for active, code in zip(store_pixels, stored_codes):
-            memory.apply_learning(bits, active, code, g)
+        bits = np.zeros((len(seeds), len(stored) + 1, g.num_units), dtype=np.uint8)
+        for rows, code in zip(store_rows, stored_codes):
+            memory.apply_learning(bits, rows, code, g)
         # (B, items, Q), item columns in stored-label order.
         ledger = stored_codes.transpose(1, 0, 2)[:, np.argsort(order)]
         readouts = [
-            _select_codes(bits, active, g, spec.params, spec.mode, r)
-            for active, r in zip(probe_pixels, draws[len(stored) :])
+            _select_codes(bits, rows, g, spec.params, spec.mode, r)
+            for rows, r in zip(probe_rows, draws[len(stored) :])
         ]
         code = np.stack([out[0] for out in readouts], axis=1)
         inter = (ledger[:, None] == code[:, :, None]).sum(axis=3)

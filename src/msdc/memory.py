@@ -182,12 +182,15 @@ def _select_codes(
 ) -> tuple:
     """One selection step for a block of B models that all see one input.
 
-    ``bits`` (B, P, Q*K) holds each model's weight bits, ``active`` (S,) the
-    input's pixels, ``mode`` is "soft" or "hard", and ``r`` (B, Q) each
-    model's Q uniforms, CM 0 first.  Row b gets the code that model b alone
-    would get from its uniforms, and with ``learn`` each row learns its code
-    in place.  Returns the codes (B, Q), the (B, Q, K) charts u and U, and
-    G and eta per row as Python floats, in both modes.
+    ``bits`` (B, R, Q*K) holds each model's weight rows and ``active`` (S,)
+    the row each input pixel reads: a model's own P pixel rows by pixel
+    index, or any rows that hold the same bits, such as a scenario's one row
+    per stored item, where several pixels read one row and indices repeat.
+    ``mode`` is "soft" or "hard", and ``r`` (B, Q) each model's Q uniforms,
+    CM 0 first.  Row b gets the code that model b alone would get from its
+    uniforms, and with ``learn`` each row learns its code in place.  Returns
+    the codes (B, Q), the (B, Q, K) charts u and U, and G and eta per row as
+    Python floats, in both modes.
 
     Without ``learn``, a single plane (B = 1) takes any number N of uniform
     rows (N, Q): its one chart broadcasts against them, and row n gets the

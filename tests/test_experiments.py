@@ -436,6 +436,22 @@ def test_probe_overlaps_must_be_integers():
     assert ProbeSpec("P", np.array([5, 4, 2, 1, 0, 0])).overlaps == (5, 4, 2, 1, 0, 0)
 
 
+@pytest.mark.parametrize("label", [5, None, b"P", ("P",)])
+def test_probe_label_must_be_a_string(label):
+    with pytest.raises(ScheduleError, match="probe label must be a string"):
+        ProbeSpec(label, (1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("I1", 2, "I3", "I4", "I5", "I6"), (1, 2, 3, 4, 5, 6), ("I1", "I2", "I3", "I4", "I5", None)],
+)
+def test_store_order_must_hold_labels(order):
+    # Checked before the order is sorted, which mixed types would break.
+    with pytest.raises(ScheduleError, match="store_order must hold labels"):
+        dataclasses.replace(default_appendix_scenario(2), store_order=order)
+
+
 @pytest.mark.parametrize(
     "change, error, message",
     [

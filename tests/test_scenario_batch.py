@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from msdc.experiments import (
     ProbeSpec,
     ScenarioSpec,
     TrialRecord,
+    _item_rows,
     _seed_block_size,
     build_appendix_corpus,
     default_appendix_scenario,
@@ -143,6 +145,19 @@ def test_matches_reference_with_non_default_params(mode):
 
 
 @pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_matches_reference_with_probes_that_read_free_pixels(mode):
+    # The bundled probes take all S pixels from stored items; these take 12,
+    # 9, 4 and 0 of them from the pixels no item holds.
+    probes = (
+        ProbeSpec("none", (0,) * 6),
+        ProbeSpec("one", (3, 0, 0, 0, 0, 0)),
+        ProbeSpec("ramp", (4, 2, 1, 1, 0, 0)),
+        ProbeSpec("even", (2,) * 6),
+    )
+    assert_matches_reference(appendix(range(BLOCK + 3), mode=mode, probes=probes))
+
+
+@pytest.mark.parametrize("mode", ["soft", "hard"])
 def test_matches_reference_on_a_wide_geometry(mode):
     # 20x20, S=30, Q=300, K=2: a few seeds per block, sums over 255 units,
     # and pairwise float sums over more than 128 CMs.
@@ -257,13 +272,59 @@ def test_every_store_is_wholly_novel_and_draws_the_loop_code(case, monkeypatch):
     assert np.array_equal(got, np.array(want))
 
 
+@pytest.mark.parametrize("case", list(INVARIANT_CASES))
+def test_each_seed_planes_gathered_by_pixel_are_its_loop_weights(case, monkeypatch):
+    # run_scenario keeps one weight row per stored item and one shared zero
+    # row, which holds only because the stored items are disjoint: gathered
+    # by each pixel's row, a seed's planes must be the full weight bits that
+    # a seed-by-seed loop over MemoryModel.store leaves.
+    spec = INVARIANT_CASES[case]()
+    stored, _ = build_appendix_corpus(spec)
+    by_label = dict(stored)
+    want = []
+    for seed in spec.seeds:
+        model = MemoryModel(spec.geometry, spec.params, seed=seed)
+        for label in spec.store_order or by_label:
+            model.store(by_label[label])
+        want.append(model.weights.bits)
+    planes = []
+    original = msdc.memory.apply_learning
+
+    def recording(bits, active, code, geometry):
+        original(bits, active, code, geometry)
+        planes.append(bits.copy())
+
+    monkeypatch.setattr(msdc.memory, "apply_learning", recording)
+    run_scenario(spec)
+    # The last learning call of each block leaves that block's planes.
+    n = len(stored)
+    got = np.concatenate(planes[n - 1 :: n])
+    assert got.shape == (len(spec.seeds), n + 1, spec.geometry.num_units)
+    row_of = _item_rows(stored, spec.geometry.num_pixels)
+    assert np.array_equal(got[:, row_of], np.array(want))
+    assert (row_of == n).any(), "each case leaves some pixel to the zero row"
+
+
+def test_a_200_seed_run_peaks_under_2_mib():
+    spec = default_appendix_scenario(200)
+    run_scenario(spec)
+    tracemalloc.start()
+    try:
+        run_scenario(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
 def test_matches_reference_at_block_boundaries(count):
     assert_matches_reference(appendix(range(1000, 1000 + count)))
 
 
 def test_block_budget():
-    # About 1 MiB of stacked weight bits, and never less than one seed.
+    # As many full (P, Q*K) weight planes as fit in about 1 MiB, and never
+    # less than one seed; a block stores only its far smaller per-item rows.
     assert BLOCK == 37
     assert _seed_block_size(ModelGeometry(64, 64, 64, 128, 16)) == 1
     assert _seed_block_size(ModelGeometry(2, 2, 1, 1, 2)) == 2**20 // 8

@@ -241,6 +241,15 @@ class InputPattern:
         return len(set(self.active) & set(other.active))
 
 
+def _zeros(shape, dtype, what: str) -> np.ndarray:
+    """``np.zeros(shape, dtype)``; ``GeometryError``, naming ``what``, if it
+    is too large for memory or for numpy."""
+    try:
+        return np.zeros(shape, dtype)
+    except (MemoryError, ValueError) as exc:
+        raise GeometryError(f"cannot allocate {what}: {exc}") from None
+
+
 class WeightMatrix:
     """Binary weights from input pixels to coding units.
 
@@ -253,12 +262,9 @@ class WeightMatrix:
     __slots__ = ("bits",)
 
     def __init__(self, num_pixels: int, num_units: int):
-        try:
-            self.bits = np.zeros((num_pixels, num_units), dtype=np.uint8)
-        except (MemoryError, ValueError) as exc:  # too large for memory or for numpy
-            raise GeometryError(
-                f"cannot allocate {num_pixels} x {num_units} weight bits: {exc}"
-            ) from None
+        self.bits = _zeros(
+            (num_pixels, num_units), np.uint8, f"{num_pixels} x {num_units} weight bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -358,16 +364,15 @@ class OpCounter:
         return OpCounter(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
-def compute_u(bits: np.ndarray, active: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
+def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
     """Raw input summation: per unit, the total weight from active pixels.
 
-    ``bits`` is (..., P, Q*K) and ``active`` the S pixel indices.  Returns an
-    int64 array of shape (..., Q, K); entries lie in [0, S * W_MAX].
+    ``rows`` (..., S, Q*K) holds the weight rows of the S active pixels, as
+    gathered once per trial by the selection kernel.  Returns an int64
+    array of shape (..., Q, K); entries lie in [0, S * W_MAX].
     """
     # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = np.add.reduce(
-        bits.take(active, axis=-2), axis=-2, dtype=np.min_scalar_type(geometry.num_active)
-    )
+    count = np.add.reduce(rows, axis=-2, dtype=np.min_scalar_type(geometry.num_active))
     u = np.multiply(count, W_MAX, dtype=np.int64)
     return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
 
@@ -381,11 +386,14 @@ def familiarity(u_norm: np.ndarray) -> np.ndarray:
     """Mean over CMs of the per-CM max normalized summation, in [0, 1].
 
     Reduces the last two axes (Q, K).  Invariant under permutation of units
-    within a CM and of whole CMs.
+    within a CM and of whole CMs.  Each CM's max is read at its argmax, the
+    first NaN if the CM holds one, so a NaN still reaches G.
     """
+    at = u_norm.argmax(axis=-1)
+    at += np.arange(0, u_norm.size, u_norm.shape[-1]).reshape(at.shape)
     # The sum over Q divided by Q is exactly what ``mean`` forms, without
     # its Python-level wrapper.
-    return np.add.reduce(np.maximum.reduce(u_norm, axis=-1), axis=-1) / u_norm.shape[-2]
+    return np.add.reduce(u_norm.take(at), axis=-1) / u_norm.shape[-2]
 
 
 def eta_for_familiarity(g: float, params: CsaParams) -> float:
@@ -430,13 +438,18 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """One categorical draw per CM, independent across CMs.
 
     ``r`` (..., Q) holds one uniform per CM, CM 0 first; drawing them as
-    ``rng.random(Q)`` makes a fixed RNG state reproduce the same code.
+    ``rng.random(Q)`` makes a fixed RNG state reproduce the same code.  The
+    winner is the number of the CM's cumulative probabilities at or below
+    its uniform, capped at K - 1 for a total that rounds below it.
     """
     cum = rho.cumsum(axis=-1)
-    if not np.logical_and.reduce(np.abs(cum[..., -1] - 1.0) <= 1e-9, axis=None):
+    # A NaN total makes the max NaN, which fails the test too.
+    if not np.maximum.reduce(np.abs(cum[..., -1] - 1.0), axis=None) <= 1e-9:
         raise ValueError("each CM's win probabilities must sum to 1")
-    winners = np.add.reduce(cum <= r[..., None], axis=-1)
-    return np.minimum(winners, rho.shape[-1] - 1)
+    # cum is non-decreasing, so the first entry above r is at the count of
+    # those at or below it; an infinite last entry caps that count at K - 1.
+    cum[..., -1] = np.inf
+    return (cum > r[..., None]).argmax(axis=-1)
 
 
 def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -444,32 +457,44 @@ def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     Ties are broken uniformly at random by the CM's uniform in ``r``
     (..., Q), which is used whether or not that CM is tied, keeping the work
-    and the RNG stream a pure function of geometry.
+    and the RNG stream a pure function of geometry.  Each CM's max is read
+    at its argmax, and its running count of tied units gives both the tie
+    count and the pick.
     """
-    tied = u_norm == np.maximum.reduce(u_norm, axis=-1, keepdims=True)
-    n = np.add.reduce(tied, axis=-1)
+    at = u_norm.argmax(axis=-1)
+    at += np.arange(0, u_norm.size, u_norm.shape[-1]).reshape(at.shape)
+    count = (u_norm == u_norm.take(at)[..., None]).cumsum(axis=-1)
+    n = count[..., -1]
     # A NaN in a CM makes its max NaN, equal to no unit.
     if not np.logical_and.reduce(n, axis=None):
         raise ValueError("normalized summations must not be NaN")
     # The winner is tied unit number floor(r * n) of the n tied units, found
     # as the first unit whose running count of tied units exceeds it.
     pick = np.minimum((r * n).astype(np.int64), n - 1)
-    return (tied.cumsum(axis=-1) > pick[..., None]).argmax(axis=-1)
+    return (count > pick[..., None]).argmax(axis=-1)
 
 
 def apply_learning(
-    bits: np.ndarray, active: np.ndarray, code: np.ndarray, geometry: ModelGeometry
+    bits: np.ndarray,
+    active: np.ndarray,
+    rows: np.ndarray,
+    code: np.ndarray,
+    geometry: ModelGeometry,
 ) -> None:
     """Set the weight from every active pixel to every winner (in place).
 
-    ``bits`` is (B, P, Q*K) and ``code`` (B, Q): row b learns code b.  Code b
-    becomes a one-hot mask over the Q*K units, which is ORed into row b's S
-    active pixel rows; no other weight is written.
+    ``bits`` is (B, P, Q*K), ``active`` the S row indices and ``rows`` (B, S,
+    Q*K) those rows as gathered for the trial; ``code`` is (B, Q), and model
+    b learns code b.  Code b becomes a one-hot mask over the Q*K units, which
+    is ORed into ``rows`` in place, and the rows are then written back to
+    ``bits``; no other weight is written.  An index that repeats in
+    ``active`` is written with the same bits from each of its copies.
     Idempotent: re-applying the same (pattern, code) changes nothing.
     Weights are only ever raised, never cleared.
     """
     one_hot = np.arange(geometry.units_per_cm) == code[..., None]
-    bits[:, active] |= one_hot.view(np.uint8).reshape(len(code), 1, geometry.num_units)
+    rows |= one_hot.view(np.uint8).reshape(len(code), 1, geometry.num_units)
+    bits[:, active] = rows
 
 
 def random_pattern(geometry: ModelGeometry, rng: np.random.Generator) -> InputPattern:

@@ -31,8 +31,8 @@ would take becomes the array of those pixels' rows: the kernel sums the
 same rows, so u, G, eta and every code are unchanged.  Every store is
 wholly novel (G = 0) and draws from the flat chart of an empty model: one
 kernel call on a single empty plane draws all of a block's store codes,
-which are then learned into its planes.  The kernel then runs once per
-probe step over the block.  Each seed's own model RNG still supplies its
+and each is then learned into its item's one row of the block's planes.
+The kernel then runs once per probe step over the block.  Each seed's own model RNG still supplies its
 Q uniforms per step in the single-model order (stores in store order, then
 probes), so every record is the one a seed-by-seed loop over
 ``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
@@ -60,7 +60,7 @@ import numpy as np
 from . import memory
 from .core import (
     CsaParams, InputPattern, ModelGeometry, W_MAX, _as_int, _check_w_max,
-    _config_object, _parse_json, _read_text,
+    _config_object, _parse_json, _read_text, _zeros,
 )
 from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
@@ -123,6 +123,8 @@ class ScenarioSpec:
         object.__setattr__(self, "num_stored", num_stored)
         if num_stored < 1:
             raise ScheduleError("scenario needs at least one stored pattern")
+        if not self.probes:
+            raise ScheduleError("scenario needs at least one probe")
         if not seeds:
             raise ScheduleError("scenario needs at least one seed")
         if min(seeds) < 0:
@@ -284,7 +286,8 @@ def _item_rows(stored: Sequence[tuple[str, InputPattern]], num_pixels: int) -> n
     stored item that holds it, or ``len(stored)``, the shared zero row, for
     a pixel that no item holds.  Read from the items' own pixels, so it
     relies only on their being disjoint."""
-    row_of = np.full(num_pixels, len(stored), dtype=np.intp)
+    row_of = _zeros(num_pixels, np.intp, f"a {num_pixels}-pixel row map")
+    row_of.fill(len(stored))
     for i, (_, pattern) in enumerate(stored):
         row_of[list(pattern.active)] = i
     return row_of
@@ -305,11 +308,11 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         [[pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes]
     )
     row_of = _item_rows(stored, g.num_pixels)
-    store_rows = [row_of[list(stored[i][1].active)] for i in order]
     probe_rows = [row_of[list(p.active)] for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
-    empty = np.zeros((1, len(stored) + 1, g.num_units), dtype=np.uint8)
+    empty = _zeros((1, 1, g.num_units), np.uint8, f"a {g.num_units}-unit store plane")
+    zero_rows = np.zeros(g.num_active, dtype=np.intp)
     parts = []
     for first in range(0, len(spec.seeds), block):
         seeds = spec.seeds[first : first + block]
@@ -327,14 +330,20 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         # build_appendix_corpus stores pairwise-disjoint items, so each store
         # reads only weight rows that no earlier store wrote: G is 0 and the
         # charts are the flat ones of an empty model, whatever the params.
-        # One draw from a single empty plane gives every store's codes, its
-        # (stores * B, Q) uniform rows broadcast against that plane's chart.
+        # One draw from a single empty plane, S copies of its one zero row,
+        # gives every store's codes, its (stores * B, Q) uniform rows
+        # broadcast against that plane's chart.
         stores = draws[: len(stored)].reshape(-1, g.num_cms)
-        stored_codes = _select_codes(empty, store_rows[0], g, spec.params, "soft", stores)[0]
+        stored_codes = _select_codes(empty, zero_rows, g, spec.params, "soft", stores)[0]
         stored_codes = stored_codes.reshape(len(stored), len(seeds), g.num_cms)
-        bits = np.zeros((len(seeds), len(stored) + 1, g.num_units), dtype=np.uint8)
-        for rows, code in zip(store_rows, stored_codes):
-            memory.apply_learning(bits, rows, code, g)
+        bits = _zeros(
+            (len(seeds), len(stored) + 1, g.num_units), np.uint8,
+            f"{len(seeds)} x {len(stored) + 1} x {g.num_units} scenario weight rows",
+        )
+        # Each store learns into its item's one row, not the S copies of it
+        # that the item's pixels read.
+        for i, code in zip(order, stored_codes):
+            memory.apply_learning(bits, [i], bits[:, [i]], code, g)
         # (B, items, Q), item columns in stored-label order.
         ledger = stored_codes.transpose(1, 0, 2)[:, np.argsort(order)]
         readouts = [
@@ -557,7 +566,11 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     if isinstance(seeds, dict):
         seeds = _config_object(seeds, "scenario seeds", ("start", "count"), ("start", "count"))
         start = _as_int(seeds["start"], "seeds start", ScheduleError)
-        seeds = range(start, start + _as_int(seeds["count"], "seeds count", ScheduleError))
+        count = _as_int(seeds["count"], "seeds count", ScheduleError)
+        try:
+            seeds = tuple(range(start, start + count))
+        except (MemoryError, OverflowError):  # more seeds than a tuple can hold
+            raise ScheduleError(f"scenario seeds count {count} is too large") from None
     elif not isinstance(seeds, list):
         raise ConfigError(f"scenario seeds must be a list or an object, got {seeds!r}")
     probes = data["probes"]

@@ -192,12 +192,17 @@ def _select_codes(
     the codes (B, Q), the (B, Q, K) charts u and U, and G and eta per row as
     Python floats, in both modes.
 
+    The S active rows are gathered once: ``compute_u`` sums them, and with
+    ``learn`` ``apply_learning`` ORs the code into that same gather and
+    writes it back.
+
     Without ``learn``, a single plane (B = 1) takes any number N of uniform
     rows (N, Q): its one chart broadcasts against them, and row n gets the
     code that plane's model would get from uniforms n.  The codes are then
     (N, Q); the charts, G and eta stay the plane's one.
     """
-    u = compute_u(bits, active, geometry)
+    rows = bits.take(active, axis=-2)
+    u = compute_u(rows, geometry)
     u_norm = normalize_u(u, geometry.num_active)
     g = familiarity(u_norm).tolist()
     eta = [eta_for_familiarity(x, params) for x in g]
@@ -206,7 +211,7 @@ def _select_codes(
     else:
         code = hard_max_winners(u_norm, r)
     if learn:
-        apply_learning(bits, active, code, geometry)
+        apply_learning(bits, active, rows, code, geometry)
     return code, u, u_norm, g, eta
 
 

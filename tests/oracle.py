@@ -7,6 +7,11 @@ best-match; ``oracle_expected_uniform_intersection`` the Monte-Carlo chance
 level for code intersections (Q/K for Q CMs of K units);
 ``code_intersection`` the number of CMs two codes share.
 
+The ``reference_*`` functions are the selection steps' per-CM picks as
+reductions over the K axis: the per-CM max by ``np.maximum.reduce`` and the
+counts by ``np.add.reduce``.  The steps pick by ``argmax`` instead and must
+agree with these bit for bit.
+
 A helper module for the tests, not a test file: pytest puts ``tests/`` on
 ``sys.path``, so test files import it as ``from oracle import ...``.
 """
@@ -79,3 +84,29 @@ def oracle_expected_uniform_intersection(
         total += int((a == b).sum())
         remaining -= n
     return total / trials
+
+
+def reference_familiarity(u_norm: np.ndarray) -> np.ndarray:
+    """The mean over CMs of each CM's ``np.maximum.reduce`` over K."""
+    return np.add.reduce(np.maximum.reduce(u_norm, axis=-1), axis=-1) / u_norm.shape[-2]
+
+
+def reference_draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per CM, the number of cumulative probabilities at or below its
+    uniform, capped at K - 1."""
+    cum = rho.cumsum(axis=-1)
+    if not np.logical_and.reduce(np.abs(cum[..., -1] - 1.0) <= 1e-9, axis=None):
+        raise ValueError("each CM's win probabilities must sum to 1")
+    winners = np.add.reduce(cum <= r[..., None], axis=-1)
+    return np.minimum(winners, rho.shape[-1] - 1)
+
+
+def reference_hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per CM, tied unit number floor(r * n) of the n units at its
+    ``np.maximum.reduce``, with n counted by ``np.add.reduce``."""
+    tied = u_norm == np.maximum.reduce(u_norm, axis=-1, keepdims=True)
+    n = np.add.reduce(tied, axis=-1)
+    if not np.logical_and.reduce(n, axis=None):
+        raise ValueError("normalized summations must not be NaN")
+    pick = np.minimum((r * n).astype(np.int64), n - 1)
+    return (tied.cumsum(axis=-1) > pick[..., None]).argmax(axis=-1)

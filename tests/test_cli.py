@@ -446,6 +446,12 @@ def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path,
         ({"num_stored": "6"}, "must be an integer"),
         ({"store_order": [1, 2, 3, 4, 5, 6]}, "list of labels"),
         ({"shuffle": True}, "unknown key"),
+        ({"probes": []}, "scenario needs at least one probe"),
+        # Counts whose seed tuple cannot be built are refused before any
+        # allocation: 2**62 pointers overflow the address space, and 2**64
+        # does not fit a range's length.
+        ({"seeds": {"start": 0, "count": 2**62}}, f"seeds count {2**62} is too large"),
+        ({"seeds": {"start": 0, "count": 2**64}}, f"seeds count {2**64} is too large"),
     ],
 )
 def test_malformed_scenario_is_data_error(tmp_path, capsys, change, message):

@@ -45,13 +45,14 @@ def pattern_of(*pixels):
 
 
 def u_of(pattern, weights, geometry):
-    return compute_u(weights.bits, np.asarray(pattern.active), geometry)
+    return compute_u(weights.bits.take(np.asarray(pattern.active), axis=-2), geometry)
 
 
 def learn(pattern, code, weights, geometry):
     """``apply_learning`` on one model: a block of B=1."""
     active = np.asarray(pattern.active)
-    apply_learning(weights.bits[None], active, np.asarray(code)[None], geometry)
+    bits = weights.bits[None]
+    apply_learning(bits, active, bits[:, active], np.asarray(code)[None], geometry)
 
 
 # ---------------------------------------------------------------- compute_u
@@ -366,7 +367,7 @@ def test_apply_learning_matches_the_fancy_index_scatter(geometry, b):
     want = before.copy()
     _fancy_index_learning(want, active, code, geometry)
     got = before.copy()
-    apply_learning(got, active, code, geometry)
+    apply_learning(got, active, got[:, active], code, geometry)
     assert np.array_equal(got, want)
     del want
     # Only row b's active pixel rows, in row b's winner columns, change, and
@@ -377,6 +378,24 @@ def test_apply_learning_matches_the_fancy_index_scatter(geometry, b):
     assert (cols[rows, units // geometry.units_per_cm] == units).all()
     for row in range(b):
         assert got[row][np.ix_(active, cols[row])].all()
+
+
+@pytest.mark.parametrize("b", (1, 3))
+def test_apply_learning_with_repeated_rows_matches_the_fancy_index_scatter(geometry, b):
+    # A scenario's pixels read one row per stored item, so row indices
+    # repeat: each copy of a gathered row learns the same bits, and writing
+    # the copies back leaves what the scatter leaves.
+    gen = np.random.default_rng(b)
+    num_rows = 4
+    before = (gen.random((b, num_rows, geometry.num_units)) < 0.3).view(np.uint8)
+    active = gen.integers(0, 2, geometry.num_active)
+    code = gen.integers(0, geometry.units_per_cm, (b, geometry.num_cms))
+    want = before.copy()
+    _fancy_index_learning(want, active, code, geometry)
+    got = before.copy()
+    apply_learning(got, active, got[:, active], code, geometry)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, before) and np.array_equal(got[:, 2:], before[:, 2:])
 
 
 # ------------------------------------------------------- fixed step counting

@@ -12,6 +12,7 @@ import pytest
 
 import msdc
 from msdc import ConfigError, GeometryError, ScheduleError
+from msdc.cli import main
 from msdc.core import PAPER_GEOMETRY
 from msdc.experiments import (
     AGGREGATE_COLUMNS,
@@ -478,6 +479,36 @@ def test_scenario_spec_rejects_a_wrong_geometry_or_params_type(field, value, mes
     with pytest.raises(GeometryError) as raised:
         ScenarioSpec("x", num_stored=1, probes=(), seeds=(0,), **fields)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "shape, what",
+    [
+        (144, "a 144-pixel row map"),
+        ((1, 1, 192), "a 192-unit store plane"),
+        ((2, 7, 192), "2 x 7 x 192 scenario weight rows"),
+    ],
+)
+def test_run_scenario_maps_an_allocation_failure_to_geometry_error(
+    shape, what, tmp_path, capsys, monkeypatch
+):
+    # The allocator refuses one of run_scenario's arrays, as it would one
+    # too large for memory, and lets every other allocation through.
+    zeros = np.zeros
+
+    def refuse(*args, **kwargs):
+        if args and args[0] == shape:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return zeros(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    spec = default_appendix_scenario(2)
+    with pytest.raises(GeometryError, match=f"cannot allocate {what}: Unable to allocate"):
+        run_scenario(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(scenario_to_dict(spec)))
+    assert main(["experiment", str(path), str(tmp_path / "out")]) == 3
+    assert f"cannot allocate {what}" in capsys.readouterr().err
 
 
 def test_scenario_spec_accepts_numpy_integer_seeds():

@@ -28,7 +28,12 @@ from msdc.core import (
 )
 from msdc.snapshot import decode_model, encode_model
 
-from oracle import code_intersection
+from oracle import (
+    code_intersection,
+    reference_draw_winners,
+    reference_familiarity,
+    reference_hard_max_winners,
+)
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
 
@@ -212,6 +217,60 @@ def test_hard_max_matches_per_cm_loop_at_any_uniform(case):
     u_norm, r = case
     r = np.array(r)
     assert np.array_equal(hard_max_winners(u_norm, r), hard_max_reference(u_norm, r))
+
+
+def outcome(step, *args):
+    """What ``step(*args)`` gives: its result's dtype, shape and bytes, or
+    the message of the ValueError it raises."""
+    try:
+        out = np.asarray(step(*args))
+    except ValueError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+@st.composite
+def pick_cases(draw):
+    """A (B, Q, K) block of U over at most three levels (so CMs tie, and
+    may be all equal or hold a NaN), a soft chart drawn from it, and one
+    uniform per CM: free, 0, just below 1, or one of the CM's own
+    cumulative probabilities.  A CM may have its chart scaled so that its
+    cumulative total rounds below a uniform just under 1."""
+    b, q, k = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    levels = draw(st.lists(
+        st.floats(0.0, 1.0) | st.just(float("nan")), min_size=1, max_size=3
+    ))
+    u_norm = np.array(draw(st.lists(
+        st.sampled_from(levels), min_size=b * q * k, max_size=b * q * k
+    ))).reshape(b, q, k)
+    mu = np.array(draw(st.lists(
+        st.floats(1.0, 1e6), min_size=b * q * k, max_size=b * q * k
+    ))).reshape(b, q, k)
+    rho = rho_from_mu(mu)
+    cum = rho.cumsum(axis=-1)
+    r = np.empty((b, q))
+    for i in np.ndindex(b, q):
+        pick = draw(st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0 - 2**-53, "cum", "short")))
+        if pick == "short":
+            rho[i] *= 1.0 - 1e-12
+            r[i] = 1.0 - 2**-53
+        elif pick == "cum":
+            r[i] = cum[i][draw(st.integers(0, k - 1))]
+        else:
+            r[i] = pick
+    return u_norm, rho, r
+
+
+@settings(deadline=None)
+@given(pick_cases())
+@example((np.array([[[0.5, 0.5]]]), np.array([[[0.5, 0.5]]]) * (1.0 - 1e-12),
+          np.array([[1.0 - 2**-53]])))  # the total rounds below r: unit K - 1
+@example((np.full((2, 3, 1), 0.25), np.ones((2, 3, 1)), np.full((2, 3), 0.5)))  # K = 1
+def test_argmax_picks_equal_the_reduction_references(case):
+    u_norm, rho, r = case
+    assert outcome(familiarity, u_norm) == outcome(reference_familiarity, u_norm)
+    assert outcome(hard_max_winners, u_norm, r) == outcome(reference_hard_max_winners, u_norm, r)
+    assert outcome(draw_winners, rho, r) == outcome(reference_draw_winners, rho, r)
 
 
 def belief_reference(model, pattern, code):

@@ -259,9 +259,9 @@ def test_every_store_is_wholly_novel_and_draws_the_loop_code(case, monkeypatch):
     learned = []
     original = msdc.memory.apply_learning
 
-    def recording(bits, active, code, geometry):
+    def recording(bits, active, rows, code, geometry):
         learned.append(code.copy())
-        return original(bits, active, code, geometry)
+        return original(bits, active, rows, code, geometry)
 
     monkeypatch.setattr(msdc.memory, "apply_learning", recording)
     run_scenario(spec)
@@ -290,8 +290,8 @@ def test_each_seed_planes_gathered_by_pixel_are_its_loop_weights(case, monkeypat
     planes = []
     original = msdc.memory.apply_learning
 
-    def recording(bits, active, code, geometry):
-        original(bits, active, code, geometry)
+    def recording(bits, active, rows, code, geometry):
+        original(bits, active, rows, code, geometry)
         planes.append(bits.copy())
 
     monkeypatch.setattr(msdc.memory, "apply_learning", recording)

@@ -39,8 +39,8 @@ probes), so every record is the one a seed-by-seed loop over
 
 ``run_scenario`` returns the kernel's arrays as a ``ScenarioResult``, which
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
-trial writers work on those arrays; the writers format each distinct value
-once, from per-value text tables.
+trial writers take only such a result, over their spec's items, probes and
+seeds, and read its arrays; the writers format each distinct value once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import abc, namedtuple
+from collections import abc
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -80,6 +80,14 @@ AGGREGATE_COLUMNS = (
 )
 
 
+def _as_tuple(values, name: str) -> tuple:
+    """``values`` as a tuple; ``ScheduleError`` if they cannot be iterated."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ScheduleError(f"{name} must be a sequence, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     label: str
@@ -89,7 +97,7 @@ class ProbeSpec:
         if not isinstance(self.label, str):
             raise ScheduleError(f"probe label must be a string, got {self.label!r}")
         where = f"probe {self.label!r} overlap"
-        overlaps = tuple(_as_int(o, where, ScheduleError) for o in self.overlaps)
+        overlaps = tuple(_as_int(o, where, ScheduleError) for o in _as_tuple(self.overlaps, where))
         object.__setattr__(self, "overlaps", overlaps)
 
 
@@ -111,13 +119,15 @@ class ScenarioSpec:
             raise GeometryError(f"geometry must be a ModelGeometry, got {self.geometry!r}")
         if not isinstance(self.params, CsaParams):
             raise GeometryError(f"params must be a CsaParams, got {self.params!r}")
-        object.__setattr__(self, "probes", tuple(self.probes))
+        object.__setattr__(self, "probes", _as_tuple(self.probes, "probes"))
         seen = set()
         for probe in self.probes:
+            if not isinstance(probe, ProbeSpec):
+                raise ScheduleError(f"probes must be ProbeSpecs, got {probe!r}")
             if probe.label in seen:
                 raise ScheduleError(f"two probes are labelled {probe.label!r}")
             seen.add(probe.label)
-        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in self.seeds)
+        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in _as_tuple(self.seeds, "seeds"))
         object.__setattr__(self, "seeds", seeds)
         num_stored = _as_int(self.num_stored, "num_stored", ScheduleError)
         object.__setattr__(self, "num_stored", num_stored)
@@ -160,7 +170,7 @@ class ScenarioSpec:
                     f"{free} are free"
                 )
         if self.store_order is not None:
-            order = tuple(self.store_order)
+            order = _as_tuple(self.store_order, "store_order")
             object.__setattr__(self, "store_order", order)
             if not all(isinstance(label, str) for label in order):
                 raise ScheduleError(f"store_order must hold labels, got {list(order)}")
@@ -176,7 +186,8 @@ class ScenarioSpec:
 def default_appendix_scenario(num_seeds: int = 200) -> ScenarioSpec:
     """The bundled appendix scenario (``load_scenario("appendix")``), with
     seeds ``0 .. num_seeds - 1``."""
-    return replace(load_scenario("appendix"), seeds=tuple(range(num_seeds)))
+    seeds = range(_as_int(num_seeds, "num_seeds", ScheduleError))
+    return replace(load_scenario("appendix"), seeds=tuple(seeds))
 
 
 def build_appendix_corpus(
@@ -361,75 +372,49 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     )
 
 
-# Trials as flat arrays, one row per record, item columns in stored-label
-# order; seeds and probes as object arrays, so seeds stay Python ints.
-_Trials = namedtuple("_Trials", "seeds probes codes fam eta inter like sims")
+def _result_of(records: ScenarioResult, spec: ScenarioSpec) -> ScenarioResult:
+    """``records`` if it is a ``ScenarioResult`` over this spec's items, probes
+    and seeds, as ``run_scenario(spec)`` returns; else ``ScheduleError``."""
+    want = (tuple(spec.stored_labels()), tuple(p.label for p in spec.probes), spec.seeds)
+    got = isinstance(records, ScenarioResult) and (records.items, records.probes, records.seeds)
+    if got != want:
+        raise ScheduleError("trials must be a ScenarioResult of this spec's items, probes, seeds")
+    return records
 
 
-def _trials(records: Sequence[TrialRecord], spec: ScenarioSpec) -> _Trials:
-    """The one input of the readers and writers below: a ``ScenarioResult``
-    over this spec's items as it is, or any records gathered in one pass."""
-    items = spec.stored_labels()
-    if isinstance(records, ScenarioResult) and records.items == tuple(items):
-        inter = records.intersections.reshape(len(records), len(items))
-        return _Trials(
-            np.array(records.seeds, dtype=object).repeat(len(records.probes)),
-            np.tile(np.array(records.probes, dtype=object), len(records.seeds)),
-            records.codes.reshape(len(records), -1), records.familiarity.ravel(),
-            records.eta.ravel(), inter, inter / records.codes.shape[-1],
-            np.tile(records.similarities, (len(records.seeds), 1)),
-        )
-    rows = [
-        (r.seed, r.probe, r.code, r.familiarity, r.eta,
-         *([m[i] for i in items] for m in (r.intersections, r.likelihoods, r.similarities)))
-        for r in records
-    ]
-    dtypes = (object, object, np.int64, np.float64, np.float64, np.int64, np.float64, np.float64)
-    columns = zip(*rows) if rows else [()] * len(dtypes)
-    return _Trials(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes)))
-
-
-def aggregate_records(records: Sequence[TrialRecord], spec: ScenarioSpec) -> list[dict]:
+def aggregate_records(records: ScenarioResult, spec: ScenarioSpec) -> list[dict]:
     """Per (probe, stored item): mean and stddev of intersection/likelihood."""
-    return _aggregates(_trials(records, spec), spec)
+    result = _result_of(records, spec)
+    return _aggregates(result, range(len(result.probes)))
 
 
-def _aggregates(trials: _Trials, spec: ScenarioSpec) -> list[dict]:
-    """``aggregate_records``'s rows from trials already gathered."""
-    items = spec.stored_labels()
-    return [row for p in spec.probes for row in _probe_aggregates(trials, p.label, items)]
-
-
-def _probe_aggregates(trials: _Trials, probe_label: str, items: Sequence[str]) -> list[dict]:
-    """``aggregate_records``'s rows for one probe label, one per stored item."""
-    rows = np.flatnonzero(trials.probes == probe_label)
-    if not len(rows):
-        return []
-    sims = trials.sims[rows]
-    assert (sims == sims[0]).all(), "corpus construction must not vary across seeds"
-    # Each item's series is one contiguous row, as in a 1-D array of it, so
-    # numpy's pairwise sums give each mean and std the same bits.
-    series = (trials.inter[rows].T.astype(np.float64, order="C"), trials.like[rows].T.copy())
-    stats = [f(a, axis=1).tolist() for a in series for f in (np.mean, np.std)]
+def _aggregates(result: ScenarioResult, probes: Sequence[int]) -> list[dict]:
+    """``aggregate_records``'s rows for the probe indices ``probes``."""
+    # (probes, items, seeds): each series is one contiguous row, as in a 1-D
+    # array of it, so numpy's pairwise sums give each mean and std its bits.
+    inter = result.intersections[:, probes].transpose(1, 2, 0).astype(np.float64, order="C")
+    series = (inter, inter / result.codes.shape[-1])
+    stats = [f(a, axis=-1).tolist() for a in series for f in (np.mean, np.std)]
     return [
-        dict(zip(AGGREGATE_COLUMNS, (probe_label, *row, len(rows))))
-        for row in zip(items, sims[0].tolist(), *stats)
+        dict(zip(AGGREGATE_COLUMNS, (result.probes[p], *row, len(result.seeds))))
+        for k, p in enumerate(probes)
+        for row in zip(result.items, result.similarities[p].tolist(), *(s[k] for s in stats))
     ]
 
 
 def similarity_rank_correlation(
-    records: Sequence[TrialRecord], spec: ScenarioSpec, probe_label: str
+    records: ScenarioResult, spec: ScenarioSpec, probe_label: str
 ) -> float:
     """Spearman correlation of input similarity vs mean code intersection.
 
     Over the ``aggregate_records`` rows of ``probe_label``; NaN for a label
-    that no record carries.
+    that no probe carries.
     """
-    rows = _probe_aggregates(_trials(records, spec), probe_label, spec.stored_labels())
-    if not rows:
+    result = _result_of(records, spec)
+    if probe_label not in result.probes:
         return float("nan")
-    sims = [r["input_similarity"] for r in rows]
-    inter = [r["mean_intersection"] for r in rows]
+    rows = _aggregates(result, [result.probes.index(probe_label)])
+    sims, inter = ([r[k] for r in rows] for k in ("input_similarity", "mean_intersection"))
     # Spearman is undefined when either side is constant: NaN, with no warning.
     with np.errstate(invalid="ignore", divide="ignore"):
         return float(np.corrcoef(_average_ranks(sims), _average_ranks(inter))[1, 0])
@@ -468,20 +453,21 @@ def _csv_lines(rows) -> str:
     return buf.getvalue()
 
 
-def _trial_csv_text(trials: _Trials, items: Sequence[str]) -> str:
+def _trial_csv_text(result: ScenarioResult) -> str:
     """trials.csv's rows, one per record and stored item: what
     ``csv.writer`` writes for ``_fmt``-formatted cells."""
-    cells = np.empty((*trials.inter.shape, len(TRIAL_COLUMNS)), dtype=object)
-    cells[..., 0] = _texts(trials.seeds, _fmt)[:, None]
+    cells = np.empty((*result.intersections.shape, len(TRIAL_COLUMNS)), dtype=object)
+    cells[..., 0] = _texts(np.array(result.seeds, dtype=object), _fmt)[:, None, None]
     # A probe label as csv.writer writes it within a row, quoted if need be.
-    cells[..., 1] = _texts(trials.probes, lambda p: _csv_lines([(p, "")])[:-2])[:, None]
-    cells[..., 2] = items
-    cells[..., 3] = _texts(trials.sims, _fmt)
-    cells[..., 4] = _texts(trials.inter, _fmt)
-    cells[..., 5] = _texts(trials.like, _fmt)
-    cells[..., 6] = _texts(trials.fam, _fmt)[:, None]
+    probes = np.array(result.probes, dtype=object)
+    cells[..., 1] = _texts(probes, lambda p: _csv_lines([(p, "")])[:-2])[:, None]
+    cells[..., 2] = result.items
+    cells[..., 3] = _texts(result.similarities, _fmt)
+    cells[..., 4] = _texts(result.intersections, _fmt)
+    cells[..., 5] = _texts(result.intersections / result.codes.shape[-1], _fmt)
+    cells[..., 6] = _texts(result.familiarity, _fmt)[..., None]
     row = ",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n"
-    return (row * trials.inter.size) % tuple(cells.ravel().tolist())
+    return (row * result.intersections.size) % tuple(cells.ravel().tolist())
 
 
 # What json.encoder writes for the non-finite floats, whose float.__repr__
@@ -501,13 +487,14 @@ def _json_block(opener: str, lines: Sequence[str], closer: str, indent: int) -> 
     return opener + inner + ("," + inner).join(lines) + "\n" + " " * indent + closer
 
 
-def _trial_json_text(trials: _Trials, items: Sequence[str], num_codes: int) -> str:
+def _trial_json_text(result: ScenarioResult) -> str:
     """The records of the "trials" array of results.json, as
     ``json.dumps(indent=2, sort_keys=True)`` writes them at depth two: one
     ``%`` template per record, keys sorted as strings, and each leaf encoded
-    as ``json.encoder`` encodes its declared type (``float.__repr__``, not
-    ``repr``, which gives ``np.float64(...)`` for a numpy float64)."""
+    as ``json.encoder`` encodes a Python int or float."""
+    items = result.items
     order = sorted(range(len(items)), key=items.__getitem__)
+    *shape, num_codes = result.codes.shape
     mapping = _json_block("{", [encode_basestring_ascii(items[i]) + ": %s" for i in order], "}", 6)
     template = _json_block(
         "{",
@@ -520,14 +507,17 @@ def _trial_json_text(trials: _Trials, items: Sequence[str], num_codes: int) -> s
         "}",
         4,
     )
+    inter = result.intersections[..., order]
     columns = [
-        (trials.codes, int.__repr__), (trials.eta, _json_float), (trials.fam, _json_float),
-        (trials.inter[:, order], int.__repr__), (trials.like[:, order], _json_float),
-        (trials.probes, encode_basestring_ascii), (trials.seeds, int.__repr__),
-        (trials.sims[:, order], _json_float),
+        _texts(result.codes, int.__repr__), _texts(result.eta[..., None], _json_float),
+        _texts(result.familiarity[..., None], _json_float), _texts(inter, int.__repr__),
+        _texts(inter / num_codes, _json_float),
+        _texts(np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
+        _texts(np.array(result.seeds, dtype=object)[:, None, None], int.__repr__),
+        _texts(result.similarities[:, order], _json_float),
     ]
-    cells = np.column_stack([_texts(values, fmt) for values, fmt in columns])
-    return ",\n    ".join([template] * len(cells)) % tuple(cells.ravel().tolist())
+    cells = np.concatenate([np.broadcast_to(c, (*shape, c.shape[-1])) for c in columns], axis=-1)
+    return ",\n    ".join([template] * result.familiarity.size) % tuple(cells.ravel().tolist())
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
@@ -617,43 +607,38 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def emit_results(
-    records: Sequence[TrialRecord],
+    records: ScenarioResult,
     spec: ScenarioSpec,
     out_dir: str | Path,
     formats: Sequence[str] = ("csv", "json"),
 ) -> list[Path]:
     """Write trial rows, aggregates, and the resolved scenario config.
 
-    ``formats`` is a non-empty collection of "csv" and "json"; anything else
-    raises ``ConfigError`` before a file is written.  Identical runs produce
-    byte-identical files: ``results.json`` is the ``json.dumps(payload,
-    indent=2, sort_keys=True)`` text of ``{"aggregates", "scenario",
+    ``records`` must be ``run_scenario(spec)``'s result, and ``formats`` a
+    non-empty collection of "csv" and "json"; otherwise ``ScheduleError`` or
+    ``ConfigError`` is raised before a file is written.  Identical runs
+    produce byte-identical files: ``results.json`` is the ``json.dumps(
+    payload, indent=2, sort_keys=True)`` text of ``{"aggregates", "scenario",
     "trials"}``, and the CSVs are what ``csv.writer`` writes for
-    ``_fmt``-formatted cells.  The trial sections come from the trials'
-    arrays (a ``ScenarioResult``'s own, building no record, or a list's,
-    gathered), through value tables that format each distinct value once.
-    Leaves are taken as ``TrialRecord`` declares them: ints (not bools) for
-    ``seed``, ``code`` and ``intersections``, floats (numpy float64
-    included) for the rest, and one entry per stored label in each mapping.
+    ``_fmt``-formatted cells.  The trial sections come from the result's
+    arrays, building no record, through value tables that format each
+    distinct value once.
     """
     chosen = set() if isinstance(formats, str) else set(formats)
     if not chosen or not chosen <= {"csv", "json"}:
         raise ConfigError(f"formats must be some of 'csv' and 'json', got {formats!r}")
-    if not records:
-        raise ScheduleError("no trial records to emit")
-    trials, items = _trials(records, spec), spec.stored_labels()
-    aggregates = _aggregates(trials, spec)
+    result = _result_of(records, spec)
+    aggregates = _aggregates(result, range(len(result.probes)))
     scenario = scenario_to_dict(spec)
     texts = {}
     if "csv" in chosen:
-        texts["trials.csv"] = _csv_lines([TRIAL_COLUMNS]) + _trial_csv_text(trials, items)
+        texts["trials.csv"] = _csv_lines([TRIAL_COLUMNS]) + _trial_csv_text(result)
         rows = ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates)
         texts["aggregate.csv"] = _csv_lines([AGGREGATE_COLUMNS, *rows])
     if "json" in chosen:
-        head = json.dumps(
-            {"aggregates": aggregates, "scenario": scenario}, indent=2, sort_keys=True
-        )
-        trial_text = _trial_json_text(trials, items, spec.geometry.num_cms)
+        payload = {"aggregates": aggregates, "scenario": scenario}
+        head = json.dumps(payload, indent=2, sort_keys=True)
+        trial_text = _trial_json_text(result)
         # "trials" sorts last, so it goes where head's closing "\n}" was.
         texts["results.json"] = f'{head[:-2]},\n  "trials": [\n    {trial_text}\n  ]\n}}\n'
     texts["scenario.json"] = json.dumps(scenario, indent=2, sort_keys=True) + "\n"

@@ -723,3 +723,70 @@ def test_cli_maps_malformed_input_to_a_documented_exit_code(case):
                     0 if new.ledger is not None else 3)
         if rc == 3 and kind != "snapshot":
             assert path.read_bytes() == blob
+
+
+# A seed list or range for `msdc experiment`: its count is at most 2, or
+# 2**62 and above, which the parser refuses before it builds the seed tuple.
+_SEEDS = st.one_of(
+    st.lists(st.integers(-2, 2**64) | _NOT_INT, max_size=2),
+    st.fixed_dictionaries({}, optional={
+        "start": st.integers(-2, 2**64) | _NOT_INT,
+        "count": st.integers(-1, 2) | st.integers(2**62, 2**66) | _NOT_INT,
+        "stop": _NOT_INT,
+    }),
+    _NOT_INT,
+)
+
+
+@st.composite
+def _scenarios(draw):
+    """A tiny valid scenario object, then up to two of its fields redrawn:
+    wrong types, empty lists and lists of up to 3 entries, duplicate probe
+    labels, a store_order that is no permutation, negative or float seeds,
+    and geometry fields of at most 24, as in ``_CONFIGS``.  Nothing drawn
+    asks for an allocation that could succeed and fill memory."""
+    n, s, width = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    # Room for n items and a probe's filler: at least (n + 1) * s pixels.
+    height = draw(st.integers(-(-(n + 1) * s // width), 24))
+    geometry = {
+        "input_width": width, "input_height": height, "num_active": s,
+        "num_cms": draw(st.integers(1, 24)), "units_per_cm": draw(st.integers(1, 24)),
+    }
+    labels = [f"I{i + 1}" for i in range(n)]
+    overlaps = st.lists(st.integers(0, s // n), min_size=n, max_size=n)
+    probes = [
+        {"label": f"P{j}", "overlaps": draw(overlaps)} for j in range(draw(st.integers(1, 3)))
+    ]
+    scenario = {
+        "geometry": geometry, "num_stored": n, "probes": probes,
+        "seeds": draw(st.lists(st.integers(0, 2**64), min_size=1, max_size=2)),
+        "mode": draw(st.sampled_from(["soft", "hard"])),
+        "store_order": draw(st.permutations(labels)),
+    }
+    wrong = {
+        "geometry": st.builds(lambda f, v: {**geometry, f: v}, st.sampled_from(sorted(geometry)),
+                              st.integers(-1, 24) | _NOT_INT) | _JSON,
+        "num_stored": st.integers(-1, 4) | _NOT_INT,
+        "probes": st.sampled_from([[], probes + probes[:1]]) | st.lists(_JSON, max_size=3) | _JSON,
+        "seeds": _SEEDS,
+        "store_order": st.lists(st.sampled_from(labels + ["I9"]) | _NOT_INT, max_size=3) | _JSON,
+        "params": st.fixed_dictionaries({}, optional={
+            f.name: st.floats() | st.integers() | _NOT_INT for f in fields(CsaParams)}) | _JSON,
+        "mode": _JSON, "w_max": _JSON, "name": _JSON,
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(wrong)), max_size=2, unique=True)):
+        scenario[key] = draw(wrong[key])
+    return scenario
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios() | _JSON)
+def test_experiment_maps_malformed_scenarios_to_a_documented_exit_code(scenario):
+    # Every call returns 0, or 3 for bad data, and raises nothing; a refused
+    # scenario writes no output.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        path.write_text(json.dumps(scenario))
+        rc = main(["experiment", str(path), str(out)])
+        assert rc in (0, 3)
+        assert out.exists() == (rc == 0)

@@ -18,6 +18,7 @@ from msdc.experiments import (
     AGGREGATE_COLUMNS,
     TRIAL_COLUMNS,
     ProbeSpec,
+    ScenarioResult,
     ScenarioSpec,
     TrialRecord,
     _average_ranks,
@@ -226,53 +227,63 @@ def reference_emit(records, spec, out_dir):
 
 
 def hand_built_trials():
-    """Twelve stored items (so "I10" sorts before "I2"), probe labels that
-    need quoting or escaping, non-finite and signed-zero floats, and numpy
-    float64 leaves.  I1's code intersection is 0 in every record, and its
-    likelihood -0.0 under seed 3 and 0.0 under the others, so one column
-    holds both zeros.  Twelve 12-pixel items fill the paper's grid, so each
-    probe's schedule takes one pixel from every item."""
+    """A result of twelve stored items (so "I10" sorts before "I2"), stored
+    in a shuffled order, with probe labels that need quoting or escaping and
+    non-finite, signed-zero and subnormal familiarity and eta values.  I1's
+    code intersection is 0 in every record, and its similarity -0.0 under
+    one probe and 0.0 under the others, so one column holds both zeros.
+    Twelve 12-pixel items fill the paper's grid, so each probe's schedule
+    takes one pixel from every item."""
     probes = ('say "hi"', "a,b", "two\nlines", "ünïcödé ✓", "100%s %d")
+    gen = np.random.default_rng(7)
+    labels = [f"I{i + 1}" for i in range(12)]
+    order = [int(i) for i in gen.permutation(12)]
     spec = ScenarioSpec(
         name="odd", geometry=PAPER_GEOMETRY, params=default_appendix_scenario(1).params,
         num_stored=12, probes=tuple(ProbeSpec(p, (1,) * 12) for p in probes),
-        seeds=(3, 0, 11),
+        seeds=(3, 0, 11), store_order=tuple(labels[i] for i in order),
     )
-    labels = spec.stored_labels()
-    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, np.float64(0.1), np.float64(math.nan),
+    odd = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1, -math.nan,
            5e-324, 1e-7, 1e16, 123456789.12345679, -2.5]
-    gen = np.random.default_rng(7)
-    # I1's similarity is zero for every probe, and seed 0 writes it as -0.0:
-    # equal, so the aggregate holds, but its JSON and CSV text differ.
-    sims = {p: [0.0] + [int(gen.integers(0, 13)) / 12 for _ in labels[1:]] for p in probes}
-    records = []
-    for k, seed in enumerate(spec.seeds):
-        for j, probe in enumerate(probes):
-            order = [int(i) for i in gen.permutation(len(labels))]
-            inter = [0] + [int(x) for x in gen.integers(0, 25, len(labels))][1:]
-            records.append(TrialRecord(
-                seed=seed,
-                probe=probe,
-                familiarity=odd[(3 * k + j) % len(odd)],
-                eta=odd[(5 * k + 2 * j + 1) % len(odd)],
-                code=tuple(int(c) for c in gen.integers(0, 8, 24)),
-                similarities={labels[i]: -0.0 if seed == 0 and sims[probe][i] == 0
-                              else np.float64(sims[probe][i]) if i % 2 else sims[probe][i]
-                              for i in order},
-                intersections={labels[i]: inter[i] for i in order},
-                likelihoods={labels[i]: -0.0 if inter[i] == 0 and (i % 2 or k == 0)
-                             else np.float64(inter[i] / 24) for i in order},
-            ))
-    return spec, records
+    fam = [[odd[(3 * k + j) % 12] for j in range(5)] for k in range(3)]
+    eta = [[odd[(5 * k + 2 * j + 1) % 12] for j in range(5)] for k in range(3)]
+    inter = gen.integers(0, 25, (3, 5, 12))
+    inter[..., 0] = 0
+    sims = gen.integers(0, 13, (5, 12)) / 12
+    sims[:, 0] = 0.0
+    sims[2, 0] = -0.0
+    result = ScenarioResult(
+        spec.seeds, probes, tuple(labels), tuple(order), gen.integers(0, 8, (3, 5, 24)),
+        np.array(fam), np.array(eta), inter, sims,
+    )
+    return spec, result
 
 
 def files_of(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("case", ["hand-built", "appendix"])
+def store_order_trials():
+    spec = dataclasses.replace(
+        default_appendix_scenario(1),
+        seeds=(7, 7, 8, 9, 10), store_order=("I4", "I1", "I6", "I2", "I5", "I3"),
+    )
+    return spec, run_scenario(spec)
+
+
+def wide_seed_trials():
+    # Seeds past int64 must be written as the Python ints they are, not as floats.
+    spec = dataclasses.replace(default_appendix_scenario(1), seeds=(0, 2**63 + 1))
+    return spec, run_scenario(spec)
+
+
+@pytest.mark.parametrize("case", ["hand-built", "appendix", "store_order", "wide_seeds"])
 def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path, case):
-    spec, records = hand_built_trials() if case == "hand-built" else (spec_40, records_40)
+    spec, records = {
+        "hand-built": hand_built_trials, "store_order": store_order_trials,
+        "wide_seeds": wide_seed_trials,
+        "appendix": lambda: (spec_40, records_40),
+    }[case]()
     reference_emit(records, spec, tmp_path / "reference")
     want = files_of(tmp_path / "reference")
     emit_results(records, spec, tmp_path / "both")
@@ -283,25 +294,30 @@ def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path,
         assert files_of(tmp_path / fmt) == {name: want[name] for name in names}
 
 
-@pytest.mark.parametrize("case", ["appendix", "store_order"])
-def test_a_result_and_its_record_list_read_and_write_alike(tmp_path, case):
-    # One array path: a result is read from its own arrays, a list of its
-    # records is gathered into the same arrays, and both give the same output.
-    spec = default_appendix_scenario(num_seeds=200)
-    if case == "store_order":
-        spec = dataclasses.replace(
-            spec, seeds=(7, 7, 8, 9, 10), store_order=("I4", "I1", "I6", "I2", "I5", "I3")
-        )
+@pytest.mark.parametrize(
+    "case", ["record-list", "empty-list", "other-seeds", "fewer-probes", "fewer-items"]
+)
+def test_readers_and_writers_take_only_their_spec_s_result(tmp_path, case):
+    # Run with seeds 0 and 1, read against a spec that differs: each must
+    # raise, and emit_results must write nothing, not trials of other seeds.
+    spec = default_appendix_scenario(2)
     result = run_scenario(spec)
-    records = list(result)
-    emit_results(result, spec, tmp_path / "result")
-    emit_results(records, spec, tmp_path / "list")
-    assert files_of(tmp_path / "result") == files_of(tmp_path / "list")
-    assert aggregate_records(result, spec) == aggregate_records(records, spec)
-    for label in ("I7", "I8", "I9", "nope"):
-        a = similarity_rank_correlation(result, spec, label)
-        b = similarity_rank_correlation(records, spec, label)
-        assert a == b or (label == "nope" and math.isnan(a) and math.isnan(b))
+    five = tuple(ProbeSpec(p.label, p.overlaps[:5]) for p in spec.probes)
+    records, spec = {
+        "record-list": (list(result), spec),
+        "empty-list": ([], spec),
+        "other-seeds": (result, dataclasses.replace(spec, seeds=(5, 6, 7))),
+        "fewer-probes": (result, dataclasses.replace(spec, probes=spec.probes[:2])),
+        "fewer-items": (result, dataclasses.replace(spec, num_stored=5, probes=five)),
+    }[case]
+    message = "trials must be a ScenarioResult"
+    with pytest.raises(ScheduleError, match=message):
+        aggregate_records(records, spec)
+    with pytest.raises(ScheduleError, match=message):
+        similarity_rank_correlation(records, spec, "I7")
+    with pytest.raises(ScheduleError, match=message):
+        emit_results(records, spec, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_user_path_builds_no_records(tmp_path, python_calls):
@@ -441,6 +457,29 @@ def test_probe_overlaps_must_be_integers():
 def test_probe_label_must_be_a_string(label):
     with pytest.raises(ScheduleError, match="probe label must be a string"):
         ProbeSpec(label, (1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda base: ProbeSpec("P", 5), "probe 'P' overlap must be a sequence, got 5"),
+        (lambda base: ProbeSpec("P", None), "probe 'P' overlap must be a sequence, got None"),
+        (lambda base: dataclasses.replace(base, probes=5), "probes must be a sequence, got 5"),
+        (lambda base: dataclasses.replace(base, seeds=5), "seeds must be a sequence, got 5"),
+        (lambda base: dataclasses.replace(base, store_order=5),
+         "store_order must be a sequence, got 5"),
+        (lambda base: dataclasses.replace(base, probes=("x",)),
+         "probes must be ProbeSpecs, got 'x'"),
+        (lambda base: default_appendix_scenario(1.5), "num_seeds must be an integer, got 1.5"),
+    ],
+    ids=["overlaps int", "overlaps None", "probes int", "seeds int", "store_order int",
+         "probe str", "num_seeds float"],
+)
+def test_scenario_types_map_a_wrong_type_to_schedule_error(build, message):
+    # Not a TypeError or AttributeError from deep inside the constructor.
+    with pytest.raises(ScheduleError) as raised:
+        build(default_appendix_scenario(2))
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(

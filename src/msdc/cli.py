@@ -311,9 +311,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_IO
-    except IsADirectoryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except MsdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -32,15 +32,16 @@ same rows, so u, G, eta and every code are unchanged.  Every store is
 wholly novel (G = 0) and draws from the flat chart of an empty model: one
 kernel call on a single empty plane draws all of a block's store codes,
 and each is then learned into its item's one row of the block's planes.
-The kernel then runs once per probe step over the block.  Each seed's own model RNG still supplies its
-Q uniforms per step in the single-model order (stores in store order, then
-probes), so every record is the one a seed-by-seed loop over
-``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
+The kernel then runs once per probe step over the block, writing into the
+result's arrays, which are allocated once.  Each seed's own model RNG still
+supplies its Q uniforms per step in the single-model order (stores in
+store order, then probes), so every record is the one a seed-by-seed loop
+over ``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
 
-``run_scenario`` returns the kernel's arrays as a ``ScenarioResult``, which
+``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
-trial writers take only such a result, over their spec's items, probes and
-seeds, and read its arrays; the writers format each distinct value once.
+trial writers take only a result of their own spec, and read its arrays;
+the writers format each distinct value once.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ class ScenarioSpec:
     store_order: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ScheduleError(f"scenario name must be a string, got {self.name!r}")
         if not isinstance(self.geometry, ModelGeometry):
             raise GeometryError(f"geometry must be a ModelGeometry, got {self.geometry!r}")
         if not isinstance(self.params, CsaParams):
@@ -244,7 +247,8 @@ class TrialRecord:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult(abc.Sequence):
-    """``run_scenario``'s trials: the kernel's arrays, read as records.
+    """``run_scenario(spec)``'s trials, read as records from the arrays that
+    its seed blocks write into; ``spec`` is the scenario it ran.
 
     Item columns follow ``items`` (``spec.stored_labels()``); ``store_order``
     holds the item indices in the order they were stored.  Record ``i``, seed
@@ -253,7 +257,7 @@ class ScenarioResult(abc.Sequence):
     equals a list of the same records.
     """
 
-    seeds: tuple[int, ...]
+    spec: ScenarioSpec
     probes: tuple[str, ...]
     items: tuple[str, ...]
     store_order: tuple[int, ...]
@@ -264,7 +268,7 @@ class ScenarioResult(abc.Sequence):
     similarities: np.ndarray  # (probes, items), the same for every seed
 
     def __len__(self) -> int:
-        return len(self.seeds) * len(self.probes)
+        return len(self.spec.seeds) * len(self.probes)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -273,8 +277,8 @@ class ScenarioResult(abc.Sequence):
         keys = [self.items[i] for i in self.store_order]
         inter = self.intersections[s, p, self.store_order]
         return TrialRecord(
-            self.seeds[s], self.probes[p], float(self.familiarity[s, p]), float(self.eta[s, p]),
-            tuple(self.codes[s, p].tolist()),
+            self.spec.seeds[s], self.probes[p],
+            float(self.familiarity[s, p]), float(self.eta[s, p]), tuple(self.codes[s, p].tolist()),
             dict(zip(keys, self.similarities[p, self.store_order].tolist())),
             dict(zip(keys, inter.tolist())),
             dict(zip(keys, (inter / self.codes.shape[-1]).tolist())),
@@ -315,18 +319,20 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     items = [label for label, _ in stored]
     order = [items.index(label) for label in spec.store_order or items]
     g = spec.geometry
-    similarities = np.array(
-        [[pattern.overlap(item) / g.num_active for _, item in stored] for _, pattern in probes]
-    )
+    similarities = np.array([p.overlaps for p in spec.probes]) / g.num_active
     row_of = _item_rows(stored, g.num_pixels)
     probe_rows = [row_of[list(p.active)] for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
     empty = _zeros((1, 1, g.num_units), np.uint8, f"a {g.num_units}-unit store plane")
     zero_rows = np.zeros(g.num_active, dtype=np.intp)
-    parts = []
+    shape = (len(spec.seeds), len(probes))
+    codes = np.empty((*shape, g.num_cms), np.intp)
+    familiarity, eta = np.empty(shape), np.empty(shape)
+    intersections = np.empty((*shape, len(stored)), np.intp)
     for first in range(0, len(spec.seeds), block):
-        seeds = spec.seeds[first : first + block]
+        at = slice(first, first + block)
+        seeds = spec.seeds[at]
         # Each seed's own model supplies its RNG stream: Q uniforms per
         # step, stores first, then probes.  Its weights are not used; the
         # block's stacked planes stand in for them.  A whole model is built,
@@ -357,28 +363,21 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
             memory.apply_learning(bits, [i], bits[:, [i]], code, g)
         # (B, items, Q), item columns in stored-label order.
         ledger = stored_codes.transpose(1, 0, 2)[:, np.argsort(order)]
-        readouts = [
-            _select_codes(bits, rows, g, spec.params, spec.mode, r)
-            for rows, r in zip(probe_rows, draws[len(stored) :])
-        ]
-        code = np.stack([out[0] for out in readouts], axis=1)
-        inter = (ledger[:, None] == code[:, :, None]).sum(axis=3)
-        parts.append((code, [out[3] for out in readouts], [out[4] for out in readouts], inter))
-    codes, fam, eta, inter = zip(*parts)
+        for p, (rows, r) in enumerate(zip(probe_rows, draws[len(stored) :])):
+            out = _select_codes(bits, rows, g, spec.params, spec.mode, r)
+            codes[at, p], familiarity[at, p], eta[at, p] = out[0], out[3], out[4]
+            intersections[at, p] = (ledger == codes[at, p, None]).sum(axis=2)
     return ScenarioResult(
-        spec.seeds, tuple(label for label, _ in probes), tuple(items), tuple(order),
-        np.concatenate(codes), np.concatenate(fam, axis=1).T, np.concatenate(eta, axis=1).T,
-        np.concatenate(inter), similarities,
+        spec, tuple(label for label, _ in probes), tuple(items), tuple(order),
+        codes, familiarity, eta, intersections, similarities,
     )
 
 
 def _result_of(records: ScenarioResult, spec: ScenarioSpec) -> ScenarioResult:
-    """``records`` if it is a ``ScenarioResult`` over this spec's items, probes
-    and seeds, as ``run_scenario(spec)`` returns; else ``ScheduleError``."""
-    want = (tuple(spec.stored_labels()), tuple(p.label for p in spec.probes), spec.seeds)
-    got = isinstance(records, ScenarioResult) and (records.items, records.probes, records.seeds)
-    if got != want:
-        raise ScheduleError("trials must be a ScenarioResult of this spec's items, probes, seeds")
+    """``records`` if it is a ``ScenarioResult`` of this spec, as
+    ``run_scenario(spec)`` returns; else ``ScheduleError``."""
+    if not (isinstance(records, ScenarioResult) and records.spec == spec):
+        raise ScheduleError("trials must be a ScenarioResult of this spec")
     return records
 
 
@@ -396,7 +395,7 @@ def _aggregates(result: ScenarioResult, probes: Sequence[int]) -> list[dict]:
     series = (inter, inter / result.codes.shape[-1])
     stats = [f(a, axis=-1).tolist() for a in series for f in (np.mean, np.std)]
     return [
-        dict(zip(AGGREGATE_COLUMNS, (result.probes[p], *row, len(result.seeds))))
+        dict(zip(AGGREGATE_COLUMNS, (result.probes[p], *row, len(result.spec.seeds))))
         for k, p in enumerate(probes)
         for row in zip(result.items, result.similarities[p].tolist(), *(s[k] for s in stats))
     ]
@@ -457,7 +456,7 @@ def _trial_csv_text(result: ScenarioResult) -> str:
     """trials.csv's rows, one per record and stored item: what
     ``csv.writer`` writes for ``_fmt``-formatted cells."""
     cells = np.empty((*result.intersections.shape, len(TRIAL_COLUMNS)), dtype=object)
-    cells[..., 0] = _texts(np.array(result.seeds, dtype=object), _fmt)[:, None, None]
+    cells[..., 0] = _texts(np.array(result.spec.seeds, dtype=object), _fmt)[:, None, None]
     # A probe label as csv.writer writes it within a row, quoted if need be.
     probes = np.array(result.probes, dtype=object)
     cells[..., 1] = _texts(probes, lambda p: _csv_lines([(p, "")])[:-2])[:, None]
@@ -513,7 +512,7 @@ def _trial_json_text(result: ScenarioResult) -> str:
         _texts(result.familiarity[..., None], _json_float), _texts(inter, int.__repr__),
         _texts(inter / num_codes, _json_float),
         _texts(np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
-        _texts(np.array(result.seeds, dtype=object)[:, None, None], int.__repr__),
+        _texts(np.array(result.spec.seeds, dtype=object)[:, None, None], int.__repr__),
         _texts(result.similarities[:, order], _json_float),
     ]
     cells = np.concatenate([np.broadcast_to(c, (*shape, c.shape[-1])) for c in columns], axis=-1)

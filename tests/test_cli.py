@@ -205,6 +205,12 @@ def test_store_missing_pattern_file_is_io_error(model_path, tmp_path, capsys):
     assert main(["store", str(model_path), str(tmp_path / "nope.txt")]) == 4
 
 
+@pytest.mark.parametrize("command", ["store", "query"])
+def test_a_directory_for_the_model_is_io_error(disjoint_pattern, tmp_path, capsys, command):
+    assert main([command, str(tmp_path), str(disjoint_pattern)]) == 4
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+
 def test_query_stored_pattern_hard_mode(model_path, grid_pattern, capsys):
     main(["store", str(model_path), str(grid_pattern), "--label", "A"])
     capsys.readouterr()

@@ -253,7 +253,7 @@ def hand_built_trials():
     sims[:, 0] = 0.0
     sims[2, 0] = -0.0
     result = ScenarioResult(
-        spec.seeds, probes, tuple(labels), tuple(order), gen.integers(0, 8, (3, 5, 24)),
+        spec, probes, tuple(labels), tuple(order), gen.integers(0, 8, (3, 5, 24)),
         np.array(fam), np.array(eta), inter, sims,
     )
     return spec, result
@@ -295,20 +295,32 @@ def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path,
 
 
 @pytest.mark.parametrize(
-    "case", ["record-list", "empty-list", "other-seeds", "fewer-probes", "fewer-items"]
+    "case",
+    ["record-list", "empty-list", "other-seeds", "fewer-probes", "fewer-items",
+     "reversed-order", "hard-mode", "other-params", "other-name"],
 )
 def test_readers_and_writers_take_only_their_spec_s_result(tmp_path, case):
-    # Run with seeds 0 and 1, read against a spec that differs: each must
-    # raise, and emit_results must write nothing, not trials of other seeds.
+    # Read a result against a spec other than the one it ran: each must
+    # raise, and emit_results must write nothing that misdescribes the
+    # trials, such as other seeds, store order, mode, params or name.
     spec = default_appendix_scenario(2)
     result = run_scenario(spec)
     five = tuple(ProbeSpec(p.label, p.overlaps[:5]) for p in spec.probes)
+    reversed_order = tuple(reversed(spec.stored_labels()))
     records, spec = {
         "record-list": (list(result), spec),
         "empty-list": ([], spec),
         "other-seeds": (result, dataclasses.replace(spec, seeds=(5, 6, 7))),
         "fewer-probes": (result, dataclasses.replace(spec, probes=spec.probes[:2])),
         "fewer-items": (result, dataclasses.replace(spec, num_stored=5, probes=five)),
+        "reversed-order": (
+            run_scenario(dataclasses.replace(spec, store_order=reversed_order)), spec
+        ),
+        "hard-mode": (run_scenario(dataclasses.replace(spec, mode="hard")), spec),
+        "other-params": (
+            result, dataclasses.replace(spec, params=dataclasses.replace(spec.params, eta_max=1.0))
+        ),
+        "other-name": (result, dataclasses.replace(spec, name="other")),
     }[case]
     message = "trials must be a ScenarioResult"
     with pytest.raises(ScheduleError, match=message):
@@ -457,6 +469,22 @@ def test_probe_overlaps_must_be_integers():
 def test_probe_label_must_be_a_string(label):
     with pytest.raises(ScheduleError, match="probe label must be a string"):
         ProbeSpec(label, (1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("name", [{"a": [1]}, 5, None, ["x"]])
+def test_scenario_name_must_be_a_string(name, tmp_path, capsys):
+    base = default_appendix_scenario(2)
+    message = "scenario name must be a string"
+    with pytest.raises(ScheduleError, match=message):
+        dataclasses.replace(base, name=name)
+    data = {**scenario_to_dict(base), "name": name}
+    with pytest.raises(ScheduleError, match=message):
+        scenario_from_dict(data)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["experiment", str(path), str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

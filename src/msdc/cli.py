@@ -38,7 +38,7 @@ from .core import (
     _read_text,
 )
 from .errors import ConfigError, MsdcError, PatternError
-from .memory import RETRIEVAL_MODES, MemoryModel
+from .memory import RETRIEVAL_MODES, MemoryModel, _seeded_rng
 from .snapshot import load_model, save_model
 
 EXIT_OK = 0
@@ -155,7 +155,7 @@ def cmd_store(args) -> int:
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
     if seed is not None:
-        model.reseed(seed)
+        model.rng = _seeded_rng(seed)
     label = args.label if args.label is not None else Path(args.pattern_path).stem
     code, trace = model.store(pattern, label)
     extra = {"command": "store", "label": label, "code": [int(c) for c in code]}

@@ -30,13 +30,14 @@ row, as a (B, items + 1, Q*K) array, and every pixel array the kernel
 would take becomes the array of those pixels' rows: the kernel sums the
 same rows, so u, G, eta and every code are unchanged.  Every store is
 wholly novel (G = 0) and draws from the flat chart of an empty model: one
-kernel call on a single empty plane draws all of a block's store codes,
-and each is then learned into its item's one row of the block's planes.
-The kernel then runs once per probe step over the block, writing into the
-result's arrays, which are allocated once.  Each seed's own model RNG still
-supplies its Q uniforms per step in the single-model order (stores in
-store order, then probes), so every record is the one a seed-by-seed loop
-over ``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
+kernel call on the plane of the run's one empty model draws all of a
+block's store codes, and each is then learned into its item's one row of
+the block's planes.  The kernel then runs once per probe step over the
+block, writing into the result's arrays, which are allocated once.  Each
+seed's own model-RNG stream, with no model built for it, supplies its Q
+uniforms per step in the single-model order (stores in store order, then
+probes), so every record is the one a seed-by-seed loop over
+``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
 
 ``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
@@ -64,7 +65,7 @@ from .core import (
     _config_object, _parse_json, _read_text, _zeros,
 )
 from .errors import ConfigError, GeometryError, ScheduleError
-from .memory import RETRIEVAL_MODES, MemoryModel, _select_codes
+from .memory import MemoryModel, _check_mode, _seeded_rng, _select_codes
 
 # Seeds per block, sized as if each seed held a full (P, Q*K) weight plane
 # of 1 MiB in all: 37 seeds at the appendix geometry.  A block's per-item
@@ -142,8 +143,7 @@ class ScenarioSpec:
             raise ScheduleError("scenario needs at least one seed")
         if min(seeds) < 0:
             raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
-        if self.mode not in RETRIEVAL_MODES:
-            raise ScheduleError(f"unknown retrieval mode {self.mode!r}")
+        _check_mode(self.mode, ScheduleError)
         # Each probe must fit num_stored disjoint S-pixel blocks plus filler.
         g, n, s = self.geometry, num_stored, self.geometry.num_active
         if n * s > g.num_pixels:
@@ -311,9 +311,10 @@ def _item_rows(stored: Sequence[tuple[str, InputPattern]], num_pixels: int) -> n
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Per seed: fresh model, store all items in order, probe in order.
 
-    Seeds run in blocks (see the module docstring).  The result holds the
-    kernel's arrays; its records, each built only when read, are those of
-    one model per seed, in seed order, then probe order.
+    Seeds run in blocks, each on its own model-RNG stream, with one empty
+    model per run (see the module docstring).  The result holds the kernel's
+    arrays; its records, each built only when read, are those of one model
+    per seed, in seed order, then probe order.
     """
     stored, probes = build_appendix_corpus(spec)
     items = [label for label, _ in stored]
@@ -324,30 +325,25 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     probe_rows = [row_of[list(p.active)] for _, p in probes]
     num_draws = (len(stored) + len(probes)) * g.num_cms
     block = _seed_block_size(g)
-    empty = _zeros((1, 1, g.num_units), np.uint8, f"a {g.num_units}-unit store plane")
+    empty = MemoryModel(g, spec.params).weights.bits[None]
     zero_rows = np.zeros(g.num_active, dtype=np.intp)
-    shape = (len(spec.seeds), len(probes))
-    codes = np.empty((*shape, g.num_cms), np.intp)
-    familiarity, eta = np.empty(shape), np.empty(shape)
-    intersections = np.empty((*shape, len(stored)), np.intp)
+    n, m = len(spec.seeds), len(probes)
+    codes = _zeros((n, m, g.num_cms), np.intp, f"{n} x {m} x {g.num_cms} scenario codes")
+    familiarity, eta = (_zeros((n, m), np.float64, f"{n} x {m} scenario {x}") for x in ("G", "eta"))
+    intersections = _zeros((n, m, len(stored)), np.intp, f"{n} x {m} x {len(stored)} intersections")
     for first in range(0, len(spec.seeds), block):
         at = slice(first, first + block)
         seeds = spec.seeds[at]
-        # Each seed's own model supplies its RNG stream: Q uniforms per
-        # step, stores first, then probes.  Its weights are not used; the
-        # block's stacked planes stand in for them.  A whole model is built,
-        # not just its RNG, because perfbench reads `memory.init.us` here.
+        # Each seed's model RNG stream: Q uniforms per step, stores first,
+        # then probes.  The block's stacked planes stand in for the seeds' weights.
         draws = np.stack(
-            [
-                MemoryModel(g, spec.params, seed=seed).rng.random(num_draws).reshape(-1, g.num_cms)
-                for seed in seeds
-            ],
+            [_seeded_rng(seed).random(num_draws).reshape(-1, g.num_cms) for seed in seeds],
             axis=1,
         )
         # build_appendix_corpus stores pairwise-disjoint items, so each store
         # reads only weight rows that no earlier store wrote: G is 0 and the
         # charts are the flat ones of an empty model, whatever the params.
-        # One draw from a single empty plane, S copies of its one zero row,
+        # One draw from the empty model's plane, S reads of its zero row 0,
         # gives every store's codes, its (stores * B, Q) uniform rows
         # broadcast against that plane's chart.
         stores = draws[: len(stored)].reshape(-1, g.num_cms)

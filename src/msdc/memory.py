@@ -164,6 +164,12 @@ def _check_label(label: str) -> None:
         )
 
 
+def _check_mode(mode: str, error: type[Exception] = GeometryError) -> None:
+    """``error`` unless ``mode`` is a ``str`` in ``RETRIEVAL_MODES``."""
+    if not (isinstance(mode, str) and mode in RETRIEVAL_MODES):
+        raise error(f"unknown retrieval mode {mode!r}")
+
+
 def _seeded_rng(seed: int) -> np.random.Generator:
     """A model RNG for ``seed``, which must be a non-negative integer."""
     if _as_int(seed, "seed", GeometryError) < 0:
@@ -205,7 +211,8 @@ def _select_codes(
     u = compute_u(rows, geometry)
     u_norm = normalize_u(u, geometry.num_active)
     g = familiarity(u_norm).tolist()
-    eta = [eta_for_familiarity(x, params) for x in g]
+    # A map enters the same frames whether or not comprehensions are inlined.
+    eta = list(map(eta_for_familiarity, g, repeat(params)))
     if mode == "soft":
         code = draw_winners(rho_from_mu(mu_from_u(u_norm, eta, params)), r)
     else:
@@ -256,9 +263,6 @@ class MemoryModel:
     def w_max(self) -> int:
         """The weight quantum, always ``W_MAX``."""
         return W_MAX
-
-    def reseed(self, seed: int) -> None:
-        self.rng = _seeded_rng(seed)
 
     def _run(
         self, active: np.ndarray, mode: str, rng: np.random.Generator | None, learn: bool
@@ -344,8 +348,7 @@ class MemoryModel:
         from this call's U, eta and ``params``.
         """
         self.geometry.validate_pattern(pattern)
-        if mode not in RETRIEVAL_MODES:
-            raise GeometryError(f"unknown retrieval mode {mode!r}")
+        _check_mode(mode)
         if rng is not None and not isinstance(rng, np.random.Generator):
             raise GeometryError(f"rng must be a numpy Generator or None, got {rng!r}")
         return self._run(np.asarray(pattern.active, dtype=np.intp), mode, rng, learn=False)

@@ -344,6 +344,13 @@ def test_the_user_path_builds_no_records(tmp_path, python_calls):
     assert python_calls(lambda: list(run_scenario(spec)), code=init) == 40 * 3
 
 
+def test_run_scenario_builds_one_model_per_run(spec_40, python_calls):
+    # Each seed's stream comes from its own seeded RNG; the one empty model
+    # gives the store draw its plane.
+    init = msdc.MemoryModel.__init__.__code__
+    assert python_calls(run_scenario, spec_40, code=init) == 1
+
+
 def test_value_tables_keep_signed_zeros_and_every_nan():
     values = np.array([0.0, -0.0, math.nan, -math.nan, 0.0, math.inf, -0.0])
     assert _texts(values, _json_float).tolist() == [
@@ -552,8 +559,9 @@ def test_scenario_spec_rejects_a_wrong_geometry_or_params_type(field, value, mes
     "shape, what",
     [
         (144, "a 144-pixel row map"),
-        ((1, 1, 192), "a 192-unit store plane"),
+        ((144, 192), "144 x 192 weight bits"),
         ((2, 7, 192), "2 x 7 x 192 scenario weight rows"),
+        ((2, 3, 24), "2 x 3 x 24 scenario codes"),
     ],
 )
 def test_run_scenario_maps_an_allocation_failure_to_geometry_error(

@@ -16,6 +16,7 @@ from msdc import (
     MemoryModel,
     ModelGeometry,
     PatternError,
+    ScheduleError,
     random_pattern,
 )
 from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
@@ -324,16 +325,30 @@ def test_unknown_mode_is_a_geometry_error_on_every_reader(geometry, rng):
         model.belief_update(random_pattern(geometry, rng), mode="warm")
 
 
+@pytest.mark.parametrize(
+    "mode", [np.array(["soft", "hard"]), np.array("hard"), np.array(["soft"])], ids=repr
+)
+def test_a_mode_is_only_a_retrieval_mode_string(geometry, rng, mode):
+    # Not compared elementwise, nor unwrapped from a 0-d array.
+    model = make_model(geometry)
+    pattern = random_pattern(geometry, rng)
+    model.store(pattern, "A")
+    message = f"unknown retrieval mode {mode!r}"
+    for call, error in [
+        (lambda: model.retrieve(pattern, mode=mode), GeometryError),
+        (lambda: model.belief_update(pattern, mode=mode), GeometryError),
+        (lambda: dataclasses.replace(default_appendix_scenario(1), mode=mode), ScheduleError),
+    ]:
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("seed", [True, -1, 1.5, "3", None])
 def test_model_seed_must_be_a_non_negative_integer(geometry, seed):
     # No seed is coerced: True is not seed 1, and None is not fresh entropy.
     with pytest.raises(GeometryError, match="seed must be"):
         MemoryModel(geometry, seed=seed)
-    model = make_model(geometry, seed=4)
-    state = model.rng.bit_generator.state
-    with pytest.raises(GeometryError, match="seed must be"):
-        model.reseed(seed)
-    assert model.rng.bit_generator.state == state
 
 
 def test_model_seed_accepts_numpy_integers(geometry):

@@ -49,6 +49,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 
@@ -61,7 +62,9 @@ W_MAX = 127
 
 # np.exp overflows float64 just above 709; clipping the argument keeps the
 # sigmoid exact in float64 wherever it is distinguishable from its limits.
-_EXP_CLIP = 700.0
+# 0-d float64 operands: numpy resolves a Python float's dtype on every call.
+_EXP_CLIP = np.array(700.0)
+_ONE = np.array(1.0)
 
 # A snapshot holds each geometry field and ledger pixel index as a u32 and
 # each ledger winner as a u16, so K may be at most 65536.
@@ -364,6 +367,18 @@ class OpCounter:
         return OpCounter(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
+# The narrowest dtype that holds counts up to its argument, made once per value.
+_count_dtype = lru_cache(np.min_scalar_type)
+
+
+@lru_cache
+def _cm_starts(shape: tuple[int, ...], units_per_cm: int) -> np.ndarray:
+    """Read-only flat indices of each CM's unit 0 in a (*shape, K) chart."""
+    starts = np.arange(0, math.prod(shape) * units_per_cm, units_per_cm).reshape(shape)
+    starts.flags.writeable = False
+    return starts
+
+
 def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
     """Raw input summation: per unit, the total weight from active pixels.
 
@@ -372,7 +387,7 @@ def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
     array of shape (..., Q, K); entries lie in [0, S * W_MAX].
     """
     # Counts of at most S fit the narrow dtype, which sums much faster.
-    count = np.add.reduce(rows, axis=-2, dtype=np.min_scalar_type(geometry.num_active))
+    count = np.add.reduce(rows, axis=-2, dtype=_count_dtype(geometry.num_active))
     u = np.multiply(count, W_MAX, dtype=np.int64)
     return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
 
@@ -390,7 +405,7 @@ def familiarity(u_norm: np.ndarray) -> np.ndarray:
     first NaN if the CM holds one, so a NaN still reaches G.
     """
     at = u_norm.argmax(axis=-1)
-    at += np.arange(0, u_norm.size, u_norm.shape[-1]).reshape(at.shape)
+    at += _cm_starts(at.shape, u_norm.shape[-1])
     # The sum over Q divided by Q is exactly what ``mean`` forms, without
     # its Python-level wrapper.
     return np.add.reduce(u_norm.take(at), axis=-1) / u_norm.shape[-2]
@@ -419,9 +434,9 @@ def mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
     z *= params.steepness
     np.minimum(z, _EXP_CLIP, out=z)
     np.exp(z, out=z)
-    z += 1.0
+    z += _ONE
     np.divide(eta, z, out=z)
-    z += 1.0
+    z += _ONE
     return z
 
 
@@ -444,7 +459,7 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     cum = rho.cumsum(axis=-1)
     # A NaN total makes the max NaN, which fails the test too.
-    if not np.maximum.reduce(np.abs(cum[..., -1] - 1.0), axis=None) <= 1e-9:
+    if not np.maximum.reduce(np.abs(cum[..., -1] - _ONE), axis=None) <= 1e-9:
         raise ValueError("each CM's win probabilities must sum to 1")
     # cum is non-decreasing, so the first entry above r is at the count of
     # those at or below it; an infinite last entry caps that count at K - 1.
@@ -462,7 +477,7 @@ def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
     count and the pick.
     """
     at = u_norm.argmax(axis=-1)
-    at += np.arange(0, u_norm.size, u_norm.shape[-1]).reshape(at.shape)
+    at += _cm_starts(at.shape, u_norm.shape[-1])
     count = (u_norm == u_norm.take(at)[..., None]).cumsum(axis=-1)
     n = count[..., -1]
     # A NaN in a CM makes its max NaN, equal to no unit.
@@ -483,18 +498,19 @@ def apply_learning(
 ) -> None:
     """Set the weight from every active pixel to every winner (in place).
 
-    ``bits`` is (B, P, Q*K), ``active`` the S row indices and ``rows`` (B, S,
-    Q*K) those rows as gathered for the trial; ``code`` is (B, Q), and model
-    b learns code b.  Code b becomes a one-hot mask over the Q*K units, which
-    is ORed into ``rows`` in place, and the rows are then written back to
-    ``bits``; no other weight is written.  An index that repeats in
-    ``active`` is written with the same bits from each of its copies.
-    Idempotent: re-applying the same (pattern, code) changes nothing.
-    Weights are only ever raised, never cleared.
+    ``bits`` is a model's (P, Q*K) plane with ``code`` (Q,), as the verbs
+    pass it, or a scenario's block (B, P, Q*K) with ``code`` (B, Q), where
+    model b learns code b.  ``active`` holds the S row indices and ``rows``
+    (..., S, Q*K) those rows as gathered for the trial.  Each code becomes
+    a one-hot mask over the Q*K units, which is ORed into ``rows`` in
+    place, and the rows are then written back to ``bits``; no other weight
+    is written.  An index that repeats in ``active`` is written with the
+    same bits from each of its copies.  Idempotent: re-applying the same
+    (pattern, code) changes nothing.  Weights are only ever raised.
     """
     one_hot = np.arange(geometry.units_per_cm) == code[..., None]
-    rows |= one_hot.view(np.uint8).reshape(len(code), 1, geometry.num_units)
-    bits[:, active] = rows
+    rows |= one_hot.view(np.uint8).reshape(*code.shape[:-1], 1, geometry.num_units)
+    bits[..., active, :] = rows
 
 
 def random_pattern(geometry: ModelGeometry, rng: np.random.Generator) -> InputPattern:

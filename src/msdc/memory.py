@@ -1,10 +1,10 @@
 """Single-trial associative memory over a modular sparse distributed code.
 
 ``_select_codes``, the one selection kernel, runs the ``core`` steps, by
-the names this module binds them to, for a block of B models that see one
-input.  :class:`MemoryModel` validates its input, then runs the kernel at
-B=1 on its own weights and tallies the work on ``op_counter``, in three
-verbs:
+the names this module binds them to, for one model's weight plane or for a
+block of B models that see one input.  :class:`MemoryModel` validates its
+input, then runs the kernel on its own (P, Q*K) plane and tallies the work
+on ``op_counter``, in three verbs; only the scenario passes blocks:
 
 ``store``          select a code for the input (soft draw), embed the
                    mapping at full strength in one trial, optionally record
@@ -60,6 +60,7 @@ from .core import (
     W_MAX,
     WeightMatrix,
     _as_int,
+    _count_dtype,
     apply_learning,
     compute_u,
     draw_winners,
@@ -172,7 +173,8 @@ def _check_mode(mode: str, error: type[Exception] = GeometryError) -> None:
 
 def _seeded_rng(seed: int) -> np.random.Generator:
     """A model RNG for ``seed``, which must be a non-negative integer."""
-    if _as_int(seed, "seed", GeometryError) < 0:
+    seed = _as_int(seed, "seed", GeometryError)
+    if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
     return np.random.default_rng(seed)
 
@@ -186,33 +188,36 @@ def _select_codes(
     r: np.ndarray,
     learn: bool = False,
 ) -> tuple:
-    """One selection step for a block of B models that all see one input.
+    """One selection step for one model, or a block of B models, that sees
+    one input.
 
-    ``bits`` (B, R, Q*K) holds each model's weight rows and ``active`` (S,)
-    the row each input pixel reads: a model's own P pixel rows by pixel
-    index, or any rows that hold the same bits, such as a scenario's one row
-    per stored item, where several pixels read one row and indices repeat.
-    ``mode`` is "soft" or "hard", and ``r`` (B, Q) each model's Q uniforms,
-    CM 0 first.  Row b gets the code that model b alone would get from its
-    uniforms, and with ``learn`` each row learns its code in place.  Returns
-    the codes (B, Q), the (B, Q, K) charts u and U, and G and eta per row as
-    Python floats, in both modes.
+    ``bits`` is a model's (R, Q*K) weight rows, as the verbs pass their
+    plane, or a block (B, R, Q*K), as only the scenario passes.  ``active``
+    (S,) holds the row each input pixel reads: a model's own P pixel rows by
+    pixel index, or any rows that hold the same bits, such as a scenario's
+    one row per stored item, where several pixels read one row and indices
+    repeat.  ``mode`` is "soft" or "hard", and ``r`` (..., Q) each model's Q
+    uniforms, CM 0 first.  Row b of a block gets the code that model b alone
+    would get from its uniforms, and with ``learn`` each model learns its
+    code in place.  Returns the code (..., Q), the (..., Q, K) charts u and
+    U, and G and eta as Python floats, in a list per row for a block.
 
     The S active rows are gathered once: ``compute_u`` sums them, and with
     ``learn`` ``apply_learning`` ORs the code into that same gather and
     writes it back.
 
-    Without ``learn``, a single plane (B = 1) takes any number N of uniform
-    rows (N, Q): its one chart broadcasts against them, and row n gets the
-    code that plane's model would get from uniforms n.  The codes are then
-    (N, Q); the charts, G and eta stay the plane's one.
+    Without ``learn``, a plane or a one-row block takes any number N of
+    uniform rows (N, Q): its one chart broadcasts against them, and row n
+    gets the code that model would get from uniforms n.  The codes are then
+    (N, Q); the charts, G and eta stay the model's one.
     """
     rows = bits.take(active, axis=-2)
     u = compute_u(rows, geometry)
     u_norm = normalize_u(u, geometry.num_active)
     g = familiarity(u_norm).tolist()
     # A map enters the same frames whether or not comprehensions are inlined.
-    eta = list(map(eta_for_familiarity, g, repeat(params)))
+    eta = (eta_for_familiarity(g, params) if bits.ndim == 2
+           else list(map(eta_for_familiarity, g, repeat(params))))
     if mode == "soft":
         code = draw_winners(rho_from_mu(mu_from_u(u_norm, eta, params)), r)
     else:
@@ -267,17 +272,16 @@ class MemoryModel:
     def _run(
         self, active: np.ndarray, mode: str, rng: np.random.Generator | None, learn: bool
     ) -> tuple[np.ndarray, CsaTrace]:
-        """The kernel at B=1 on this model's weights for the input whose
+        """The kernel on this model's weight plane for the input whose
         pixels are ``active`` (S,), learning if ``learn``.
 
         Draws Q uniforms from ``rng``, or from the model RNG when it is None,
         in which case the call's work is added to ``op_counter``.
         """
         g = self.geometry
-        bits = self.weights.bits[None]
         r = (self.rng if rng is None else rng).random(g.num_cms)
         code, u, u_norm, fam, eta = _select_codes(
-            bits, active, g, self.params, mode, r[None], learn
+            self.weights.bits, active, g, self.params, mode, r, learn
         )
         if rng is None:
             counter = self.op_counter
@@ -287,7 +291,7 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        return code[0], CsaTrace(u[0], u_norm[0], fam[0], eta[0], self.params)
+        return code, CsaTrace(u, u_norm, fam, eta, self.params)
 
     def store(
         self, pattern: InputPattern, label: str | None = None
@@ -378,17 +382,19 @@ class MemoryModel:
         # (Q, N) block is compared without an upcast copy.
         codes = self._codes[:, :n]
         inter = (codes == code.astype(codes.dtype)[:, None]).sum(
-            axis=0, dtype=np.min_scalar_type(g.num_cms)
+            axis=0, dtype=_count_dtype(g.num_cms)
         )
         probe = np.zeros(g.num_pixels, dtype=bool)
         probe[list(pattern.active)] = True
         overlap = probe.take(self._pixels[:, :n]).sum(
-            axis=0, dtype=np.min_scalar_type(g.num_active)
+            axis=0, dtype=_count_dtype(g.num_active)
         )
         # tuple.__new__ builds each entry in C; BeliefEntry._make would add a
         # Python call per item only to check a length the zip already fixes.
-        entries = tuple(
-            map(
+        # A tuple grown from the map is re-tracked by the collector on each
+        # resize; one made from a full list is not.
+        entries = tuple([
+            *map(
                 tuple.__new__,
                 repeat(BeliefEntry),
                 zip(
@@ -398,7 +404,7 @@ class MemoryModel:
                     (inter / g.num_cms).tolist(),
                 ),
             )
-        )
+        ])
         return BeliefReport(
             entries=entries,
             code=code,

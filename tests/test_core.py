@@ -49,10 +49,10 @@ def u_of(pattern, weights, geometry):
 
 
 def learn(pattern, code, weights, geometry):
-    """``apply_learning`` on one model: a block of B=1."""
+    """``apply_learning`` on one model's plane, as the model verbs call it."""
     active = np.asarray(pattern.active)
-    bits = weights.bits[None]
-    apply_learning(bits, active, bits[:, active], np.asarray(code)[None], geometry)
+    bits = weights.bits
+    apply_learning(bits, active, bits[active], np.asarray(code), geometry)
 
 
 # ---------------------------------------------------------------- compute_u
@@ -370,6 +370,10 @@ def test_apply_learning_matches_the_fancy_index_scatter(geometry, b):
     apply_learning(got, active, got[:, active], code, geometry)
     assert np.array_equal(got, want)
     del want
+    # One model's (P, Q*K) plane, as the verbs pass it, learns as its row does.
+    plane = before[0].copy()
+    apply_learning(plane, active, plane[active], code[0], geometry)
+    assert np.array_equal(plane, got[0])
     # Only row b's active pixel rows, in row b's winner columns, change, and
     # all of those weights end up set.
     cols = np.arange(geometry.num_cms) * geometry.units_per_cm + code

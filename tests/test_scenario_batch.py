@@ -9,7 +9,7 @@ import pytest
 
 import msdc.memory
 from msdc import CsaParams, MemoryModel, ModelGeometry, cli, random_pattern
-from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
+from msdc.core import PAPER_GEOMETRY, W_MAX, _count_dtype, mu_from_u, rho_from_mu
 from msdc.experiments import (
     ProbeSpec,
     ScenarioSpec,
@@ -418,3 +418,41 @@ def test_one_plane_broadcasts_over_many_uniform_rows(geometry, mode):
         alone = _select_codes(bits, active, geometry, params, mode, uniforms[None])
         assert np.array_equal(row, alone[0][0])
         assert np.array_equal(u_norm, alone[2]) and (g, eta) == (alone[3], alone[4])
+
+
+# The kernel geometries, and two at the count dtype's boundary: S = 255
+# counts fit a uint8, S = 256 needs a uint16.
+PLANE_GEOMETRIES = KERNEL_GEOMETRIES + [
+    ModelGeometry(16, 16, 255, 6, 4),
+    ModelGeometry(16, 16, 256, 6, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "geometry", PLANE_GEOMETRIES, ids=lambda g: f"S{g.num_active}-Q{g.num_cms}-K{g.units_per_cm}"
+)
+@pytest.mark.parametrize("mode", ["soft", "hard", "store"])
+def test_a_plane_and_a_one_row_block_agree(geometry, mode):
+    # The model verbs pass their (P, Q*K) plane and (Q,) uniforms; the
+    # scenario passes blocks.  Row 0 of a one-row block is the plane's call.
+    gen = np.random.default_rng([geometry.num_active, len(mode)])
+    params = CsaParams(eta_max=80.0, steepness=12.0, g_floor=0.1)
+    plane = (gen.random((geometry.num_pixels, geometry.num_units)) < 0.4).astype(np.uint8)
+    plane[:, 0] = 1  # unit 0 counts every active pixel: a count of S
+    block = plane[None].copy()
+    active = np.asarray(random_pattern(geometry, gen).active, dtype=np.intp)
+    r = gen.random(geometry.num_cms)
+    learn, kind = mode == "store", "soft" if mode == "store" else mode
+    rows = plane[active].astype(np.int64)
+    code, u, u_norm, g, eta = _select_codes(plane, active, geometry, params, kind, r, learn)
+    codes, us, u_norms, gs, etas = _select_codes(
+        block, active, geometry, params, kind, r[None], learn
+    )
+    assert code.shape == (geometry.num_cms,) and np.array_equal(code, codes[0])
+    assert np.array_equal(u, us[0]) and np.array_equal(u_norm, u_norms[0])
+    assert type(g) is type(eta) is float and [g] == gs and [eta] == etas
+    assert np.array_equal(plane, block[0])
+    assert np.array_equal(u.reshape(-1), rows.sum(axis=0) * W_MAX)
+    assert u.flat[0] == geometry.num_active * W_MAX
+    narrow = np.uint8 if geometry.num_active < 256 else np.uint16
+    assert _count_dtype(geometry.num_active) == narrow

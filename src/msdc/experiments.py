@@ -42,7 +42,8 @@ probes), so every record is the one a seed-by-seed loop over
 ``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
 trial writers take only a result of their own spec, and read its arrays;
-the writers format each distinct value once.
+the writers format each distinct value once, and each cell carries the
+layout that follows it, so each trial section is one join.
 """
 
 from __future__ import annotations
@@ -331,15 +332,15 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     codes = _zeros((n, m, g.num_cms), np.intp, f"{n} x {m} x {g.num_cms} scenario codes")
     familiarity, eta = (_zeros((n, m), np.float64, f"{n} x {m} scenario {x}") for x in ("G", "eta"))
     intersections = _zeros((n, m, len(stored)), np.intp, f"{n} x {m} x {len(stored)} intersections")
+    uniforms = _zeros((min(block, n), num_draws), np.float64, f"{num_draws} uniforms per seed")
     for first in range(0, len(spec.seeds), block):
         at = slice(first, first + block)
         seeds = spec.seeds[at]
-        # Each seed's model RNG stream: Q uniforms per step, stores first,
-        # then probes.  The block's stacked planes stand in for the seeds' weights.
-        draws = np.stack(
-            [_seeded_rng(seed).random(num_draws).reshape(-1, g.num_cms) for seed in seeds],
-            axis=1,
-        )
+        # Each seed's model RNG stream, drawn into its row and read as (steps, B, Q):
+        # Q uniforms per step, stores first, then probes.
+        for row, seed in zip(uniforms, seeds):
+            _seeded_rng(seed).random(out=row)
+        draws = uniforms[: len(seeds)].reshape(len(seeds), -1, g.num_cms).transpose(1, 0, 2)
         # build_appendix_corpus stores pairwise-disjoint items, so each store
         # reads only weight rows that no earlier store wrote: G is 0 and the
         # charts are the flat ones of an empty model, whatever the params.
@@ -430,16 +431,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _texts(values: np.ndarray, fmt) -> np.ndarray:
-    """``fmt`` of each entry, as an object array of ``values``'s shape, each
-    distinct value formatted once.  Floats are keyed by their bits, so -0.0
-    keeps a text of its own and every NaN finds one."""
+def _texts(values: np.ndarray, fmt, tails: Sequence[str] = ("",)) -> np.ndarray:
+    """``fmt`` of each entry followed by its column's tail, ``tails[j]`` at
+    ``[..., j]`` or else the one tail, as an object array of ``values``'s
+    shape, each distinct value formatted once.  Floats are keyed by their
+    bits, so -0.0 keeps a text of its own and every NaN finds one."""
     keys = values.ravel()
     distinct, index = np.unique(
         keys.view(np.uint64) if keys.dtype == np.float64 else keys, return_inverse=True
     )
-    table = np.array([fmt(v) for v in distinct.view(keys.dtype).tolist()], dtype=object)
-    return table[index.ravel()].reshape(values.shape)
+    texts = [fmt(v) for v in distinct.view(keys.dtype).tolist()]
+    table = np.array([[text + tail for text in texts] for tail in tails], dtype=object)
+    return table[np.arange(len(tails)), index.reshape(values.shape)]
+
+
+def _fill(template: str, columns, between: str = "") -> str:
+    """``template`` per record, joined by ``between``, its ``%s`` filled in
+    turn by each ``(values, fmt)`` of ``columns`` along ``values``'s last
+    axis.  Each cell carries the layout after it, so the text is one join."""
+    head, *tails = template.split("%s")
+    tails[-1] += between + head
+    shape = np.broadcast_shapes(*(values.shape[:-1] for values, _ in columns))
+    cells = np.empty((*shape, len(tails)), dtype=object)
+    at = 0
+    for values, fmt in columns:
+        width = values.shape[-1]
+        cells[..., at : at + width] = _texts(values, fmt, tails[at : at + width])
+        at += width
+    cells = cells.ravel().tolist()
+    cells[-1] = cells[-1].removesuffix(between + head)
+    cells.insert(0, head)
+    return "".join(cells)
 
 
 def _csv_lines(rows) -> str:
@@ -451,18 +473,16 @@ def _csv_lines(rows) -> str:
 def _trial_csv_text(result: ScenarioResult) -> str:
     """trials.csv's rows, one per record and stored item: what
     ``csv.writer`` writes for ``_fmt``-formatted cells."""
-    cells = np.empty((*result.intersections.shape, len(TRIAL_COLUMNS)), dtype=object)
-    cells[..., 0] = _texts(np.array(result.spec.seeds, dtype=object), _fmt)[:, None, None]
     # A probe label as csv.writer writes it within a row, quoted if need be.
-    probes = np.array(result.probes, dtype=object)
-    cells[..., 1] = _texts(probes, lambda p: _csv_lines([(p, "")])[:-2])[:, None]
-    cells[..., 2] = result.items
-    cells[..., 3] = _texts(result.similarities, _fmt)
-    cells[..., 4] = _texts(result.intersections, _fmt)
-    cells[..., 5] = _texts(result.intersections / result.codes.shape[-1], _fmt)
-    cells[..., 6] = _texts(result.familiarity, _fmt)[..., None]
-    row = ",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n"
-    return (row * result.intersections.size) % tuple(cells.ravel().tolist())
+    return _fill(",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n", [
+        (np.array(result.spec.seeds, dtype=object)[:, None, None, None], _fmt),
+        (np.array(result.probes, dtype=object)[:, None, None],
+         lambda p: _csv_lines([(p, "")])[:-2]),
+        (np.array(result.items, dtype=object)[:, None], str),
+        (result.similarities[..., None], _fmt), (result.intersections[..., None], _fmt),
+        ((result.intersections / result.codes.shape[-1])[..., None], _fmt),
+        (result.familiarity[..., None, None], _fmt),
+    ])
 
 
 # What json.encoder writes for the non-finite floats, whose float.__repr__
@@ -485,16 +505,15 @@ def _json_block(opener: str, lines: Sequence[str], closer: str, indent: int) -> 
 def _trial_json_text(result: ScenarioResult) -> str:
     """The records of the "trials" array of results.json, as
     ``json.dumps(indent=2, sort_keys=True)`` writes them at depth two: one
-    ``%`` template per record, keys sorted as strings, and each leaf encoded
-    as ``json.encoder`` encodes a Python int or float."""
+    ``_fill`` layout per record, keys sorted as strings, and each leaf
+    encoded as ``json.encoder`` encodes a Python int or float."""
     items = result.items
     order = sorted(range(len(items)), key=items.__getitem__)
-    *shape, num_codes = result.codes.shape
     mapping = _json_block("{", [encode_basestring_ascii(items[i]) + ": %s" for i in order], "}", 6)
     template = _json_block(
         "{",
         [
-            '"code": ' + _json_block("[", ["%s"] * num_codes, "]", 6),
+            '"code": ' + _json_block("[", ["%s"] * result.codes.shape[-1], "]", 6),
             '"eta": %s', '"familiarity": %s',
             '"intersections": ' + mapping, '"likelihoods": ' + mapping,
             '"probe": %s', '"seed": %s', '"similarities": ' + mapping,
@@ -503,16 +522,14 @@ def _trial_json_text(result: ScenarioResult) -> str:
         4,
     )
     inter = result.intersections[..., order]
-    columns = [
-        _texts(result.codes, int.__repr__), _texts(result.eta[..., None], _json_float),
-        _texts(result.familiarity[..., None], _json_float), _texts(inter, int.__repr__),
-        _texts(inter / num_codes, _json_float),
-        _texts(np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
-        _texts(np.array(result.spec.seeds, dtype=object)[:, None, None], int.__repr__),
-        _texts(result.similarities[:, order], _json_float),
-    ]
-    cells = np.concatenate([np.broadcast_to(c, (*shape, c.shape[-1])) for c in columns], axis=-1)
-    return ",\n    ".join([template] * result.familiarity.size) % tuple(cells.ravel().tolist())
+    return _fill(template, [
+        (result.codes, int.__repr__), (result.eta[..., None], _json_float),
+        (result.familiarity[..., None], _json_float), (inter, int.__repr__),
+        (inter / result.codes.shape[-1], _json_float),
+        (np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
+        (np.array(result.spec.seeds, dtype=object)[:, None, None], int.__repr__),
+        (result.similarities[:, order], _json_float),
+    ], ",\n    ")
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
@@ -619,7 +636,10 @@ def emit_results(
     arrays, building no record, through value tables that format each
     distinct value once.
     """
-    chosen = set() if isinstance(formats, str) else set(formats)
+    try:
+        chosen = set() if isinstance(formats, str) else set(formats)
+    except TypeError:  # not iterable, or holding an unhashable value
+        chosen = set()
     if not chosen or not chosen <= {"csv", "json"}:
         raise ConfigError(f"formats must be some of 'csv' and 'json', got {formats!r}")
     result = _result_of(records, spec)

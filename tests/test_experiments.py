@@ -277,11 +277,23 @@ def wide_seed_trials():
     return spec, run_scenario(spec)
 
 
-@pytest.mark.parametrize("case", ["hand-built", "appendix", "store_order", "wide_seeds"])
+def single_trials():
+    # One seed, one probe and one stored item: each trial section is a single
+    # record, so its first and last cells fall in the same record.
+    spec = ScenarioSpec(
+        name="single", geometry=PAPER_GEOMETRY, params=default_appendix_scenario(1).params,
+        num_stored=1, probes=(ProbeSpec("I7", (5,)),), seeds=(4,),
+    )
+    return spec, run_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "case", ["hand-built", "appendix", "store_order", "wide_seeds", "single"]
+)
 def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path, case):
     spec, records = {
         "hand-built": hand_built_trials, "store_order": store_order_trials,
-        "wide_seeds": wide_seed_trials,
+        "wide_seeds": wide_seed_trials, "single": single_trials,
         "appendix": lambda: (spec_40, records_40),
     }[case]()
     reference_emit(records, spec, tmp_path / "reference")
@@ -363,7 +375,11 @@ def test_value_tables_keep_signed_zeros_and_every_nan():
     assert _texts(seeds, int.__repr__).tolist() == [str(2**70), "3", str(2**70)]
 
 
-@pytest.mark.parametrize("formats", ["jsonl", "csv", (), set(), ("xml",), ["csv", "xml"]])
+@pytest.mark.parametrize(
+    "formats",
+    # The last four are not iterable, or hold an unhashable value.
+    ["jsonl", "csv", (), set(), ("xml",), ["csv", "xml"], 5, None, [["csv"]], object()],
+)
 def test_emit_rejects_formats_other_than_csv_and_json(spec_40, records_40, tmp_path, formats):
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="formats must be some of 'csv' and 'json'"):

@@ -1,7 +1,10 @@
 """Tests for the store / retrieve / belief-update API and its contracts."""
 
 import dataclasses
+import functools
 import hashlib
+import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from msdc import (
     random_pattern,
 )
 from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
-from msdc.experiments import default_appendix_scenario, run_scenario
+from msdc.experiments import (
+    ProbeSpec, ScenarioSpec, default_appendix_scenario, emit_results, run_scenario,
+    scenario_from_dict,
+)
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import code_intersection
@@ -732,3 +738,93 @@ def test_verbs_return_or_raise_a_typed_error_and_a_failed_call_changes_nothing(
             assert vars(model).keys() == attrs.keys()
             assert all(vars(model)[name] is value for name, value in attrs.items())
             assert _state(model)[1] == contents
+
+
+_PROBES = (ProbeSpec("p", (1, 0)),)
+
+
+@functools.cache
+def _tiny_run():
+    spec = ScenarioSpec("tiny", TINY, CsaParams(), 2, _PROBES, (0,))
+    return run_scenario(spec), spec
+
+
+def _emit(formats):
+    with tempfile.TemporaryDirectory() as out:
+        emit_results(*_tiny_run(), out, formats=formats)
+
+
+def _often(valid, *wrong):
+    """``valid`` three times in four, so that a call of many arguments
+    sometimes gets all of them right; else any form of any value."""
+    return st.sampled_from([True] * 3 + [False]).flatmap(
+        lambda keep: st.just(valid) if keep else _any_form(valid, *wrong)
+    )
+
+
+_GEOMETRY_DICT = dataclasses.asdict(TINY)
+_SCENARIO_DICT = st.fixed_dictionaries(
+    {"geometry": _often(_GEOMETRY_DICT, [3, 3, 2, 3, 2], {"input_width": 3}, None),
+     "num_stored": _often(2, 0, 2.5, "2", None),
+     "probes": _often([{"label": "p", "overlaps": [1, 0]}], [{"label": "p"}],
+                      [{"label": 3, "overlaps": [1, 0]}], ["p"], [], None),
+     "seeds": _often([0], [0, 3], [], {"start": 0, "count": 2}, {"count": 2},
+                     {"start": -1, "count": 1}, {"start": 0, "count": 2**70}, "0")},
+    optional={
+        "name": _often("tiny", None, 3),
+        "params": _often({}, {"eta_max": 2.0}, {"eta_max": "2"}, {"speed": 1}, []),
+        "w_max": _often(127, 126, 127.0, "127", None, True),
+        "mode": _often("soft", "hard", "warm", None),
+        "store_order": _often(None, ["I2", "I1"], ["I1"], "I1", [1, 2]),
+        "extra": _any_form(0),
+    },
+)
+# Each constructor's keyword arguments.
+_CONSTRUCTORS = {
+    ModelGeometry: {
+        name: _often(value, 1, 0, -1, 2.5, "3", True, None, 2**40)
+        for name, value in _GEOMETRY_DICT.items()
+    },
+    CsaParams: {
+        f.name: _often(f.default, 1, 0.5, 0, -1.0, math.nan, math.inf, 2**1100, 1j, "1", True, None)
+        for f in dataclasses.fields(CsaParams)
+    },
+    InputPattern: {
+        "active": _any_form((0, 4), (), (4, 4), (-1,), (1.5,), (True, 2), [[0, 4]], "04", None, 3)
+    },
+    ProbeSpec: {
+        "label": _any_form("p", "", None, 3, b"p", True),
+        "overlaps": _any_form((1, 0), (), (-1, 0), (1.5, 0), (True, 0), "10", None, 1, 2**70),
+    },
+    ScenarioSpec: {
+        "name": _often("tiny", "", None, 3),
+        "geometry": _often(TINY, None, (3, 3, 2, 3, 2)),
+        "params": _often(CsaParams(), None, {}),
+        "num_stored": _often(2, 1, 0, -1, 5, 2.5, "2", True, None),
+        "probes": _often(_PROBES, (ProbeSpec("p", (1,)),), _PROBES * 2, (), None, "p"),
+        "seeds": _often((0,), (0, 3), (), (-1,), (2.5,), ("0",), None, 0, range(2)),
+        "mode": _often("soft", "hard", "SOFT", None, 0, ("soft",)),
+        "store_order": _often(None, ("I2", "I1"), ("I1",), ("I1", "I1"), "I1I2", (1, 2)),
+    },
+    scenario_from_dict: {"data": _SCENARIO_DICT | _any_form(None, [], "x", 3)},
+    _emit: {
+        "formats": _any_form(("csv", "json"), ("csv",), "json", {"json"}, (), ("xml",),
+                             5, None, [["csv"]], object()),
+    },
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_CONSTRUCTORS)).flatmap(lambda f: st.tuples(
+    st.just(f), st.fixed_dictionaries(_CONSTRUCTORS[f])
+)))
+def test_constructors_return_or_raise_a_typed_error(call):
+    # ModelGeometry, CsaParams, InputPattern, ProbeSpec, ScenarioSpec,
+    # scenario_from_dict and emit_results's formats, each argument drawn from
+    # valid values, wrong Python types, numpy scalars, and 0-d and 1-d arrays.
+    # A call either returns or raises an MsdcError.
+    constructor, kwargs = call
+    try:
+        constructor(**kwargs)
+    except MsdcError:
+        pass

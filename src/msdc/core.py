@@ -29,11 +29,17 @@ nearly random codes) and high familiarity sharpens them (familiar inputs
 reactivate the units that already hold them), which is what makes more
 similar inputs land on more highly intersecting codes.
 
-Each step works along the trailing (Q, K) axes (or Q, for a code), so one
-call serves one model or a leading block of B models; ``memory`` composes
-them into the one selection kernel and reports each call's charts as a
-``CsaTrace``.  The steps trust their inputs: patterns, geometry and
-parameters are validated once, where they are built.
+Each step works along the trailing (Q, K) axes (or Q, for a code or the
+per-CM maxima), so one call serves one model or a leading block of B
+models; ``memory`` composes them into the one selection kernel and reports
+each call's charts as a ``CsaTrace``.  The kernel reads each CM's max of
+``u`` once, at its argmax: ``familiarity`` takes those Q maxima as U, and
+``hard_max_winners`` ties units against the same maxima, so no step needs
+the (Q, K) chart of U.  A unit's U is ``c / S`` for its integer count c of
+set weights from active pixels, so ``mu_from_u`` reads the sigmoid from a
+read-only table of its S + 1 values, one per (S, midpoint, steepness),
+indexed by the counts ``compute_u`` returns.  The steps trust their inputs:
+patterns, geometry and parameters are validated once, where they are built.
 
 No step iterates over previously stored items, so the work per trial is a
 pure function of the geometry; a model tallies it on its
@@ -337,7 +343,7 @@ class OpCounter:
     4 x Q x K + Q + 1 element operations, Q x K sigmoids, Q uniforms and, on
     a store, S x Q weights written.  Every call counts the Q x K sigmoids
     of one mu: a soft draw forms it, and a hard pick's trace forms it only
-    if read.
+    if read; either way mu reads them from a table of S + 1 values.
     These follow from the geometry alone, so for a fixed geometry the totals
     are identical for every trial regardless of how many items the model
     already stores; the scaling benchmark asserts exactly that.
@@ -379,17 +385,19 @@ def _cm_starts(shape: tuple[int, ...], units_per_cm: int) -> np.ndarray:
     return starts
 
 
-def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
+def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> tuple[np.ndarray, np.ndarray]:
     """Raw input summation: per unit, the total weight from active pixels.
 
     ``rows`` (..., S, Q*K) holds the weight rows of the S active pixels, as
-    gathered once per trial by the selection kernel.  Returns an int64
-    array of shape (..., Q, K); entries lie in [0, S * W_MAX].
+    gathered once per trial by the selection kernel.  Returns two arrays of
+    shape (..., Q, K): each unit's count of set weights from active pixels,
+    in [0, S] and in the narrow count dtype, and ``u``, that count times
+    ``W_MAX`` as int64.
     """
     # Counts of at most S fit the narrow dtype, which sums much faster.
     count = np.add.reduce(rows, axis=-2, dtype=_count_dtype(geometry.num_active))
-    u = np.multiply(count, W_MAX, dtype=np.int64)
-    return u.reshape(*u.shape[:-1], geometry.num_cms, geometry.units_per_cm)
+    count = count.reshape(*count.shape[:-1], geometry.num_cms, geometry.units_per_cm)
+    return count, np.multiply(count, W_MAX, dtype=np.int64)
 
 
 def normalize_u(u: np.ndarray, num_active: int) -> np.ndarray:
@@ -397,18 +405,17 @@ def normalize_u(u: np.ndarray, num_active: int) -> np.ndarray:
     return u / float(num_active * W_MAX)
 
 
-def familiarity(u_norm: np.ndarray) -> np.ndarray:
+def familiarity(top: np.ndarray) -> np.ndarray:
     """Mean over CMs of the per-CM max normalized summation, in [0, 1].
 
-    Reduces the last two axes (Q, K).  Invariant under permutation of units
-    within a CM and of whole CMs.  Each CM's max is read at its argmax, the
-    first NaN if the CM holds one, so a NaN still reaches G.
+    ``top`` (..., Q) holds each CM's max of U, as the kernel reads it at
+    the CM's argmax: the first NaN if the CM holds one, so a NaN still
+    reaches G.  Invariant under permutation of whole CMs up to the rounding
+    of the sum.
     """
-    at = u_norm.argmax(axis=-1)
-    at += _cm_starts(at.shape, u_norm.shape[-1])
     # The sum over Q divided by Q is exactly what ``mean`` forms, without
     # its Python-level wrapper.
-    return np.add.reduce(u_norm.take(at), axis=-1) / u_norm.shape[-2]
+    return np.add.reduce(top, axis=-1) / top.shape[-1]
 
 
 def eta_for_familiarity(g: float, params: CsaParams) -> float:
@@ -421,20 +428,44 @@ def eta_for_familiarity(g: float, params: CsaParams) -> float:
     return params.eta_max * lifted**params.g_exponent
 
 
-def mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
-    """Sigmoidal win weights: floor 1, ceiling 1 + eta, rising in U.
+@lru_cache(maxsize=16)
+def _z_table(num_active: int, midpoint: float, steepness: float) -> np.ndarray:
+    """Read-only ``1 + exp(min(steepness * (midpoint - U), 700))`` for each
+    count c in [0, S], with U formed as ``normalize_u`` forms it, as
+    ``c * W_MAX / (S * W_MAX)``: the S + 1 values the sigmoid of
+    ``mu_from_u`` can take, made once per (S, midpoint, steepness).
 
-    ``eta`` holds one value per leading index of ``u_norm`` (..., Q, K).
-    With eta 0 every unit receives the same weight, so the subsequent
-    normalization yields uniform win probabilities.
+    It is indexed by counts, never by ``u``, which would need S * W_MAX + 1
+    entries.  ``GeometryError`` if memory cannot hold it.
     """
-    eta = np.asarray(eta, dtype=np.float64)[..., None, None]
-    # 1 + eta / (1 + exp(min(s * (m - U), _EXP_CLIP))), formed in place.
-    z = params.midpoint - u_norm
-    z *= params.steepness
+    try:
+        u = np.arange(0, (num_active + 1) * W_MAX, W_MAX, dtype=np.int64)
+        z = midpoint - normalize_u(u, num_active)
+    except MemoryError as exc:
+        raise GeometryError(
+            f"cannot allocate a {num_active + 1}-entry sigmoid table: {exc}"
+        ) from None
+    z *= steepness
     np.minimum(z, _EXP_CLIP, out=z)
     np.exp(z, out=z)
     z += _ONE
+    z.flags.writeable = False
+    return z
+
+
+def mu_from_u(count: np.ndarray, eta, params: CsaParams, num_active: int) -> np.ndarray:
+    """Sigmoidal win weights: floor 1, ceiling 1 + eta, rising in U.
+
+    ``count`` (..., Q, K) holds each unit's count of set weights from the S
+    active pixels, which fixes its U, and ``eta`` one value per leading
+    index of ``count``.  Each unit's ``1 + exp(min(s * (m - U), 700))`` is
+    read from ``_z_table`` by its count.  With eta 0 every unit receives
+    the same weight, so the subsequent normalization yields uniform win
+    probabilities.
+    """
+    eta = np.asarray(eta, dtype=np.float64)[..., None, None]
+    # 1 + eta / z, formed in place.
+    z = _z_table(num_active, params.midpoint, params.steepness).take(count)
     np.divide(eta, z, out=z)
     z += _ONE
     return z
@@ -467,18 +498,18 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (cum > r[..., None]).argmax(axis=-1)
 
 
-def hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per CM, the unit with the largest normalized summation.
+def hard_max_winners(u: np.ndarray, top: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per CM, the unit with the largest summation.
 
-    Ties are broken uniformly at random by the CM's uniform in ``r``
-    (..., Q), which is used whether or not that CM is tied, keeping the work
-    and the RNG stream a pure function of geometry.  Each CM's max is read
-    at its argmax, and its running count of tied units gives both the tie
-    count and the pick.
+    ``u`` (..., Q, K) holds the summations, raw or normalized, and ``top``
+    (..., Q) each CM's max of them, read at its argmax as the kernel reads
+    it for G.  Ties are broken uniformly at random by the CM's uniform in
+    ``r`` (..., Q), which is used whether or not that CM is tied, keeping
+    the work and the RNG stream a pure function of geometry.  The running
+    count of each CM's units that equal its max gives both the tie count and
+    the pick.
     """
-    at = u_norm.argmax(axis=-1)
-    at += _cm_starts(at.shape, u_norm.shape[-1])
-    count = (u_norm == u_norm.take(at)[..., None]).cumsum(axis=-1)
+    count = (u == top[..., None]).cumsum(axis=-1)
     n = count[..., -1]
     # A NaN in a CM makes its max NaN, equal to no unit.
     if not np.logical_and.reduce(n, axis=None):

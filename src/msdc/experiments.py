@@ -74,6 +74,15 @@ from .memory import MemoryModel, _check_mode, _seeded_rng, _select_codes
 # budget, and peak memory does not grow with the seed count.
 _BLOCK_BYTES = 1 << 20
 
+# The most memory a scenario's results may need, as ``_result_bytes``
+# estimates it: 1 GiB, or 61,987 seeds of the appendix scenario.  A
+# scenario that needs more is refused before any seed is built.
+MAX_RESULT_BYTES = 1 << 30
+# Bytes per value of a record, allowed for the value in run_scenario's
+# arrays, its text in each of emit_results's outputs and the cell that holds
+# that text; the appendix scenario takes about 75.
+_VALUE_BYTES = 128
+
 TRIAL_COLUMNS = (
     "seed", "probe", "item", "input_similarity", "code_intersection", "likelihood", "familiarity"
 )
@@ -81,6 +90,29 @@ AGGREGATE_COLUMNS = (
     "probe", "item", "input_similarity", "mean_intersection", "std_intersection",
     "mean_likelihood", "std_likelihood", "num_seeds",
 )
+
+
+def _counted(seeds) -> tuple[Sequence, int]:
+    """``seeds`` and how many it holds.  A sized value is counted without
+    being iterated, a range even beyond ``sys.maxsize``; any other iterable
+    is built into a tuple first."""
+    try:
+        return seeds, len(seeds)
+    except OverflowError:  # a range too long for len()
+        return seeds, (seeds[-1] - seeds[0]) // seeds.step + 1
+    except TypeError:  # no length
+        seeds = _as_tuple(seeds, "seeds")
+        return seeds, len(seeds)
+
+
+def _result_bytes(num_seeds: int, probes, num_cms: int, num_stored: int) -> int:
+    """An upper estimate of the bytes ``run_scenario`` and ``emit_results``
+    need for ``num_seeds`` seeds: per seed and probe, a record of Q winners,
+    G, eta, the seed and, per stored item, a similarity, an intersection and
+    a likelihood, and the probe's label once per item and once more."""
+    values = len(probes) * (num_cms + 3 * num_stored + 3) * _VALUE_BYTES
+    labels = (num_stored + 1) * sum(len(p.label) for p in probes)
+    return num_seeds * (values + labels)
 
 
 def _as_tuple(values, name: str) -> tuple:
@@ -132,18 +164,12 @@ class ScenarioSpec:
             if probe.label in seen:
                 raise ScheduleError(f"two probes are labelled {probe.label!r}")
             seen.add(probe.label)
-        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in _as_tuple(self.seeds, "seeds"))
-        object.__setattr__(self, "seeds", seeds)
         num_stored = _as_int(self.num_stored, "num_stored", ScheduleError)
         object.__setattr__(self, "num_stored", num_stored)
         if num_stored < 1:
             raise ScheduleError("scenario needs at least one stored pattern")
         if not self.probes:
             raise ScheduleError("scenario needs at least one probe")
-        if not seeds:
-            raise ScheduleError("scenario needs at least one seed")
-        if min(seeds) < 0:
-            raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
         _check_mode(self.mode, ScheduleError)
         # Each probe must fit num_stored disjoint S-pixel blocks plus filler.
         g, n, s = self.geometry, num_stored, self.geometry.num_active
@@ -173,6 +199,19 @@ class ScenarioSpec:
                     f"probe {probe.label!r} needs {s - demanded} filler pixels but only "
                     f"{free} are free"
                 )
+        # Counted, and held to the cap, before a seed is built.
+        seeds, count = _counted(self.seeds)
+        if _result_bytes(count, self.probes, g.num_cms, n) > MAX_RESULT_BYTES:
+            raise ScheduleError(
+                f"scenario seeds count {count} is too large: its results would need more "
+                f"than the {MAX_RESULT_BYTES}-byte cap"
+            )
+        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in _as_tuple(seeds, "seeds"))
+        object.__setattr__(self, "seeds", seeds)
+        if not seeds:
+            raise ScheduleError("scenario needs at least one seed")
+        if min(seeds) < 0:
+            raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
         if self.store_order is not None:
             order = _as_tuple(self.store_order, "store_order")
             object.__setattr__(self, "store_order", order)
@@ -191,7 +230,7 @@ def default_appendix_scenario(num_seeds: int = 200) -> ScenarioSpec:
     """The bundled appendix scenario (``load_scenario("appendix")``), with
     seeds ``0 .. num_seeds - 1``."""
     seeds = range(_as_int(num_seeds, "num_seeds", ScheduleError))
-    return replace(load_scenario("appendix"), seeds=tuple(seeds))
+    return replace(load_scenario("appendix"), seeds=seeds)
 
 
 def build_appendix_corpus(
@@ -362,7 +401,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         ledger = stored_codes.transpose(1, 0, 2)[:, np.argsort(order)]
         for p, (rows, r) in enumerate(zip(probe_rows, draws[len(stored) :])):
             out = _select_codes(bits, rows, g, spec.params, spec.mode, r)
-            codes[at, p], familiarity[at, p], eta[at, p] = out[0], out[3], out[4]
+            codes[at, p], familiarity[at, p], eta[at, p] = out[0], out[2], out[3]
             intersections[at, p] = (ledger == codes[at, p, None]).sum(axis=2)
     return ScenarioResult(
         spec, tuple(label for label, _ in probes), tuple(items), tuple(order),
@@ -569,10 +608,8 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         seeds = _config_object(seeds, "scenario seeds", ("start", "count"), ("start", "count"))
         start = _as_int(seeds["start"], "seeds start", ScheduleError)
         count = _as_int(seeds["count"], "seeds count", ScheduleError)
-        try:
-            seeds = tuple(range(start, start + count))
-        except (MemoryError, OverflowError):  # more seeds than a tuple can hold
-            raise ScheduleError(f"scenario seeds count {count} is too large") from None
+        # A range, which ScenarioSpec counts against its cap before building.
+        seeds = range(start, start + count)
     elif not isinstance(seeds, list):
         raise ConfigError(f"scenario seeds must be a list or an object, got {seeds!r}")
     probes = data["probes"]
@@ -601,7 +638,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         ),
         num_stored=data["num_stored"],
         probes=tuple(ProbeSpec(p["label"], tuple(p["overlaps"])) for p in probes),
-        seeds=tuple(seeds),
+        seeds=seeds,
         mode=data.get("mode", "soft"),
         store_order=tuple(store_order) if store_order is not None else None,
     )

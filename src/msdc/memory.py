@@ -16,11 +16,15 @@ on ``op_counter``, in three verbs; only the scenario passes blocks:
                    ledger item, the fraction of its code that is active —
                    a simultaneous likelihood readout over all stored items
 
-Each verb also reports the call's :class:`CsaTrace`: its U, G, eta and
-parameters.  The trace forms ``mu`` and ``rho`` together on the first read
-of either, by this module's ``mu_from_u`` and ``rho_from_mu``.  A hard pick
-reads only U, so it forms neither unless its trace is read; a soft draw
-forms both for itself, and its trace forms the same values again if read.
+The kernel reads each CM's max of u once, and G and a hard pick share
+it; a soft draw reads mu's sigmoid from a table of its S + 1 values, which
+a model makes when it is built.  Each verb also reports the call's
+:class:`CsaTrace`: its u, G, eta, parameters and S.  The trace forms
+``u_norm`` on its first read, and ``mu`` and ``rho`` together on the first
+read of either, by this module's ``normalize_u``, ``mu_from_u`` and
+``rho_from_mu``.  A hard pick forms none of them unless its trace is read;
+a soft draw forms mu and rho for itself, and its trace forms the same
+values again if read.
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
@@ -60,7 +64,9 @@ from .core import (
     W_MAX,
     WeightMatrix,
     _as_int,
+    _cm_starts,
     _count_dtype,
+    _z_table,
     apply_learning,
     compute_u,
     draw_winners,
@@ -83,22 +89,27 @@ MAX_LABEL_BYTES = 0xFFFF
 class CsaTrace:
     """Per-trial diagnostics: the (Q, K) charts of one selection pass.
 
-    ``mu`` and ``rho`` are formed together on the first read of either,
-    from the trace's own U, eta and ``params``, and then kept.  Callers
-    cannot assign to a trace.  Traces compare and hash by identity, since
-    their charts are arrays.
+    A trace keeps the call's raw summations ``u``, its G and eta, its
+    ``params`` and S (``num_active``).  It forms ``u_norm`` on its first
+    read, and ``mu`` and ``rho`` together on the first read of either, from
+    those alone, and then keeps them.  Callers cannot assign to a trace.
+    Traces compare and hash by identity, since their charts are arrays.
     """
 
     u: np.ndarray
-    u_norm: np.ndarray
     familiarity: float
     eta: float
     params: CsaParams = field(repr=False)
+    num_active: int = field(repr=False)
+
+    # Through this module's bindings, so that tracers see every step.
+    @cached_property
+    def u_norm(self) -> np.ndarray:
+        return normalize_u(self.u, self.num_active)
 
     @cached_property
     def _mu_rho(self) -> tuple[np.ndarray, np.ndarray]:
-        # Through this module's bindings, so that tracers see both steps.
-        mu = mu_from_u(self.u_norm, self.eta, self.params)
+        mu = mu_from_u(self.u // W_MAX, self.eta, self.params, self.num_active)
         return mu, rho_from_mu(mu)
 
     @property
@@ -199,32 +210,36 @@ def _select_codes(
     repeat.  ``mode`` is "soft" or "hard", and ``r`` (..., Q) each model's Q
     uniforms, CM 0 first.  Row b of a block gets the code that model b alone
     would get from its uniforms, and with ``learn`` each model learns its
-    code in place.  Returns the code (..., Q), the (..., Q, K) charts u and
-    U, and G and eta as Python floats, in a list per row for a block.
+    code in place.  Returns the code (..., Q), the (..., Q, K) chart u, and
+    G and eta as Python floats, in a list per row for a block.
 
     The S active rows are gathered once: ``compute_u`` sums them, and with
     ``learn`` ``apply_learning`` ORs the code into that same gather and
-    writes it back.
+    writes it back.  Each CM's max of u is read once, at its argmax, and
+    serves both G and a hard pick.  U is formed only for those Q maxima: a
+    soft draw reads mu's sigmoid from ``_z_table`` by each unit's count.
 
     Without ``learn``, a plane or a one-row block takes any number N of
     uniform rows (N, Q): its one chart broadcasts against them, and row n
     gets the code that model would get from uniforms n.  The codes are then
-    (N, Q); the charts, G and eta stay the model's one.
+    (N, Q); the chart, G and eta stay the model's one.
     """
     rows = bits.take(active, axis=-2)
-    u = compute_u(rows, geometry)
-    u_norm = normalize_u(u, geometry.num_active)
-    g = familiarity(u_norm).tolist()
+    count, u = compute_u(rows, geometry)
+    at = u.argmax(axis=-1)
+    at += _cm_starts(at.shape, geometry.units_per_cm)
+    top = u.take(at)
+    g = familiarity(normalize_u(top, geometry.num_active)).tolist()
     # A map enters the same frames whether or not comprehensions are inlined.
     eta = (eta_for_familiarity(g, params) if bits.ndim == 2
            else list(map(eta_for_familiarity, g, repeat(params))))
     if mode == "soft":
-        code = draw_winners(rho_from_mu(mu_from_u(u_norm, eta, params)), r)
+        code = draw_winners(rho_from_mu(mu_from_u(count, eta, params, geometry.num_active)), r)
     else:
-        code = hard_max_winners(u_norm, r)
+        code = hard_max_winners(u, top, r)
     if learn:
         apply_learning(bits, active, rows, code, geometry)
-    return code, u, u_norm, g, eta
+    return code, u, g, eta
 
 
 class MemoryModel:
@@ -257,6 +272,8 @@ class MemoryModel:
             self._codes = np.empty((g.num_cms, 0), np.min_scalar_type(g.units_per_cm - 1))
             self._pixels = np.empty((g.num_active, 0), np.min_scalar_type(g.num_pixels - 1))
         self.op_counter = OpCounter()
+        # Made now, so that no verb's call builds it.
+        _z_table(geometry.num_active, self.params.midpoint, self.params.steepness)
         self.num_stored = 0
 
     @property
@@ -280,9 +297,7 @@ class MemoryModel:
         """
         g = self.geometry
         r = (self.rng if rng is None else rng).random(g.num_cms)
-        code, u, u_norm, fam, eta = _select_codes(
-            self.weights.bits, active, g, self.params, mode, r, learn
-        )
+        code, u, fam, eta = _select_codes(self.weights.bits, active, g, self.params, mode, r, learn)
         if rng is None:
             counter = self.op_counter
             counter.weight_reads += g.num_active * g.num_units
@@ -291,7 +306,7 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        return code, CsaTrace(u, u_norm, fam, eta, self.params)
+        return code, CsaTrace(u, fam, eta, self.params, g.num_active)
 
     def store(
         self, pattern: InputPattern, label: str | None = None

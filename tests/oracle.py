@@ -10,7 +10,10 @@ level for code intersections (Q/K for Q CMs of K units);
 The ``reference_*`` functions are the selection steps' per-CM picks as
 reductions over the K axis: the per-CM max by ``np.maximum.reduce`` and the
 counts by ``np.add.reduce``.  The steps pick by ``argmax`` instead and must
-agree with these bit for bit.
+agree with these bit for bit.  ``kernel_cm_max`` reads each CM's max as the
+selection kernel does, for the steps that take it.  ``reference_mu_from_u``
+is the win-weight sigmoid formed per unit from U, which ``mu_from_u`` reads
+from a per-count table instead.
 
 A helper module for the tests, not a test file: pytest puts ``tests/`` on
 ``sys.path``, so test files import it as ``from oracle import ...``.
@@ -22,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from msdc import GeometryError, InputPattern, PatternError
+from msdc import CsaParams, GeometryError, InputPattern, PatternError
+from msdc.core import _cm_starts
 
 
 def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
@@ -110,3 +114,25 @@ def reference_hard_max_winners(u_norm: np.ndarray, r: np.ndarray) -> np.ndarray:
         raise ValueError("normalized summations must not be NaN")
     pick = np.minimum((r * n).astype(np.int64), n - 1)
     return (tied.cumsum(axis=-1) > pick[..., None]).argmax(axis=-1)
+
+
+def kernel_cm_max(u: np.ndarray) -> np.ndarray:
+    """Each CM's max of ``u`` (..., Q, K), read as the selection kernel
+    reads it: at the CM's first argmax, by one flat take."""
+    at = u.argmax(axis=-1)
+    at += _cm_starts(at.shape, u.shape[-1])
+    return u.take(at)
+
+
+def reference_mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarray:
+    """``1 + eta / (1 + exp(min(s * (m - U), 700)))`` formed per unit of
+    ``u_norm`` (..., Q, K), in place, with one ``eta`` per leading index."""
+    eta = np.asarray(eta, dtype=np.float64)[..., None, None]
+    z = params.midpoint - u_norm
+    z *= params.steepness
+    np.minimum(z, 700.0, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(eta, z, out=z)
+    z += 1.0
+    return z

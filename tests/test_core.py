@@ -37,7 +37,7 @@ from msdc.core import (
     rho_from_mu,
 )
 
-from oracle import code_intersection
+from oracle import code_intersection, kernel_cm_max
 
 
 def pattern_of(*pixels):
@@ -45,7 +45,10 @@ def pattern_of(*pixels):
 
 
 def u_of(pattern, weights, geometry):
-    return compute_u(weights.bits.take(np.asarray(pattern.active), axis=-2), geometry)
+    """``compute_u``'s u for ``pattern``, after checking its counts."""
+    count, u = compute_u(weights.bits.take(np.asarray(pattern.active), axis=-2), geometry)
+    assert count.dtype == np.uint8 and np.array_equal(count.astype(np.int64) * W_MAX, u)
+    return u
 
 
 def learn(pattern, code, weights, geometry):
@@ -111,18 +114,18 @@ def test_normalize_u_partial_overlap_fraction():
 
 
 def test_familiarity_all_zero_is_zero():
-    assert familiarity(np.zeros((24, 8))) == 0.0
+    assert familiarity(kernel_cm_max(np.zeros((24, 8)))) == 0.0
 
 
 def test_familiarity_full_recall_is_one():
     u_norm = np.zeros((24, 8))
     u_norm[:, 3] = 1.0
-    assert familiarity(u_norm) == 1.0
+    assert familiarity(kernel_cm_max(u_norm)) == 1.0
 
 
 def test_familiarity_averages_per_cm_maxima():
     u_norm = np.array([[0.2, 0.8], [0.5, 0.1]])
-    assert familiarity(u_norm) == pytest.approx((0.8 + 0.5) / 2)
+    assert familiarity(kernel_cm_max(u_norm)) == pytest.approx((0.8 + 0.5) / 2)
 
 
 # ------------------------------------------------------ eta_for_familiarity
@@ -153,15 +156,15 @@ def test_eta_floor_suppresses_low_familiarity():
 
 
 def test_mu_eta_zero_is_flat(params, rng):
-    u_norm = rng.random((24, 8))
-    mu = mu_from_u(u_norm, 0.0, params)
+    count = rng.integers(0, 13, size=(24, 8))
+    mu = mu_from_u(count, 0.0, params, 12)
     assert np.all(mu == 1.0)
 
 
 def test_mu_extremes_span_full_range(params):
     # At full noise ceiling the transform separates U=1 from U=0 by the
     # whole [1, 300] range.
-    mu = mu_from_u(np.array([[1.0, 0.0]]), 299.0, params)
+    mu = mu_from_u(np.array([[12, 0]]), 299.0, params, 12)
     assert mu[0, 0] == pytest.approx(300.0, abs=1e-2)
     assert mu[0, 1] == pytest.approx(1.0, abs=1e-2)
 
@@ -171,7 +174,7 @@ def test_mu_operating_point_at_moderate_familiarity(params):
     # clear evidence leader (U = 0.74) gets a win weight hundreds of times
     # its weak competitors (U = 0.19), which stay pinned at the floor.
     eta = eta_for_familiarity(0.65, params)
-    mu = mu_from_u(np.array([[0.74, 0.19]]), eta, params)
+    mu = mu_from_u(np.array([[74, 19]]), eta, params, 100)
     assert mu[0, 0] > 150.0
     assert mu[0, 1] < 1.1
     assert mu[0, 0] / mu[0, 1] > 100.0
@@ -179,13 +182,13 @@ def test_mu_operating_point_at_moderate_familiarity(params):
 
 def test_mu_monotone_in_u(params):
     for eta in (0.0, 10.0, 299.0):
-        grid = np.linspace(0, 1, 101).reshape(1, -1)
-        mu = mu_from_u(grid, eta, params)
+        grid = np.arange(101).reshape(1, -1)  # U = 0, 0.01, ..., 1
+        mu = mu_from_u(grid, eta, params, 100)
         assert np.all(np.diff(mu[0]) >= 0)
 
 
 def test_mu_floor_is_one(params, rng):
-    mu = mu_from_u(rng.random((6, 6)), 299.0, params)
+    mu = mu_from_u(rng.integers(0, 1001, size=(6, 6)), 299.0, params, 1000)
     assert mu.min() >= 1.0
 
 
@@ -276,25 +279,27 @@ def test_draw_rejects_nan_distributions(rng):
 
 def test_hard_max_unique_maxima(rng):
     u_norm = np.array([[0.1, 0.9, 0.3], [0.8, 0.2, 0.1]])
-    assert np.array_equal(hard_max_winners(u_norm, rng.random(len(u_norm))), [1, 0])
+    top = kernel_cm_max(u_norm)
+    assert np.array_equal(hard_max_winners(u_norm, top, rng.random(len(u_norm))), [1, 0])
 
 
 def test_hard_max_tie_break_is_uniform():
     u_norm = np.array([[0.5, 0.5, 0.1]])
+    top = kernel_cm_max(u_norm)
     rng = np.random.default_rng(5)
     n = 10_000
-    wins0 = sum(hard_max_winners(u_norm, rng.random(len(u_norm)))[0] == 0 for _ in range(n))
+    wins0 = sum(hard_max_winners(u_norm, top, rng.random(len(u_norm)))[0] == 0 for _ in range(n))
     assert wins0 / n == pytest.approx(0.5, abs=0.05)
     # Unit 2 never wins.
     rng = np.random.default_rng(6)
-    assert all(hard_max_winners(u_norm, rng.random(len(u_norm)))[0] != 2 for _ in range(200))
+    assert all(hard_max_winners(u_norm, top, rng.random(len(u_norm)))[0] != 2 for _ in range(200))
 
 
 def test_hard_max_rejects_nan():
     # A NaN equals no unit, so its CM has no maximum to pick from.
     u_norm = np.array([[0.2, 0.4], [np.nan, 0.1]])
     with pytest.raises(ValueError):
-        hard_max_winners(u_norm, np.random.default_rng(0).random(2))
+        hard_max_winners(u_norm, kernel_cm_max(u_norm), np.random.default_rng(0).random(2))
 
 
 def test_hard_max_all_zero_is_uniform():
@@ -303,7 +308,7 @@ def test_hard_max_all_zero_is_uniform():
     counts = np.zeros(4)
     n = 8_000
     for _ in range(n):
-        counts[hard_max_winners(u_norm, rng.random(len(u_norm)))[0]] += 1
+        counts[hard_max_winners(u_norm, kernel_cm_max(u_norm), rng.random(len(u_norm)))[0]] += 1
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert np.all(np.abs(counts / n - 0.25) < 5 * sigma)
 
@@ -584,6 +589,18 @@ def test_weight_allocation_failure_is_geometry_error(geometry, monkeypatch):
     with pytest.raises(GeometryError, match="cannot allocate 144 x 192 weight bits"):
         WeightMatrix(geometry.num_pixels, geometry.num_units)
     with pytest.raises(GeometryError, match="cannot allocate"):
+        MemoryModel(geometry)
+
+
+def test_sigmoid_table_allocation_failure_is_geometry_error(monkeypatch):
+    # A model makes its table when it is built, so a table memory cannot
+    # hold fails the construction with a typed error.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate the table")
+
+    geometry = ModelGeometry(100, 100, 9973, 1, 2)  # an S no other test uses
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(GeometryError, match="cannot allocate a 9974-entry sigmoid table"):
         MemoryModel(geometry)
 
 

@@ -16,6 +16,7 @@ from msdc.cli import main
 from msdc.core import PAPER_GEOMETRY
 from msdc.experiments import (
     AGGREGATE_COLUMNS,
+    MAX_RESULT_BYTES,
     TRIAL_COLUMNS,
     ProbeSpec,
     ScenarioResult,
@@ -24,6 +25,7 @@ from msdc.experiments import (
     _average_ranks,
     _fmt,
     _json_float,
+    _result_bytes,
     _texts,
     aggregate_records,
     build_appendix_corpus,
@@ -475,6 +477,34 @@ def test_seed_range_shorthand():
         {**scenario_to_dict(default_appendix_scenario(1)), "seeds": {"start": 5, "count": 3}}
     )
     assert spec.seeds == (5, 6, 7)
+
+
+def test_a_seed_count_is_held_to_the_cap_before_any_seed_is_built(monkeypatch):
+    # Each count is refused by arithmetic alone: 10**12 seeds would be a
+    # 36 TB tuple, and 2**70 is too long for len() of a range.
+    base = default_appendix_scenario(1)
+    data = scenario_to_dict(base)
+    for count in (10**12, 2**70):
+        with pytest.raises(ScheduleError, match=f"seeds count {count} is too large"):
+            scenario_from_dict({**data, "seeds": {"start": 3, "count": count}})
+        with pytest.raises(ScheduleError, match=f"seeds count {count} is too large"):
+            dataclasses.replace(base, seeds=range(count))
+    with pytest.raises(ScheduleError, match=f"seeds count {10**12} is too large"):
+        default_appendix_scenario(10**12)
+    # The appendix scenario's cap, 61,987 seeds, as a range and as a list.
+    per_seed = _result_bytes(1, base.probes, base.geometry.num_cms, base.num_stored)
+    cap = MAX_RESULT_BYTES // per_seed
+    assert cap == 61_987
+    assert len(dataclasses.replace(base, seeds=range(cap)).seeds) == cap
+    with pytest.raises(ScheduleError, match=f"seeds count {cap + 1} is too large"):
+        dataclasses.replace(base, seeds=range(cap + 1))
+    # Seed lists are held to the same cap, here lowered to three seeds.
+    monkeypatch.setattr(msdc.experiments, "MAX_RESULT_BYTES", 3 * per_seed)
+    assert dataclasses.replace(base, seeds=[0, 1, 2]).seeds == (0, 1, 2)
+    with pytest.raises(ScheduleError, match="seeds count 4 is too large"):
+        dataclasses.replace(base, seeds=[0, 1, 2, 3])
+    with pytest.raises(ScheduleError, match="seeds count 4 is too large"):
+        scenario_from_dict({**data, "seeds": [0, 1, 2, 3]})
 
 
 def test_emit_requires_records(spec_40, tmp_path):

@@ -25,7 +25,7 @@ from msdc import (
     ScheduleError,
     random_pattern,
 )
-from msdc.core import PAPER_GEOMETRY, mu_from_u, rho_from_mu
+from msdc.core import PAPER_GEOMETRY, W_MAX, mu_from_u, normalize_u, rho_from_mu
 from msdc.experiments import (
     ProbeSpec, ScenarioSpec, default_appendix_scenario, emit_results, run_scenario,
     scenario_from_dict,
@@ -257,6 +257,34 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
     }
 
 
+def test_a_trace_forms_u_only_when_read(geometry, rng, monkeypatch):
+    # A call normalizes only its Q per-CM maxima, for G; the trace forms the
+    # (Q, K) chart of U on its first read of u_norm, and only then.
+    shapes = []
+
+    def spy(u, num_active):
+        shapes.append(u.shape)
+        return normalize_u(u, num_active)
+
+    monkeypatch.setattr(msdc.memory, "normalize_u", spy)
+    model = make_model(geometry)
+    pattern = random_pattern(geometry, rng)
+    model.store(pattern)
+    q, s = geometry.num_cms, geometry.num_active
+    for mode in ("hard", "soft"):
+        shapes.clear()
+        _, trace = model.retrieve(pattern, mode, np.random.default_rng(2))
+        assert shapes == [(q,)], mode
+        trace.mu, trace.rho  # mu reads counts, not U
+        assert shapes == [(q,)], mode
+        u_norm = trace.u_norm
+        assert shapes == [(q,), (q, geometry.units_per_cm)], mode
+        want = normalize_u(trace.u, s)
+        assert (u_norm.dtype, u_norm.tobytes()) == (want.dtype, want.tobytes())
+        assert trace.u_norm is u_norm
+        assert len(shapes) == 2, mode
+
+
 def test_traces_compare_and_hash_by_identity(geometry, rng):
     model = make_model(geometry)
     pattern = random_pattern(geometry, rng)
@@ -305,11 +333,12 @@ def test_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
         for name in ("u", "u_norm", "mu", "rho", "familiarity", "eta"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
-        mu = mu_from_u(trace.u_norm, trace.eta, params)
+        count, s = trace.u // W_MAX, geometry.num_active
+        mu = mu_from_u(count, trace.eta, params, s)
         assert np.array_equal(trace.mu, mu)
         assert np.array_equal(trace.rho, rho_from_mu(mu))
         assert trace.rho is trace.rho and trace.mu is trace.mu
-        assert not np.array_equal(trace.mu, mu_from_u(trace.u_norm, trace.eta, model.params))
+        assert not np.array_equal(trace.mu, mu_from_u(count, trace.eta, model.params, s))
         for name in ("mu", "rho"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)

@@ -19,20 +19,25 @@ from msdc import (
     save_model,
 )
 from msdc.core import (
+    W_MAX,
+    _z_table,
     draw_winners,
     eta_for_familiarity,
     familiarity,
     hard_max_winners,
     mu_from_u,
+    normalize_u,
     rho_from_mu,
 )
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import (
     code_intersection,
+    kernel_cm_max,
     reference_draw_winners,
     reference_familiarity,
     reference_hard_max_winners,
+    reference_mu_from_u,
 )
 
 shapes = st.tuples(st.integers(1, 6), st.integers(1, 8))
@@ -61,6 +66,15 @@ def u_norm_arrays(draw):
     return np.array(values).reshape(q, k)
 
 
+@st.composite
+def count_arrays(draw):
+    """A (Q, K) chart of counts in [0, S], and S."""
+    q, k = draw(shapes)
+    s = draw(st.integers(1, 300))
+    values = draw(st.lists(st.integers(0, s), min_size=q * k, max_size=q * k))
+    return np.array(values).reshape(q, k), s
+
+
 @given(mu_arrays())
 def test_rho_always_normalizes_per_cm(mu):
     rho = rho_from_mu(mu)
@@ -69,10 +83,11 @@ def test_rho_always_normalizes_per_cm(mu):
     assert rho.min() >= 0.0
 
 
-@given(u_norm_arrays(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
-def test_codes_are_always_well_formed(u_norm, eta, seed):
-    q, k = u_norm.shape
-    rho = rho_from_mu(mu_from_u(u_norm, eta, CsaParams()))
+@given(count_arrays(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
+def test_codes_are_always_well_formed(chart, eta, seed):
+    count, s = chart
+    q, k = count.shape
+    rho = rho_from_mu(mu_from_u(count, eta, CsaParams(), s))
     code = draw_winners(rho, np.random.default_rng(seed).random(q))
     assert code.shape == (q,)
     assert code.min() >= 0 and code.max() < k
@@ -81,14 +96,14 @@ def test_codes_are_always_well_formed(u_norm, eta, seed):
 @given(u_norm_arrays(), st.integers(0, 2**32 - 1))
 def test_familiarity_permutation_invariant(u_norm, seed):
     rng = np.random.default_rng(seed)
-    g = familiarity(u_norm)
+    g = familiarity(kernel_cm_max(u_norm))
     within = u_norm.copy()
     for row in within:  # permute units within each CM: the max is exact
         rng.shuffle(row)
-    assert familiarity(within) == g
+    assert familiarity(kernel_cm_max(within)) == g
     across = u_norm.copy()
     rng.shuffle(across)  # permuting CMs only reorders the mean's summation
-    assert abs(familiarity(across) - g) < 1e-12
+    assert abs(familiarity(kernel_cm_max(across)) - g) < 1e-12
     assert 0.0 <= g <= 1.0
 
 
@@ -106,7 +121,8 @@ def normalized_summations(draw):
 @settings(deadline=None)
 @given(normalized_summations())
 def test_familiarity_is_the_mean_of_cm_maxima_byte_for_byte(u_norm):
-    got, want = np.asarray(familiarity(u_norm)), np.asarray(u_norm.max(-1).mean(-1))
+    got = np.asarray(familiarity(kernel_cm_max(u_norm)))
+    want = np.asarray(u_norm.max(-1).mean(-1))
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
@@ -125,35 +141,56 @@ def test_eta_monotone_with_exact_zero(g1, g2, eta_max, g_floor, g_exponent):
     assert eta_for_familiarity(1.0, params) == eta_max
 
 
-@given(u_norm_arrays(), st.floats(0.0, 1e4))
-def test_mu_monotone_and_floored(u_norm, eta):
+@given(count_arrays(), st.floats(0.0, 1e4))
+def test_mu_monotone_and_floored(chart, eta):
+    count, s = chart
     params = CsaParams()
-    mu = mu_from_u(u_norm, eta, params)
+    mu = mu_from_u(count, eta, params, s)
     assert mu.min() >= 1.0
-    order = np.argsort(u_norm, axis=1)
+    order = np.argsort(count, axis=1)
     sorted_mu = np.take_along_axis(mu, order, axis=1)
     assert np.all(np.diff(sorted_mu, axis=1) >= 0)
 
 
 @st.composite
-def blocked_u_norm_and_eta(draw):
-    """A (B, Q, K) block of normalized summations and one eta per row."""
-    b = draw(st.integers(1, 4))
+def blocked_counts_and_eta(draw):
+    """S, a (B, Q, K) block of counts in [0, S], and one eta per row."""
+    b, s = draw(st.integers(1, 4)), draw(st.integers(1, 300))
     q, k = draw(shapes)
-    values = draw(st.lists(st.floats(0.0, 1.0), min_size=b * q * k, max_size=b * q * k))
+    values = draw(st.lists(st.integers(0, s), min_size=b * q * k, max_size=b * q * k))
     # An eta far above the default eta_max keeps the exp cap's value visible.
     eta = draw(st.lists(st.floats(0.0, 1e300), min_size=b, max_size=b))
-    return np.array(values).reshape(b, q, k), eta
+    return s, np.array(values).reshape(b, q, k), eta
 
 
-@given(blocked_u_norm_and_eta(), st.floats(0.0, 1e6, exclude_min=True), st.floats(0.0, 1.0))
-@example((np.array([[[0.0, 1.0]]]), [1e300]), 1e6, 1.0)  # the exp cap binds at U=0
+@given(blocked_counts_and_eta(), st.floats(0.0, 1e6, exclude_min=True), st.floats(0.0, 1.0))
+@example((1, np.array([[[0, 1]]]), [1e300]), 1e6, 1.0)  # the exp cap binds at U=0
 def test_mu_from_u_is_the_clipped_sigmoid_bit_for_bit(block, steepness, midpoint):
-    u_norm, eta = block
+    # mu_from_u reads each unit's sigmoid from the table by its count; it
+    # must equal the sigmoid formed per unit from U as the kernel forms U.
+    s, count, eta = block
+    u_norm = normalize_u(np.multiply(count, W_MAX, dtype=np.int64), s)
     params = CsaParams(steepness=steepness, midpoint=midpoint)
     z = steepness * (u_norm - midpoint)
     want = 1.0 + np.array(eta)[:, None, None] / (1.0 + np.exp(np.clip(-z, None, 700.0)))
-    assert np.array_equal(mu_from_u(u_norm, eta, params), want)
+    for dtype in (np.uint8, np.uint16, np.int64):  # the count dtypes S can take
+        if s <= np.iinfo(dtype).max:
+            got = mu_from_u(count.astype(dtype), eta, params, s)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, reference_mu_from_u(u_norm, eta, params))
+
+
+@given(st.integers(1, 300), st.floats(0.0, 1.0), st.floats(0.0, 1e6, exclude_min=True))
+@example(1, 1.0, 1e6)  # the exp cap binds at U=0
+def test_sigmoid_table_is_the_closed_form_per_count(s, midpoint, steepness):
+    table = _z_table(s, midpoint, steepness)
+    # S + 1 entries, one per count: never one per value of u, S * W_MAX + 1.
+    assert table.shape == (s + 1,) and table.dtype == np.float64
+    assert not table.flags.writeable
+    u_norm = np.arange(s + 1) * W_MAX / float(s * W_MAX)  # as normalize_u forms U
+    want = 1.0 + np.exp(np.minimum(steepness * (midpoint - u_norm), 700.0))
+    assert table.tobytes() == want.tobytes()
+    assert _z_table(s, midpoint, steepness) is table
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,7 +237,7 @@ def tied_u_norm_arrays(draw):
 @given(tied_u_norm_arrays(), st.integers(0, 2**32 - 1))
 def test_hard_max_matches_per_cm_loop(u_norm, seed):
     r = np.random.default_rng(seed).random(len(u_norm))
-    winners = hard_max_winners(u_norm, r)
+    winners = hard_max_winners(u_norm, kernel_cm_max(u_norm), r)
     assert winners.dtype == np.int64
     assert np.array_equal(winners, hard_max_reference(u_norm, r))
 
@@ -216,7 +253,8 @@ def test_hard_max_matches_per_cm_loop_at_any_uniform(case):
     # Includes the closed end r = 1, where both clamp to the last tied unit.
     u_norm, r = case
     r = np.array(r)
-    assert np.array_equal(hard_max_winners(u_norm, r), hard_max_reference(u_norm, r))
+    top = kernel_cm_max(u_norm)
+    assert np.array_equal(hard_max_winners(u_norm, top, r), hard_max_reference(u_norm, r))
 
 
 def outcome(step, *args):
@@ -268,8 +306,10 @@ def pick_cases(draw):
 @example((np.full((2, 3, 1), 0.25), np.ones((2, 3, 1)), np.full((2, 3), 0.5)))  # K = 1
 def test_argmax_picks_equal_the_reduction_references(case):
     u_norm, rho, r = case
-    assert outcome(familiarity, u_norm) == outcome(reference_familiarity, u_norm)
-    assert outcome(hard_max_winners, u_norm, r) == outcome(reference_hard_max_winners, u_norm, r)
+    top = kernel_cm_max(u_norm)  # each CM's max as the kernel reads it
+    assert outcome(familiarity, top) == outcome(reference_familiarity, u_norm)
+    want = outcome(reference_hard_max_winners, u_norm, r)
+    assert outcome(hard_max_winners, u_norm, top, r) == want
     assert outcome(draw_winners, rho, r) == outcome(reference_draw_winners, rho, r)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import msdc.memory
 from msdc import CsaParams, MemoryModel, ModelGeometry, cli, random_pattern
-from msdc.core import PAPER_GEOMETRY, W_MAX, _count_dtype, mu_from_u, rho_from_mu
+from msdc.core import PAPER_GEOMETRY, W_MAX, _count_dtype, mu_from_u, normalize_u, rho_from_mu
 from msdc.experiments import (
     ProbeSpec,
     ScenarioSpec,
@@ -371,15 +371,13 @@ def check_kernel_rows(geometry, mode, densities):
         model.weights.bits = row.copy()
         models.append(model)
     if mode == "store":
-        codes, u, u_norm, g, eta = _select_codes(
-            bits, active, geometry, params, "soft", r, learn=True
-        )
+        codes, u, g, eta = _select_codes(bits, active, geometry, params, "soft", r, learn=True)
         results = [model.store(pattern) for model in models]
         for row, model in zip(bits, models):
             assert np.array_equal(row, model.weights.bits)
     else:
         before = bits.copy()
-        codes, u, u_norm, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+        codes, u, g, eta = _select_codes(bits, active, geometry, params, mode, r)
         assert np.array_equal(bits, before)
         results = [
             model.retrieve(pattern, mode, rng=np.random.default_rng(s))
@@ -392,9 +390,10 @@ def check_kernel_rows(geometry, mode, densities):
     assert codes.tolist() == [code.tolist() for code, _ in results]
     assert g == [trace.familiarity for _, trace in results]
     assert eta == [trace.eta for _, trace in results]
-    # The kernel returns no mu or rho in either mode; each trace forms them
-    # from its own U, so they must equal the charts formed from the block's.
-    mu = mu_from_u(u_norm, eta, params)
+    # The kernel returns only u in either mode; each trace forms U, mu and
+    # rho from its own u, so they must equal the charts formed from the block's.
+    u_norm = normalize_u(u, geometry.num_active)
+    mu = mu_from_u(u // W_MAX, eta, params, geometry.num_active)
     rho = rho_from_mu(mu)
     charts = {"u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
     for row, (_, trace) in enumerate(results):
@@ -412,12 +411,12 @@ def test_one_plane_broadcasts_over_many_uniform_rows(geometry, mode):
     bits = (gen.random((1, geometry.num_pixels, geometry.num_units)) < 0.3).astype(np.uint8)
     active = np.asarray(random_pattern(geometry, gen).active, dtype=np.intp)
     r = gen.random((7, geometry.num_cms))
-    codes, u, u_norm, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+    codes, u, g, eta = _select_codes(bits, active, geometry, params, mode, r)
     assert codes.shape == (7, geometry.num_cms) and u.shape[0] == len(g) == len(eta) == 1
     for row, uniforms in zip(codes, r):
         alone = _select_codes(bits, active, geometry, params, mode, uniforms[None])
         assert np.array_equal(row, alone[0][0])
-        assert np.array_equal(u_norm, alone[2]) and (g, eta) == (alone[3], alone[4])
+        assert np.array_equal(u, alone[1]) and (g, eta) == (alone[2], alone[3])
 
 
 # The kernel geometries, and two at the count dtype's boundary: S = 255
@@ -444,12 +443,11 @@ def test_a_plane_and_a_one_row_block_agree(geometry, mode):
     r = gen.random(geometry.num_cms)
     learn, kind = mode == "store", "soft" if mode == "store" else mode
     rows = plane[active].astype(np.int64)
-    code, u, u_norm, g, eta = _select_codes(plane, active, geometry, params, kind, r, learn)
-    codes, us, u_norms, gs, etas = _select_codes(
-        block, active, geometry, params, kind, r[None], learn
-    )
+    code, u, g, eta = _select_codes(plane, active, geometry, params, kind, r, learn)
+    codes, us, gs, etas = _select_codes(block, active, geometry, params, kind, r[None], learn)
     assert code.shape == (geometry.num_cms,) and np.array_equal(code, codes[0])
-    assert np.array_equal(u, us[0]) and np.array_equal(u_norm, u_norms[0])
+    s = geometry.num_active
+    assert np.array_equal(u, us[0]) and np.array_equal(normalize_u(u, s), normalize_u(us, s)[0])
     assert type(g) is type(eta) is float and [g] == gs and [eta] == etas
     assert np.array_equal(plane, block[0])
     assert np.array_equal(u.reshape(-1), rows.sum(axis=0) * W_MAX)

@@ -2,19 +2,19 @@
 
 A coding field is ``Q`` winner-take-all competitive modules (CMs) of ``K``
 binary units each, fully connected to a binary pixel grid through a binary
-weight matrix.  The weight quantum is the constant ``W_MAX`` = 127: a set
-weight reads as 127 and an unset one as 0.  ``U = u / (S * W_MAX)`` cancels
-the quantum exactly, so its value cannot change a code; it is fixed so that
-traces and files keep reading 127, and ``_check_w_max`` is the one rule by
-which an input file's ``w_max`` field is accepted.
+weight matrix.  A unit's evidence is its count c of set weights from the S
+active pixels, normalized as ``U = c / S``.  The weight quantum ``W_MAX`` =
+127 cannot change a code, so no step reads it; it is fixed so that traces,
+which report the raw summation ``u = 127 * c``, and files keep reading 127,
+and ``_check_w_max`` is the one rule by which a file's ``w_max`` is accepted.
 
 A code names exactly one winning unit per CM.  Unit ``k`` of CM ``q``
 occupies flat column ``q * K + k`` of the weight matrix.
 
 Code selection runs a fixed sequence of array steps:
 
-``u``     raw input summation per unit (total weight from active pixels)
-``U``     ``u`` normalized into [0, 1] by ``S * W_MAX``
+``c``     per-unit count of set weights from active pixels, in [0, S]
+``U``     ``c`` normalized into [0, 1] by S
 ``G``     familiarity: the mean over CMs of the per-CM max of ``U``
 ``eta``   noise control: the ceiling of the win-weight transform; 0 for a
           totally novel input, rising toward ``eta_max`` with familiarity
@@ -22,7 +22,7 @@ Code selection runs a fixed sequence of array steps:
           ceiling ``1 + eta`` (flat when ``eta`` is 0)
 ``rho``   per-CM win probabilities (``mu`` normalized within each CM)
 draw      one winner per CM: a categorical draw from ``rho`` (soft) or the
-          argmax of ``U`` with uniform random tie-break (hard)
+          argmax of ``c`` with uniform random tie-break (hard)
 
 Low familiarity therefore flattens the win distributions (novel inputs get
 nearly random codes) and high familiarity sharpens them (familiar inputs
@@ -32,14 +32,13 @@ similar inputs land on more highly intersecting codes.
 Each step works along the trailing (Q, K) axes (or Q, for a code or the
 per-CM maxima), so one call serves one model or a leading block of B
 models; ``memory`` composes them into the one selection kernel and reports
-each call's charts as a ``CsaTrace``.  The kernel reads each CM's max of
-``u`` once, at its argmax: ``familiarity`` takes those Q maxima as U, and
+each call's charts as a ``CsaTrace``.  The kernel reads each CM's max
+count once, at its argmax: ``familiarity`` takes those Q maxima as U, and
 ``hard_max_winners`` ties units against the same maxima, so no step needs
-the (Q, K) chart of U.  A unit's U is ``c / S`` for its integer count c of
-set weights from active pixels, so ``mu_from_u`` reads the sigmoid from a
-read-only table of its S + 1 values, one per (S, midpoint, steepness),
-indexed by the counts ``compute_u`` returns.  The steps trust their inputs:
-patterns, geometry and parameters are validated once, where they are built.
+the (Q, K) chart of U.  ``mu_from_u`` reads the sigmoid by count from a
+read-only table of the S + 1 values it can take, one per (S, midpoint,
+steepness).  The steps trust their inputs: patterns, geometry and parameters
+are validated once, where they are built.
 
 No step iterates over previously stored items, so the work per trial is a
 pure function of the geometry; a model tallies it on its
@@ -263,7 +262,7 @@ class WeightMatrix:
     """Binary weights from input pixels to coding units.
 
     Only a 0/1 bit plane ``bits`` of shape (num_pixels, num_units), which the
-    steps read and learn into directly; a set bit reads as ``W_MAX``.  Bits
+    steps read and learn into directly; a set bit adds 1 to a count.  Bits
     only ever go 0 -> 1 (learning never clears a weight), so the matrix is
     monotone over a model's lifetime.
     """
@@ -385,24 +384,25 @@ def _cm_starts(shape: tuple[int, ...], units_per_cm: int) -> np.ndarray:
     return starts
 
 
-def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Raw input summation: per unit, the total weight from active pixels.
+def compute_u(rows: np.ndarray, geometry: ModelGeometry) -> np.ndarray:
+    """Input summation: per unit, the count of set weights from active pixels.
 
     ``rows`` (..., S, Q*K) holds the weight rows of the S active pixels, as
-    gathered once per trial by the selection kernel.  Returns two arrays of
-    shape (..., Q, K): each unit's count of set weights from active pixels,
-    in [0, S] and in the narrow count dtype, and ``u``, that count times
-    ``W_MAX`` as int64.
+    gathered once per trial by the selection kernel.  Returns the (..., Q, K)
+    counts, each in [0, S], in ``_count_dtype(S)``, which sums much faster
+    than int64.
     """
-    # Counts of at most S fit the narrow dtype, which sums much faster.
     count = np.add.reduce(rows, axis=-2, dtype=_count_dtype(geometry.num_active))
-    count = count.reshape(*count.shape[:-1], geometry.num_cms, geometry.units_per_cm)
-    return count, np.multiply(count, W_MAX, dtype=np.int64)
+    return count.reshape(*count.shape[:-1], geometry.num_cms, geometry.units_per_cm)
 
 
-def normalize_u(u: np.ndarray, num_active: int) -> np.ndarray:
-    """Scale raw summations into [0, 1] by the maximum possible S * W_MAX."""
-    return u / float(num_active * W_MAX)
+def normalize_u(count: np.ndarray, num_active: int) -> np.ndarray:
+    """U: counts scaled into [0, 1] by their maximum S.
+
+    Bit for bit ``u / (S * W_MAX)`` for a trace's ``u = W_MAX * c``: both
+    are c / S, correctly rounded from exact float64 operands.
+    """
+    return count / float(num_active)
 
 
 def familiarity(top: np.ndarray) -> np.ndarray:
@@ -431,16 +431,12 @@ def eta_for_familiarity(g: float, params: CsaParams) -> float:
 @lru_cache(maxsize=16)
 def _z_table(num_active: int, midpoint: float, steepness: float) -> np.ndarray:
     """Read-only ``1 + exp(min(steepness * (midpoint - U), 700))`` for each
-    count c in [0, S], with U formed as ``normalize_u`` forms it, as
-    ``c * W_MAX / (S * W_MAX)``: the S + 1 values the sigmoid of
-    ``mu_from_u`` can take, made once per (S, midpoint, steepness).
-
-    It is indexed by counts, never by ``u``, which would need S * W_MAX + 1
-    entries.  ``GeometryError`` if memory cannot hold it.
+    count c in [0, S], with U = ``normalize_u(c, S)``: the S + 1 values the
+    sigmoid of ``mu_from_u`` can take, made once per (S, midpoint,
+    steepness).  ``GeometryError`` if memory cannot hold it.
     """
     try:
-        u = np.arange(0, (num_active + 1) * W_MAX, W_MAX, dtype=np.int64)
-        z = midpoint - normalize_u(u, num_active)
+        z = midpoint - normalize_u(np.arange(num_active + 1), num_active)
     except MemoryError as exc:
         raise GeometryError(
             f"cannot allocate a {num_active + 1}-entry sigmoid table: {exc}"
@@ -501,13 +497,12 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
 def hard_max_winners(u: np.ndarray, top: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per CM, the unit with the largest summation.
 
-    ``u`` (..., Q, K) holds the summations, raw or normalized, and ``top``
-    (..., Q) each CM's max of them, read at its argmax as the kernel reads
-    it for G.  Ties are broken uniformly at random by the CM's uniform in
-    ``r`` (..., Q), which is used whether or not that CM is tied, keeping
-    the work and the RNG stream a pure function of geometry.  The running
-    count of each CM's units that equal its max gives both the tie count and
-    the pick.
+    ``u`` (..., Q, K) holds the counts or U, and ``top`` (..., Q) each
+    CM's max of them, read at its argmax as the kernel reads it for G.
+    Ties are broken uniformly at random by the CM's uniform in ``r``
+    (..., Q), which is used whether or not that CM is tied, keeping the work
+    and the RNG stream a pure function of geometry.  The running count of
+    each CM's units that equal its max gives both the tie count and the pick.
     """
     count = (u == top[..., None]).cumsum(axis=-1)
     n = count[..., -1]

@@ -16,15 +16,15 @@ on ``op_counter``, in three verbs; only the scenario passes blocks:
                    ledger item, the fraction of its code that is active —
                    a simultaneous likelihood readout over all stored items
 
-The kernel reads each CM's max of u once, and G and a hard pick share
-it; a soft draw reads mu's sigmoid from a table of its S + 1 values, which
-a model makes when it is built.  Each verb also reports the call's
-:class:`CsaTrace`: its u, G, eta, parameters and S.  The trace forms
-``u_norm`` on its first read, and ``mu`` and ``rho`` together on the first
+The kernel works on each unit's count of set weights from active pixels.
+It reads each CM's max count once, for G and a hard pick; a soft draw reads
+mu's sigmoid from a table of its S + 1 values, made with the model.  Each
+verb also reports the call's :class:`CsaTrace`: its counts, G, eta,
+parameters and S.  The trace forms ``u`` (``W_MAX`` times the counts) and
+``u_norm`` each on first read, and ``mu`` and ``rho`` together on the first
 read of either, by this module's ``normalize_u``, ``mu_from_u`` and
-``rho_from_mu``.  A hard pick forms none of them unless its trace is read;
-a soft draw forms mu and rho for itself, and its trace forms the same
-values again if read.
+``rho_from_mu``.  A hard pick forms none of them unless its trace is read; a
+soft draw forms mu and rho for itself, and its trace forms them again if read.
 
 The ledger is evaluation plumbing only: the selection pipeline never reads
 it, so storage and retrieval cost is independent of how many items are
@@ -89,27 +89,32 @@ MAX_LABEL_BYTES = 0xFFFF
 class CsaTrace:
     """Per-trial diagnostics: the (Q, K) charts of one selection pass.
 
-    A trace keeps the call's raw summations ``u``, its G and eta, its
-    ``params`` and S (``num_active``).  It forms ``u_norm`` on its first
-    read, and ``mu`` and ``rho`` together on the first read of either, from
-    those alone, and then keeps them.  Callers cannot assign to a trace.
-    Traces compare and hash by identity, since their charts are arrays.
+    A trace keeps the call's per-unit ``count``, G, ``eta``, ``params`` and S
+    (``num_active``).  From those alone it forms, on first read, ``u`` (the
+    raw summations ``W_MAX * count`` as int64, which only traces report),
+    ``u_norm``, and ``mu`` and ``rho`` together, and then keeps them.  Callers
+    cannot assign to a trace.  Traces compare and hash by identity, since
+    their charts are arrays.
     """
 
-    u: np.ndarray
+    count: np.ndarray
     familiarity: float
     eta: float
     params: CsaParams = field(repr=False)
     num_active: int = field(repr=False)
 
+    @cached_property
+    def u(self) -> np.ndarray:
+        return np.multiply(self.count, W_MAX, dtype=np.int64)
+
     # Through this module's bindings, so that tracers see every step.
     @cached_property
     def u_norm(self) -> np.ndarray:
-        return normalize_u(self.u, self.num_active)
+        return normalize_u(self.count, self.num_active)
 
     @cached_property
     def _mu_rho(self) -> tuple[np.ndarray, np.ndarray]:
-        mu = mu_from_u(self.u // W_MAX, self.eta, self.params, self.num_active)
+        mu = mu_from_u(self.count, self.eta, self.params, self.num_active)
         return mu, rho_from_mu(mu)
 
     @property
@@ -210,25 +215,25 @@ def _select_codes(
     repeat.  ``mode`` is "soft" or "hard", and ``r`` (..., Q) each model's Q
     uniforms, CM 0 first.  Row b of a block gets the code that model b alone
     would get from its uniforms, and with ``learn`` each model learns its
-    code in place.  Returns the code (..., Q), the (..., Q, K) chart u, and
+    code in place.  Returns the code (..., Q), the (..., Q, K) counts, and
     G and eta as Python floats, in a list per row for a block.
 
-    The S active rows are gathered once: ``compute_u`` sums them, and with
+    The S active rows are gathered once: ``compute_u`` counts them, and with
     ``learn`` ``apply_learning`` ORs the code into that same gather and
-    writes it back.  Each CM's max of u is read once, at its argmax, and
+    writes it back.  Each CM's max count is read once, at its argmax, and
     serves both G and a hard pick.  U is formed only for those Q maxima: a
     soft draw reads mu's sigmoid from ``_z_table`` by each unit's count.
 
     Without ``learn``, a plane or a one-row block takes any number N of
-    uniform rows (N, Q): its one chart broadcasts against them, and row n
-    gets the code that model would get from uniforms n.  The codes are then
-    (N, Q); the chart, G and eta stay the model's one.
+    uniform rows (N, Q): its one count chart broadcasts against them, and
+    row n gets the code that model would get from uniforms n.  The codes are
+    then (N, Q); the counts, G and eta stay the model's one.
     """
     rows = bits.take(active, axis=-2)
-    count, u = compute_u(rows, geometry)
-    at = u.argmax(axis=-1)
+    count = compute_u(rows, geometry)
+    at = count.argmax(axis=-1)
     at += _cm_starts(at.shape, geometry.units_per_cm)
-    top = u.take(at)
+    top = count.take(at)
     g = familiarity(normalize_u(top, geometry.num_active)).tolist()
     # A map enters the same frames whether or not comprehensions are inlined.
     eta = (eta_for_familiarity(g, params) if bits.ndim == 2
@@ -236,10 +241,10 @@ def _select_codes(
     if mode == "soft":
         code = draw_winners(rho_from_mu(mu_from_u(count, eta, params, geometry.num_active)), r)
     else:
-        code = hard_max_winners(u, top, r)
+        code = hard_max_winners(count, top, r)
     if learn:
         apply_learning(bits, active, rows, code, geometry)
-    return code, u, g, eta
+    return code, count, g, eta
 
 
 class MemoryModel:
@@ -297,7 +302,7 @@ class MemoryModel:
         """
         g = self.geometry
         r = (self.rng if rng is None else rng).random(g.num_cms)
-        code, u, fam, eta = _select_codes(self.weights.bits, active, g, self.params, mode, r, learn)
+        code, c, fam, eta = _select_codes(self.weights.bits, active, g, self.params, mode, r, learn)
         if rng is None:
             counter = self.op_counter
             counter.weight_reads += g.num_active * g.num_units
@@ -306,7 +311,7 @@ class MemoryModel:
             counter.rng_draws += g.num_cms
             if learn:
                 counter.weight_writes += g.num_active * g.num_cms
-        return code, CsaTrace(u, fam, eta, self.params, g.num_active)
+        return code, CsaTrace(c, fam, eta, self.params, g.num_active)
 
     def store(
         self, pattern: InputPattern, label: str | None = None
@@ -364,7 +369,7 @@ class MemoryModel:
         untouched as well (required for concurrent readers); without it the
         call draws from the model RNG and counts its operations on
         ``op_counter``.  The trace forms ``mu`` and ``rho`` when first read,
-        from this call's U, eta and ``params``.
+        from this call's counts, eta and ``params``.
         """
         self.geometry.validate_pattern(pattern)
         _check_mode(mode)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -174,6 +175,22 @@ def test_init_and_store_keep_the_model_file_mode(model_path, grid_pattern):
     assert model_path.stat().st_mode & 0o777 == 0o644
     assert main(["store", str(model_path), str(grid_pattern)]) == 0
     assert model_path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="directories cannot be opened")
+def test_init_flushes_the_directory_after_the_rename(tmp_path, monkeypatch):
+    # A rename reaches the disk with its directory, so the write flushes the
+    # target's directory once the file is in place.
+    path, flushed = tmp_path / "n.msdc", []
+    fsync = os.fsync
+
+    def spy(fd):
+        flushed.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.exists()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    assert main(["init", str(path)]) == 0
+    assert flushed == [(False, False), (True, True)]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

@@ -26,6 +26,8 @@ from msdc import (
 from msdc.core import (
     W_MAX,
     _check_w_max,
+    _count_dtype,
+    _z_table,
     apply_learning,
     compute_u,
     draw_winners,
@@ -44,11 +46,11 @@ def pattern_of(*pixels):
     return InputPattern.from_indices(pixels)
 
 
-def u_of(pattern, weights, geometry):
-    """``compute_u``'s u for ``pattern``, after checking its counts."""
-    count, u = compute_u(weights.bits.take(np.asarray(pattern.active), axis=-2), geometry)
-    assert count.dtype == np.uint8 and np.array_equal(count.astype(np.int64) * W_MAX, u)
-    return u
+def count_of(pattern, weights, geometry):
+    """``compute_u``'s counts for ``pattern``, after checking their dtype."""
+    count = compute_u(weights.bits.take(np.asarray(pattern.active), axis=-2), geometry)
+    assert count.dtype == np.uint8
+    return count
 
 
 def learn(pattern, code, weights, geometry):
@@ -63,51 +65,71 @@ def learn(pattern, code, weights, geometry):
 
 def test_compute_u_zero_weights_gives_zero(geometry, rng):
     weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
-    u = u_of(random_pattern(geometry, rng), weights, geometry)
-    assert u.shape == (24, 8)
-    assert not u.any()
+    count = count_of(random_pattern(geometry, rng), weights, geometry)
+    assert count.shape == (24, 8)
+    assert not count.any()
 
 
 def test_compute_u_restored_pattern_reaches_full_sum(geometry, rng):
     # After learning pattern A, re-presenting A drives each of A's winners
-    # to exactly S * W_MAX = 12 * 127 = 1524 while all other units stay 0.
+    # to exactly S = 12 set weights while all other units stay 0.
     weights = WeightMatrix(geometry.num_pixels, geometry.num_units)
     a = random_pattern(geometry, rng)
     code = rng.integers(0, 8, size=24)
     learn(a, code, weights, geometry)
-    u = u_of(a, weights, geometry)
+    count = count_of(a, weights, geometry)
     for q in range(24):
-        assert u[q, code[q]] == 12 * 127 == 1524
-    assert u.sum() == 24 * 1524
+        assert count[q, code[q]] == 12
+    assert count.sum() == 24 * 12
 
 
 def test_compute_u_partial_overlap_counts_shared_pixels(small_geometry):
     # Weights trained on A only; B shares 4 of A's 5 pixels, so each of A's
-    # winners sums to exactly 4 set weights of 127.
+    # winners counts exactly 4 set weights.
     weights = WeightMatrix(9, 15)
     a = pattern_of(0, 1, 2, 3, 4)
     b = pattern_of(0, 1, 2, 3, 5)
     code = np.array([0, 1, 2, 0, 1])
     learn(a, code, weights, small_geometry)
-    u = u_of(b, weights, small_geometry)
+    count = count_of(b, weights, small_geometry)
     for q in range(5):
-        assert u[q, code[q]] == 4 * 127
-    assert u.sum() == 5 * 4 * 127
+        assert count[q, code[q]] == 4
+    assert count.sum() == 5 * 4
 
 
 # -------------------------------------------------------------- normalize_u
 
 
 def test_normalize_u_zero_and_extremes():
-    u = np.array([[0, 1524], [4, 0]])
-    out = normalize_u(u, num_active=12)
+    count = np.array([[0, 12], [4, 0]], dtype=np.uint8)
+    out = normalize_u(count, num_active=12)
+    assert out.dtype == np.float64
     assert out[0, 0] == 0.0
     assert out[0, 1] == 1.0
 
 
 def test_normalize_u_partial_overlap_fraction():
-    out = normalize_u(np.array([[4 * 127]]), num_active=5)
+    out = normalize_u(np.array([[4]]), num_active=5)
     assert out[0, 0] == pytest.approx(0.8)
+
+
+def old_z_table(s, midpoint, steepness):
+    """The sigmoid table as it was built from raw summations u = W_MAX * c."""
+    u = np.arange(0, (s + 1) * W_MAX, W_MAX, dtype=np.int64)
+    return 1.0 + np.exp(np.minimum(steepness * (midpoint - u / float(s * W_MAX)), 700.0))
+
+
+def test_u_from_counts_is_u_from_raw_summations_bit_for_bit():
+    # c / S and W_MAX * c / (W_MAX * S) are one real number, each correctly
+    # rounded from exact float64 operands: the weight quantum cannot move U,
+    # so neither can it move the sigmoid table read by count.
+    for s in range(1, 4097):
+        count = np.arange(s + 1, dtype=_count_dtype(s))
+        want = (count.astype(np.int64) * W_MAX) / float(s * W_MAX)
+        assert normalize_u(count, s).tobytes() == want.tobytes(), s
+        for midpoint, steepness in ((0.5, 28.0), (1.0, 1e6)):
+            table = _z_table.__wrapped__(s, midpoint, steepness)
+            assert table.tobytes() == old_z_table(s, midpoint, steepness).tobytes(), s
 
 
 # -------------------------------------------------------------- familiarity
@@ -451,6 +473,17 @@ def test_params_reject_non_finite_values(name, value):
     # the float64 range, which a JSON config can hold, is not finite either.
     with pytest.raises(GeometryError, match="finite"):
         CsaParams(**{name: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eta_max", 0, "positive"), ("eta_max", -1, "positive"),
+    ("steepness", 0, "positive"), ("g_exponent", 0, "positive"),
+    ("midpoint", -0.1, "lie in"), ("midpoint", 1.1, "lie in"),
+    ("g_floor", 1.0, "lie in"), ("g_floor", -0.1, "lie in"),
+])
+def test_params_reject_values_outside_their_bounds(field, value, message):
+    with pytest.raises(GeometryError, match=message):
+        CsaParams(**{field: value})
 
 
 def test_geometry_validation():

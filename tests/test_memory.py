@@ -259,12 +259,13 @@ def test_every_stage_runs_through_its_memory_binding(geometry, rng, monkeypatch)
 
 def test_a_trace_forms_u_only_when_read(geometry, rng, monkeypatch):
     # A call normalizes only its Q per-CM maxima, for G; the trace forms the
-    # (Q, K) chart of U on its first read of u_norm, and only then.
+    # (Q, K) chart of U on its first read of u_norm, and only then.  The raw
+    # summations u = W_MAX * count are formed only when read, as int64.
     shapes = []
 
-    def spy(u, num_active):
-        shapes.append(u.shape)
-        return normalize_u(u, num_active)
+    def spy(count, num_active):
+        shapes.append(count.shape)
+        return normalize_u(count, num_active)
 
     monkeypatch.setattr(msdc.memory, "normalize_u", spy)
     model = make_model(geometry)
@@ -279,7 +280,13 @@ def test_a_trace_forms_u_only_when_read(geometry, rng, monkeypatch):
         assert shapes == [(q,)], mode
         u_norm = trace.u_norm
         assert shapes == [(q,), (q, geometry.units_per_cm)], mode
-        want = normalize_u(trace.u, s)
+        assert "u" not in vars(trace), mode
+        u = trace.u
+        want = trace.count.astype(np.int64) * W_MAX
+        assert (u.dtype, u.shape, u.tobytes()) == (np.int64, want.shape, want.tobytes())
+        assert trace.u is u
+        # U from the counts is U from the raw summations, bit for bit.
+        want = u / float(s * W_MAX)
         assert (u_norm.dtype, u_norm.tobytes()) == (want.dtype, want.tobytes())
         assert trace.u_norm is u_norm
         assert len(shapes) == 2, mode
@@ -330,10 +337,11 @@ def test_trace_forms_mu_and_rho_on_read_as_eager_steps_would(geometry):
         counter = model.op_counter.copy()
         # Replacing the model's parameters leaves the call's own in force.
         model.params = dataclasses.replace(params, steepness=3.0, midpoint=0.2)
-        for name in ("u", "u_norm", "mu", "rho", "familiarity", "eta"):
+        for name in ("count", "u", "u_norm", "mu", "rho", "familiarity", "eta"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(trace, name, None)
-        count, s = trace.u // W_MAX, geometry.num_active
+        count, s = trace.count, geometry.num_active
+        assert np.array_equal(count, trace.u // W_MAX)
         mu = mu_from_u(count, trace.eta, params, s)
         assert np.array_equal(trace.mu, mu)
         assert np.array_equal(trace.rho, rho_from_mu(mu))

@@ -19,7 +19,6 @@ from msdc import (
     save_model,
 )
 from msdc.core import (
-    W_MAX,
     _z_table,
     draw_winners,
     eta_for_familiarity,
@@ -169,7 +168,7 @@ def test_mu_from_u_is_the_clipped_sigmoid_bit_for_bit(block, steepness, midpoint
     # mu_from_u reads each unit's sigmoid from the table by its count; it
     # must equal the sigmoid formed per unit from U as the kernel forms U.
     s, count, eta = block
-    u_norm = normalize_u(np.multiply(count, W_MAX, dtype=np.int64), s)
+    u_norm = normalize_u(count, s)
     params = CsaParams(steepness=steepness, midpoint=midpoint)
     z = steepness * (u_norm - midpoint)
     want = 1.0 + np.array(eta)[:, None, None] / (1.0 + np.exp(np.clip(-z, None, 700.0)))
@@ -184,10 +183,10 @@ def test_mu_from_u_is_the_clipped_sigmoid_bit_for_bit(block, steepness, midpoint
 @example(1, 1.0, 1e6)  # the exp cap binds at U=0
 def test_sigmoid_table_is_the_closed_form_per_count(s, midpoint, steepness):
     table = _z_table(s, midpoint, steepness)
-    # S + 1 entries, one per count: never one per value of u, S * W_MAX + 1.
+    # S + 1 entries, one per count: never one per value of u, 127 * S + 1.
     assert table.shape == (s + 1,) and table.dtype == np.float64
     assert not table.flags.writeable
-    u_norm = np.arange(s + 1) * W_MAX / float(s * W_MAX)  # as normalize_u forms U
+    u_norm = np.arange(s + 1) / float(s)  # as normalize_u forms U
     want = 1.0 + np.exp(np.minimum(steepness * (midpoint - u_norm), 700.0))
     assert table.tobytes() == want.tobytes()
     assert _z_table(s, midpoint, steepness) is table

@@ -371,13 +371,13 @@ def check_kernel_rows(geometry, mode, densities):
         model.weights.bits = row.copy()
         models.append(model)
     if mode == "store":
-        codes, u, g, eta = _select_codes(bits, active, geometry, params, "soft", r, learn=True)
+        codes, count, g, eta = _select_codes(bits, active, geometry, params, "soft", r, learn=True)
         results = [model.store(pattern) for model in models]
         for row, model in zip(bits, models):
             assert np.array_equal(row, model.weights.bits)
     else:
         before = bits.copy()
-        codes, u, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+        codes, count, g, eta = _select_codes(bits, active, geometry, params, mode, r)
         assert np.array_equal(bits, before)
         results = [
             model.retrieve(pattern, mode, rng=np.random.default_rng(s))
@@ -390,12 +390,14 @@ def check_kernel_rows(geometry, mode, densities):
     assert codes.tolist() == [code.tolist() for code, _ in results]
     assert g == [trace.familiarity for _, trace in results]
     assert eta == [trace.eta for _, trace in results]
-    # The kernel returns only u in either mode; each trace forms U, mu and
-    # rho from its own u, so they must equal the charts formed from the block's.
-    u_norm = normalize_u(u, geometry.num_active)
-    mu = mu_from_u(u // W_MAX, eta, params, geometry.num_active)
+    # The kernel returns only the counts in either mode; each trace forms u,
+    # U, mu and rho from its own counts, so they must equal the charts formed
+    # from the block's.
+    u = np.multiply(count, W_MAX, dtype=np.int64)
+    u_norm = normalize_u(count, geometry.num_active)
+    mu = mu_from_u(count, eta, params, geometry.num_active)
     rho = rho_from_mu(mu)
-    charts = {"u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
+    charts = {"count": count, "u": u, "u_norm": u_norm, "mu": mu, "rho": rho}
     for row, (_, trace) in enumerate(results):
         for name, chart in charts.items():
             assert np.array_equal(chart[row], getattr(trace, name))
@@ -411,12 +413,12 @@ def test_one_plane_broadcasts_over_many_uniform_rows(geometry, mode):
     bits = (gen.random((1, geometry.num_pixels, geometry.num_units)) < 0.3).astype(np.uint8)
     active = np.asarray(random_pattern(geometry, gen).active, dtype=np.intp)
     r = gen.random((7, geometry.num_cms))
-    codes, u, g, eta = _select_codes(bits, active, geometry, params, mode, r)
-    assert codes.shape == (7, geometry.num_cms) and u.shape[0] == len(g) == len(eta) == 1
+    codes, count, g, eta = _select_codes(bits, active, geometry, params, mode, r)
+    assert codes.shape == (7, geometry.num_cms) and count.shape[0] == len(g) == len(eta) == 1
     for row, uniforms in zip(codes, r):
         alone = _select_codes(bits, active, geometry, params, mode, uniforms[None])
         assert np.array_equal(row, alone[0][0])
-        assert np.array_equal(u, alone[1]) and (g, eta) == (alone[2], alone[3])
+        assert np.array_equal(count, alone[1]) and (g, eta) == (alone[2], alone[3])
 
 
 # The kernel geometries, and two at the count dtype's boundary: S = 255
@@ -443,14 +445,16 @@ def test_a_plane_and_a_one_row_block_agree(geometry, mode):
     r = gen.random(geometry.num_cms)
     learn, kind = mode == "store", "soft" if mode == "store" else mode
     rows = plane[active].astype(np.int64)
-    code, u, g, eta = _select_codes(plane, active, geometry, params, kind, r, learn)
-    codes, us, gs, etas = _select_codes(block, active, geometry, params, kind, r[None], learn)
+    code, count, g, eta = _select_codes(plane, active, geometry, params, kind, r, learn)
+    codes, counts, gs, etas = _select_codes(block, active, geometry, params, kind, r[None], learn)
     assert code.shape == (geometry.num_cms,) and np.array_equal(code, codes[0])
     s = geometry.num_active
-    assert np.array_equal(u, us[0]) and np.array_equal(normalize_u(u, s), normalize_u(us, s)[0])
+    assert np.array_equal(count, counts[0])
+    assert np.array_equal(normalize_u(count, s), normalize_u(counts, s)[0])
     assert type(g) is type(eta) is float and [g] == gs and [eta] == etas
     assert np.array_equal(plane, block[0])
-    assert np.array_equal(u.reshape(-1), rows.sum(axis=0) * W_MAX)
-    assert u.flat[0] == geometry.num_active * W_MAX
+    assert np.array_equal(count.reshape(-1), rows.sum(axis=0))
+    assert count.flat[0] == geometry.num_active
     narrow = np.uint8 if geometry.num_active < 256 else np.uint16
     assert _count_dtype(geometry.num_active) == narrow
+    assert count.dtype == counts.dtype == narrow

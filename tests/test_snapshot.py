@@ -141,6 +141,16 @@ def test_version_mismatch_raises_version_error(geometry):
         decode_model(bytes(blob))
 
 
+def test_six_bytes_hold_the_version_and_five_do_not():
+    # The version field ends at byte 6: a 6-byte blob with another version
+    # is a version error, a shorter one or one with this version truncated.
+    with pytest.raises(SnapshotVersionError):
+        decode_model(b"MSDC\x02\x00")
+    for blob in (b"MSDC\x02", b"MSDC\x01\x00"):
+        with pytest.raises(SnapshotTruncatedError):
+            decode_model(blob)
+
+
 def test_bad_magic_raises_format_error(geometry):
     blob = b"NOPE" + encode_model(populated_model(geometry))[4:]
     with pytest.raises(SnapshotFormatError):

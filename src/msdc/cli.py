@@ -3,7 +3,8 @@
 Subcommands: ``init``, ``store``, ``query``, ``experiment``, ``bench``.
 Exit codes: 0 success, 2 usage error, 3 data error (bad pattern, geometry,
 config, schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
-a failed command never leaves a corrupt model behind.
+a failed command never leaves a corrupt model behind, but a failed directory
+flush, which follows the rename, exits 4 with the complete new model in place.
 
 Every command is deterministic given its inputs and ``--seed``, a
 non-negative integer except on ``experiment``, where it offsets the

@@ -241,8 +241,8 @@ def build_appendix_corpus(
     Stored patterns are consecutive S-pixel blocks (hence pairwise
     disjoint); each probe takes the demanded number of pixels from the
     front of each stored block and fills the remainder from the free zone
-    after all blocks.  The spec has already checked that its schedules fit;
-    the overlaps are re-verified as exact pixel counts before returning.
+    after all blocks.  The spec has already checked that its schedules fit,
+    so each probe's overlaps are exactly as scheduled.
     """
     s = spec.geometry.num_active
     stored = [
@@ -258,16 +258,6 @@ def build_appendix_corpus(
             pixels.extend(range(i * s, i * s + count))
         pixels.extend(range(free_base, free_base + s - sum(probe.overlaps)))
         probes.append((probe.label, InputPattern.from_indices(pixels)))
-
-    # Post-hoc verification on exact pixel counts: stored items disjoint,
-    # probe overlaps exactly as scheduled.
-    for i, (_, a) in enumerate(stored):
-        for _, b in stored[i + 1 :]:
-            assert a.overlap(b) == 0
-    for (label, pattern), probe in zip(probes, spec.probes):
-        for (_, stored_pattern), want in zip(stored, probe.overlaps):
-            got = pattern.overlap(stored_pattern)
-            assert got == want, (label, got, want)
     return stored, probes
 
 

@@ -179,15 +179,11 @@ def _ledger_entry(
 ) -> LedgerEntry:
     """One decoded ledger entry, checked against the model's geometry."""
     where = f"ledger entry {index}"
-    if len(pixels) != geometry.num_active:
-        raise SnapshotFormatError(
-            f"{where} has {len(pixels)} pixels, expected {geometry.num_active}"
-        )
-    if max(pixels) >= geometry.num_pixels:
-        raise SnapshotFormatError(
-            f"{where} has pixel {max(pixels)} outside the "
-            f"{geometry.num_pixels}-pixel grid"
-        )
+    try:
+        pattern = InputPattern(pixels)
+        geometry.validate_pattern(pattern)
+    except PatternError as exc:
+        raise SnapshotFormatError(f"{where}: {exc}") from exc
     if len(winners) != geometry.num_cms:
         raise SnapshotFormatError(
             f"{where} has {len(winners)} winners, expected {geometry.num_cms}"
@@ -200,10 +196,6 @@ def _ledger_entry(
         text = label.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(f"{where} label is not valid UTF-8: {exc}") from exc
-    try:
-        pattern = InputPattern(pixels)
-    except PatternError as exc:
-        raise SnapshotFormatError(f"{where}: {exc}") from exc
     return LedgerEntry(text, pattern, winners)
 
 

@@ -13,7 +13,8 @@ counts by ``np.add.reduce``.  The steps pick by ``argmax`` instead and must
 agree with these bit for bit.  ``kernel_cm_max`` reads each CM's max as the
 selection kernel does, for the steps that take it.  ``reference_mu_from_u``
 is the win-weight sigmoid formed per unit from U, which ``mu_from_u`` reads
-from a per-count table instead.
+from a per-count table instead.  ``extreme_params`` draws valid
+``CsaParams`` at and between their bounds, for the property tests.
 
 A helper module for the tests, not a test file: pytest puts ``tests/`` on
 ``sys.path``, so test files import it as ``from oracle import ...``.
@@ -21,12 +22,36 @@ A helper module for the tests, not a test file: pytest puts ``tests/`` on
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from msdc import CsaParams, GeometryError, InputPattern, PatternError
 from msdc.core import _cm_starts
+
+# The largest eta_max that keeps a 65536-unit CM's win weights summable.
+LARGEST_ETA_MAX = sys.float_info.max / 65536
+
+
+def edged(lo: float, hi: float) -> st.SearchStrategy[float]:
+    """Floats in [lo, hi], often exactly at either end."""
+    return st.sampled_from((lo, hi)) | st.floats(lo, hi)
+
+
+@st.composite
+def extreme_params(draw) -> CsaParams:
+    """Valid ``CsaParams`` at and between their extremes: ``eta_max`` up to
+    the largest summable value, ``steepness`` across the float64 range,
+    ``g_floor`` up to just below 1 and ``g_exponent`` from 1e-300 to 1e300."""
+    return CsaParams(
+        eta_max=draw(edged(5e-324, LARGEST_ETA_MAX)),
+        steepness=draw(edged(1e-300, sys.float_info.max)),
+        midpoint=draw(edged(0.0, 1.0)),
+        g_floor=draw(edged(0.0, float(np.nextafter(1.0, 0.0)))),
+        g_exponent=draw(edged(1e-300, 1e300)),
+    )
 
 
 def code_intersection(a: np.ndarray, b: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, atomicity."""
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -191,6 +192,86 @@ def test_init_flushes_the_directory_after_the_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", spy)
     assert main(["init", str(path)]) == 0
     assert flushed == [(False, False), (True, True)]
+
+
+class HalfWriter:
+    """A snapshot temporary file that takes half of a write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_step(monkeypatch, step, nth=1):
+    """Make the nth call of one step of a snapshot write fail as a full disk
+    would: ``os.<step>``, or for ``write`` the temporary file's write.
+    Returns the calls seen, so that a test can check the fault fired."""
+    name = "fdopen" if step == "write" else step
+    real, calls = getattr(os, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) != nth:
+            return real(*args, **kwargs)
+        if step == "write":
+            return HalfWriter(real(*args, **kwargs))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, name, failing)
+    return calls
+
+
+def snapshot_command(command, path, pattern):
+    return ["init", str(path)] if command == "init" else ["store", str(path), str(pattern)]
+
+
+@pytest.mark.parametrize("command, step", [
+    (command, step) for command in ("init", "store")
+    for step in ("open", "write", "fsync", "fchmod", "replace")
+    if (command, step) != ("init", "fchmod")  # a new file keeps open()'s mode
+])
+def test_a_failed_snapshot_write_leaves_the_target_as_it_was(
+    tmp_path, grid_pattern, monkeypatch, capsys, command, step
+):
+    path = tmp_path / "m.msdc"
+    if command == "store":
+        assert main(["init", str(path)]) == 0
+    before = path.read_bytes() if path.exists() else None
+    calls = fail_step(monkeypatch, step)
+    assert main(snapshot_command(command, path, grid_pattern)) == 4
+    assert calls and "No space left on device" in capsys.readouterr().err
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert list(tmp_path.glob(".m.msdc.*")) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="directories cannot be opened")
+@pytest.mark.parametrize("step", ["open", "fsync"])
+@pytest.mark.parametrize("command", ["init", "store"])
+def test_a_failed_directory_flush_fails_with_the_new_model_in_place(
+    tmp_path, grid_pattern, monkeypatch, capsys, command, step
+):
+    # The directory is flushed after the rename, so the command fails with
+    # the complete new model already in place, as an unfailed run leaves it.
+    path, twin = tmp_path / "m.msdc", tmp_path / "twin.msdc"
+    if command == "store":
+        assert main(["init", str(path)]) == 0
+        twin.write_bytes(path.read_bytes())
+    assert main(snapshot_command(command, twin, grid_pattern)) == 0
+    calls = fail_step(monkeypatch, step, nth=2)
+    assert main(snapshot_command(command, path, grid_pattern)) == 4
+    assert len(calls) == 2 and "No space left on device" in capsys.readouterr().err
+    assert path.read_bytes() == twin.read_bytes()
+    assert list(tmp_path.glob(".m.msdc.*")) == []
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import hashlib
 import math
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,6 +115,46 @@ def test_caller_rng_belief_update_writes_no_model_attribute(geometry, rng):
     after = vars(model)
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
+
+
+def test_caller_rng_readers_run_concurrently_as_they_run_serially(small_geometry, rng):
+    # The module's concurrency contract: readers with their own RNG write
+    # nothing on the model, so four threads of them give what one thread gives.
+    model = MemoryModel(small_geometry, seed=3, enable_ledger=True)
+    for i in range(4):
+        model.store(random_pattern(small_geometry, rng), f"item{i}")
+    calls = [
+        (verb, mode, random_pattern(small_geometry, rng), seed)
+        for seed in range(50) for verb in ("retrieve", "belief_update") for mode in ("soft", "hard")
+    ]
+
+    def read(call):
+        verb, mode, pattern, seed = call
+        rng = np.random.default_rng(seed)
+        if verb == "retrieve":
+            code, trace = model.retrieve(pattern, mode, rng)
+            entries = None
+        else:
+            report = model.belief_update(pattern, mode, rng)
+            code, trace, entries = report.code, report.trace, report.entries
+        charts = (trace.count.tobytes(), trace.rho.tobytes())
+        return code.tolist(), charts, trace.familiarity, trace.eta, entries
+
+    bits, state = model.weights.bits.tobytes(), model.rng.bit_generator.state
+    ops, attrs = model.op_counter.copy(), dict(vars(model))
+    serial = [read(call) for call in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(read, calls, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+    assert model.weights.bits.tobytes() == bits
+    assert model.rng.bit_generator.state == state
+    assert model.op_counter == ops
+    assert vars(model).keys() == attrs.keys()
+    assert all(vars(model)[name] is value for name, value in attrs.items())
 
 
 def test_ledger_is_a_read_only_tuple(geometry, rng):

@@ -31,7 +31,10 @@ from msdc.core import (
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import (
+    LARGEST_ETA_MAX,
     code_intersection,
+    edged,
+    extreme_params,
     kernel_cm_max,
     reference_draw_winners,
     reference_familiarity,
@@ -82,11 +85,21 @@ def test_rho_always_normalizes_per_cm(mu):
     assert rho.min() >= 0.0
 
 
-@given(count_arrays(), st.floats(0.0, 1e4), st.integers(0, 2**32 - 1))
-def test_codes_are_always_well_formed(chart, eta, seed):
+@given(count_arrays(), st.just(CsaParams()) | extreme_params(), edged(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+@example(  # every unit of a 65536-unit CM at the ceiling 1 + eta_max
+    (np.full((1, 65536), 4096), 4096),
+    CsaParams(LARGEST_ETA_MAX, sys.float_info.max, 0.0, float(np.nextafter(1.0, 0.0)), 1e-300),
+    1.0, 0,
+)
+def test_codes_are_always_well_formed(chart, params, g, seed):
+    # The soft draw trusts rho: whatever valid params and familiarity the
+    # kernel forms it from, each CM's rho must be a finite distribution.
     count, s = chart
     q, k = count.shape
-    rho = rho_from_mu(mu_from_u(count, eta, CsaParams(), s))
+    rho = rho_from_mu(mu_from_u(count, eta_for_familiarity(g, params), params, s))
+    assert np.isfinite(rho).all() and rho.min() >= 0.0
+    assert np.abs(np.add.reduce(rho, axis=-1) - 1.0).max() <= 1e-9
     code = draw_winners(rho, np.random.default_rng(seed).random(q))
     assert code.shape == (q,)
     assert code.min() >= 0 and code.max() < k

@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import msdc.experiments
 import msdc.memory
 from msdc import CsaParams, MemoryModel, ModelGeometry, cli, random_pattern
 from msdc.core import PAPER_GEOMETRY, W_MAX, _count_dtype, mu_from_u, normalize_u, rho_from_mu
@@ -22,6 +25,8 @@ from msdc.experiments import (
     run_scenario,
 )
 from msdc.memory import _select_codes
+
+from oracle import extreme_params
 
 # sha256 of the files `msdc experiment appendix OUT` writes (seeds 0-199),
 # as the seed-by-seed loop wrote them before seeds ran in blocks.
@@ -99,6 +104,54 @@ def assert_matches_reference(spec):
             assert type(a.intersections[item]) is type(b.intersections[item])
             assert type(a.likelihoods[item]) is type(b.likelihoods[item])
             assert type(a.similarities[item]) is type(b.similarities[item])
+
+
+@st.composite
+def small_specs(draw):
+    """A feasible ScenarioSpec on a grid of at most 8x8 with S, Q, K and the
+    stored count each at most 6, and a seed-block size of 1 to 4 for it."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pixels = width * height
+    s = draw(st.integers(1, min(6, pixels)))
+    geometry = ModelGeometry(width, height, s, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    n = draw(st.integers(1, min(6, pixels // s)))
+    free = pixels - n * s
+    probes = []
+    for p in range(draw(st.integers(1, 3))):
+        # Up to min(S, free) of a probe's pixels come from the free zone.
+        left = draw(st.integers(max(0, s - free), s))
+        overlaps = []
+        for _ in range(n - 1):
+            overlaps.append(draw(st.integers(0, left)))
+            left -= overlaps[-1]
+        probes.append(ProbeSpec(f"P{p}", tuple(draw(st.permutations(overlaps + [left])))))
+    labels = [f"I{i + 1}" for i in range(n)]
+    block = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1),
+                          min_size=1, max_size=2 * block + 1))
+    spec = ScenarioSpec(
+        name="drawn", geometry=geometry,
+        params=draw(st.just(CsaParams()) | extreme_params()),
+        num_stored=n, probes=tuple(probes), seeds=tuple(seeds),
+        mode=draw(st.sampled_from(("soft", "hard"))),
+        store_order=draw(st.none() | st.permutations(labels).map(tuple)),
+    )
+    return spec, block
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_specs())
+def test_matches_reference_on_drawn_specs(case):
+    # The reference reads each similarity as belief_update's pixel overlap
+    # with the stored pattern, so this also checks that the corpus holds
+    # disjoint items and the scheduled overlaps.  The block budget is cut so
+    # that a few seeds fill a block, and the drawn counts cross it.
+    spec, block = case
+    g = spec.geometry
+    budget = block * g.num_pixels * g.num_units
+    with mock.patch.object(msdc.experiments, "_BLOCK_BYTES", budget):
+        assert _seed_block_size(g) == block
+        assert_matches_reference(spec)
 
 
 def test_appendix_output_is_pinned(tmp_path, capsys):

@@ -207,8 +207,8 @@ def encode_with_entry(geometry, label, active, code):
     [
         (range(12), (0, 1), "2 winners, expected 24"),
         (range(12), (0,) * 23 + (8,), "winner 8 outside"),
-        (range(11), (0,) * 24, "11 pixels, expected 12"),
-        (list(range(11)) + [144], (0,) * 24, "pixel 144 outside"),
+        (range(11), (0,) * 24, "11 active pixels, expected exactly 12"),
+        (list(range(11)) + [144], (0,) * 24, "pixel index 144 outside"),
         ([0] + list(range(11)), (0,) * 24, "duplicate pixel"),
     ],
     ids=["winner-count", "winner-range", "pixel-count", "pixel-range", "pixel-duplicate"],

@@ -4,7 +4,8 @@ Subcommands: ``init``, ``store``, ``query``, ``experiment``, ``bench``.
 Exit codes: 0 success, 2 usage error, 3 data error (bad pattern, geometry,
 config, schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
 a failed command never leaves a corrupt model behind, but a failed directory
-flush, which follows the rename, exits 4 with the complete new model in place.
+flush, which follows the rename, exits 4 with the complete new model in place
+and says that it was written.
 
 Every command is deterministic given its inputs and ``--seed``, a
 non-negative integer except on ``experiment``, where it offsets the
@@ -21,10 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from .core import (
@@ -32,6 +31,9 @@ from .core import (
     InputPattern,
     ModelGeometry,
     PAPER_GEOMETRY,
+    W_MAX,
+    _GEOMETRY_KEYS,
+    _PARAM_KEYS,
     _as_int,
     _check_w_max,
     _config_object,
@@ -47,14 +49,12 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 
-_GEOMETRY_KEYS = tuple(f.name for f in fields(ModelGeometry))
-_PARAM_KEYS = tuple(f.name for f in fields(CsaParams))
 _CONFIG_KEYS = ("geometry", "params", "w_max", "seed", "ledger")
 
 
 def _load_config_file(path: str | None) -> dict:
-    """The --config file's object.  Its shape, ``w_max``, seed and ledger
-    flag are checked here; geometry and params by the types they build."""
+    """The --config file's object.  Its shape, ``w_max`` and ledger flag are
+    checked here; geometry, params and seed by the types they build."""
     if path is None:
         return {}
     text = _read_text(path, ConfigError)
@@ -63,19 +63,9 @@ def _load_config_file(path: str | None) -> dict:
     _config_object(data.get("params", {}), "config params", _PARAM_KEYS)
     if "w_max" in data:
         _check_w_max(data["w_max"], "config w_max", ConfigError)
-    if "seed" in data and _as_int(data["seed"], "config seed", ConfigError) < 0:
-        raise ConfigError(f"config seed must be non-negative, got {data['seed']}")
     if not isinstance(data.get("ledger", True), bool):
         raise ConfigError(f"config ledger must be true or false, got {data['ledger']!r}")
     return data
-
-
-def _seed_flag(args) -> int | None:
-    """``--seed`` on the commands that seed a generator with it directly."""
-    seed = args.seed
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {seed}")
-    return seed
 
 
 def _resolved_config(args) -> dict:
@@ -96,9 +86,8 @@ def _resolved_config(args) -> dict:
             value = getattr(args, key, None)
             if value is not None:
                 cfg[section][key] = value
-    seed = _seed_flag(args)
-    if seed is not None:
-        cfg["seed"] = seed
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     if getattr(args, "ledger", None) is not None:
         cfg["ledger"] = args.ledger
     return cfg
@@ -129,7 +118,7 @@ def _dump_trace(args, model, trace, extra: dict) -> None:
     payload["model"] = {
         "geometry": asdict(model.geometry),
         "params": asdict(model.params),
-        "w_max": model.w_max,
+        "w_max": W_MAX,
     }
     payload["trace"] = trace.to_json_dict()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -152,11 +141,11 @@ def cmd_init(args) -> int:
 
 
 def cmd_store(args) -> int:
-    seed = _seed_flag(args)
+    rng = _seeded_rng(args.seed) if args.seed is not None else None
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
-    if seed is not None:
-        model.rng = _seeded_rng(seed)
+    if rng is not None:
+        model.rng = rng
     label = args.label if args.label is not None else Path(args.pattern_path).stem
     code, trace = model.store(pattern, label)
     extra = {"command": "store", "label": label, "code": [int(c) for c in code]}
@@ -172,10 +161,9 @@ def cmd_store(args) -> int:
 
 
 def cmd_query(args) -> int:
-    seed = _seed_flag(args)
+    rng = _seeded_rng(args.seed) if args.seed is not None else None
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
-    rng = np.random.default_rng(seed) if seed is not None else None
     report = model.belief_update(pattern, mode=args.mode, rng=rng)
     print(f"code: {' '.join(str(int(c)) for c in report.code)}")
     print(f"G={report.familiarity}")
@@ -258,11 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", parents=[configured], help="create an empty model snapshot")
     p.add_argument("model_path")
-    p.add_argument("--eta-max", dest="eta_max", type=float)
-    p.add_argument("--steepness", dest="steepness", type=float)
-    p.add_argument("--midpoint", dest="midpoint", type=float)
-    p.add_argument("--g-floor", dest="g_floor", type=float)
-    p.add_argument("--g-exponent", dest="g_exponent", type=float)
+    for key in _PARAM_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p.add_argument("--ledger", action=argparse.BooleanOptionalAction, default=None,
                    help="record (label, input, code) per store for belief readout "
                         "(default on)")

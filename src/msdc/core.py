@@ -40,7 +40,8 @@ read-only table of the S + 1 values it can take, one per (S, midpoint,
 steepness).  The steps trust their inputs: patterns, geometry and parameters
 are validated once, where they are built, and rho needs no check, since mu
 lies in [1, 1 + eta] and ``CsaParams`` keeps each CM's sum finite.  Only
-``hard_max_winners`` checks for a NaN, which only a float U can hold.
+``hard_max_winners`` checks for a NaN, and only in a float U; the kernel
+passes it counts, which cannot hold one, so it scans nothing there.
 
 No step iterates over previously stored items, so the work per trial is a
 pure function of the geometry; a model tallies it on its
@@ -334,6 +335,11 @@ class CsaParams:
             raise GeometryError(f"g_exponent must be positive, got {self.g_exponent}")
 
 
+# The field names, as config and scenario files key them.
+_GEOMETRY_KEYS = tuple(f.name for f in fields(ModelGeometry))
+_PARAM_KEYS = tuple(f.name for f in fields(CsaParams))
+
+
 @dataclass
 class OpCounter:
     """Tally of the elementary work done by a model's selection pipeline.
@@ -503,12 +509,13 @@ def hard_max_winners(u: np.ndarray, top: np.ndarray, r: np.ndarray) -> np.ndarra
     (..., Q), which is used whether or not that CM is tied, keeping the work
     and the RNG stream a pure function of geometry.  The running count of
     each CM's units that equal its max gives both the tie count and the pick.
-    A NaN in a float ``u`` raises ``ValueError``; counts cannot hold one.
+    A NaN in a float ``u`` raises ``ValueError``.  Counts cannot hold one,
+    so an integer ``u``, which the kernel passes, skips that scan.
     """
     count = (u == top[..., None]).cumsum(axis=-1)
     n = count[..., -1]
     # A NaN in a CM makes its max NaN, equal to no unit.
-    if not np.logical_and.reduce(n, axis=None):
+    if u.dtype.kind == "f" and not np.logical_and.reduce(n, axis=None):
         raise ValueError("normalized summations must not be NaN")
     # The winner is tied unit number floor(r * n) of the n tied units, found
     # as the first unit whose running count of tied units exceeds it.

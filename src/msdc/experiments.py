@@ -52,7 +52,7 @@ import csv
 import io
 import json
 from collections import abc
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -62,8 +62,8 @@ import numpy as np
 
 from . import memory
 from .core import (
-    CsaParams, InputPattern, ModelGeometry, W_MAX, _as_int, _check_w_max,
-    _config_object, _parse_json, _read_text, _zeros,
+    CsaParams, InputPattern, ModelGeometry, W_MAX, _GEOMETRY_KEYS, _PARAM_KEYS, _as_int,
+    _check_w_max, _config_object, _parse_json, _read_text, _zeros,
 )
 from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import MemoryModel, _check_mode, _seeded_rng, _select_codes
@@ -615,17 +615,12 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         isinstance(store_order, list) and all(isinstance(x, str) for x in store_order)
     ):
         raise ConfigError(f"scenario store_order must be a list of labels, got {store_order!r}")
-    geometry_keys = [f.name for f in fields(ModelGeometry)]
     return ScenarioSpec(
         name=data.get("name", "scenario"),
         geometry=ModelGeometry(
-            **_config_object(data["geometry"], "scenario geometry", geometry_keys, geometry_keys)
+            **_config_object(data["geometry"], "scenario geometry", _GEOMETRY_KEYS, _GEOMETRY_KEYS)
         ),
-        params=CsaParams(
-            **_config_object(
-                data.get("params", {}), "scenario params", [f.name for f in fields(CsaParams)]
-            )
-        ),
+        params=CsaParams(**_config_object(data.get("params", {}), "scenario params", _PARAM_KEYS)),
         num_stored=data["num_stored"],
         probes=tuple(ProbeSpec(p["label"], tuple(p["overlaps"])) for p in probes),
         seeds=seeds,

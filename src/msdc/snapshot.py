@@ -202,9 +202,11 @@ def _ledger_entry(
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the target directory, flushed to disk, then
     rename it over the target and flush the directory, where the platform
-    can open one, so that the rename survives a crash.  The result keeps the
-    target's permission bits if it exists; a new file gets ``0o666`` less
-    the umask, as ``open()`` would give it."""
+    can open one, so that the rename survives a crash.  A failed flush
+    raises an ``OSError`` of the same errno whose text says that the target
+    was written.  The result keeps the target's permission bits if it
+    exists; a new file gets ``0o666`` less the umask, as ``open()`` would
+    give it."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -221,11 +223,19 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
             os.unlink(tmp)
         raise
     if hasattr(os, "O_DIRECTORY"):
-        fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
         try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+            fd = os.open(path.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            # The target already holds the new bytes: say so, so that a
+            # caller does not retry a write that took effect.
+            raise OSError(
+                exc.errno, f"{path} was written, but flushing its directory failed: "
+                f"{exc.strerror}"
+            ) from exc
 
 
 def save_model(model: MemoryModel, destination: str | Path) -> None:

@@ -6,11 +6,14 @@ import hashlib
 import json
 import math
 import os
+import select
+import signal
 import stat
 import struct
 import subprocess
 import sys
 import tempfile
+import time
 import zlib
 from dataclasses import fields
 from pathlib import Path
@@ -21,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import msdc
 from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
-from msdc.cli import build_parser, main
+from msdc.cli import build_parser, main, read_pattern_file
 from msdc.core import PAPER_GEOMETRY
 from msdc.snapshot import encode_model
 
@@ -269,9 +272,69 @@ def test_a_failed_directory_flush_fails_with_the_new_model_in_place(
     assert main(snapshot_command(command, twin, grid_pattern)) == 0
     calls = fail_step(monkeypatch, step, nth=2)
     assert main(snapshot_command(command, path, grid_pattern)) == 4
-    assert len(calls) == 2 and "No space left on device" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(calls) == 2 and "No space left on device" in err
+    # The message says the model was written, so that no caller retries it.
+    assert f"{path} was written, but flushing its directory failed: No space" in err
     assert path.read_bytes() == twin.read_bytes()
     assert list(tmp_path.glob(".m.msdc.*")) == []
+
+
+# A child that stores one pattern into one model file until it is killed.
+# It says "ready" once its first store is in place; the stores' own output
+# goes to the null device, so that no pipe fills and blocks it.
+_STORE_LOOP = """
+import os, sys
+from msdc.cli import main
+ready = os.fdopen(os.dup(1), "w")
+sys.stdout = open(os.devnull, "w")
+argv = ["store", *sys.argv[1:]]
+if main(argv) == 0:
+    ready.write("ready\\n")
+    ready.flush()
+    while main(argv) == 0:
+        pass
+"""
+
+
+def _src_env():
+    """The environment, with this msdc first on a child's import path."""
+    src = str(Path(msdc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL on this platform")
+def test_a_killed_store_leaves_a_committed_model(tmp_path, grid_pattern):
+    # SIGKILL runs no handler, so only the write's own order protects the
+    # model: after each kill the file must hold one committed state whole.
+    # Temporary files may remain; the model file may not be partial.
+    path = tmp_path / "m.msdc"
+    assert main(["init", str(path)]) == 0
+    replay, pattern = load_model(path), read_pattern_file(grid_pattern)
+    states = [path.read_bytes()]
+    stored = 0
+    for delay in np.random.default_rng(2038).uniform(0.01, 0.15, size=3):
+        child = subprocess.Popen(
+            [sys.executable, "-c", _STORE_LOOP, str(path), str(grid_pattern), "--label", "x"],
+            stdout=subprocess.PIPE, env=_src_env(),
+        )
+        try:
+            assert select.select([child.stdout], [], [], 60)[0], "the child never stored"
+            assert child.stdout.readline() == b"ready\n"
+            time.sleep(delay)
+            assert child.poll() is None, "the child stopped storing before the kill"
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=60)
+            child.stdout.close()
+        model = load_model(path)
+        assert model.num_stored > stored
+        stored = model.num_stored
+        while len(states) <= stored:
+            replay.store(pattern, "x")
+            states.append(encode_model(replay))
+        assert path.read_bytes() == states[stored]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -471,12 +534,8 @@ def test_bench_with_fewer_than_one_trial_is_data_error(tmp_path, capsys, trials)
 def test_import_leaves_scipy_unloaded(module):
     # No module imports scipy; this keeps the command line and the scenario
     # harness numpy-only.
-    src = str(Path(msdc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = f"import sys, {module}; sys.exit('scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path}, timeout=120
-    )
+    result = subprocess.run([sys.executable, "-c", probe], env=_src_env(), timeout=120)
     assert result.returncode == 0
 
 
@@ -519,10 +578,19 @@ def test_negative_seed_flag_is_data_error(model_path, grid_pattern, tmp_path, ca
     before = model_path.read_bytes()
     assert main([command, *map(str, operands), "--seed", "-1"]) == 3
     err = capsys.readouterr().err
-    assert "--seed must be non-negative, got -1" in err
+    assert "seed must be non-negative, got -1" in err
     assert "Traceback" not in err
     assert not out.exists()
     assert model_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["store", "query"])
+def test_a_negative_seed_is_refused_before_the_model_is_read(
+    grid_pattern, tmp_path, capsys, command
+):
+    # The seed is checked first, so a missing model file is not reached.
+    assert main([command, str(tmp_path / "nope.msdc"), str(grid_pattern), "--seed", "-1"]) == 3
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path, capsys):

@@ -295,7 +295,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FileNotFoundError as exc:
-        print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        # An error re-raised from an errno, such as a failed directory flush,
+        # names no file; its own text says what failed.
+        if exc.filename is None:
+            print(f"error: {exc}", file=sys.stderr)
+        else:
+            print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_IO
     except MsdcError as exc:
         print(f"error: {exc}", file=sys.stderr)

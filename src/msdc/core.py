@@ -37,11 +37,15 @@ count once, at its argmax: ``familiarity`` takes those Q maxima as U, and
 ``hard_max_winners`` ties units against the same maxima, so no step needs
 the (Q, K) chart of U.  ``mu_from_u`` reads the sigmoid by count from a
 read-only table of the S + 1 values it can take, one per (S, midpoint,
-steepness).  The steps trust their inputs: patterns, geometry and parameters
-are validated once, where they are built, and rho needs no check, since mu
-lies in [1, 1 + eta] and ``CsaParams`` keeps each CM's sum finite.  Only
-``hard_max_winners`` checks for a NaN, and only in a float U; the kernel
-passes it counts, which cannot hold one, so it scans nothing there.
+steepness).  With one model's one eta, mu too takes only S + 1 values, so
+it is formed over the table and read by count; a block's per-model eta
+forms it per unit.  ``apply_learning`` writes each code's Q ones into a
+zero mask by flat index.  The steps trust their inputs: patterns, geometry
+and parameters are validated once, where they are built, and rho needs no
+check, since mu lies in [1, 1 + eta] and ``CsaParams`` keeps each CM's sum
+finite.  Only ``hard_max_winners`` checks for a NaN, and only in a float U;
+the kernel passes it counts, which cannot hold one, so it scans nothing
+there.
 
 No step iterates over previously stored items, so the work per trial is a
 pure function of the geometry; a model tallies it on its
@@ -462,14 +466,24 @@ def mu_from_u(count: np.ndarray, eta, params: CsaParams, num_active: int) -> np.
 
     ``count`` (..., Q, K) holds each unit's count of set weights from the S
     active pixels, which fixes its U, and ``eta`` one value per leading
-    index of ``count``.  Each unit's ``1 + exp(min(s * (m - U), 700))`` is
-    read from ``_z_table`` by its count.  With eta 0 every unit receives
-    the same weight, so the subsequent normalization yields uniform win
-    probabilities.
+    index of ``count``.  Each unit's ``z = 1 + exp(min(s * (m - U), 700))``
+    is read from ``_z_table`` by its count.  One model's ``eta``, a
+    ``float`` as the kernel and ``CsaTrace`` pass it, makes mu one of S + 1
+    values, so ``1 + eta / z`` is formed over the table's S + 1 entries and
+    read by count; a block's ``eta`` (a sequence or array) forms it per
+    unit.  Both give each unit the same ``eta / z + 1``, bit for bit.  With
+    eta 0 every unit receives the same weight, so the subsequent
+    normalization yields uniform win probabilities.
     """
+    z = _z_table(num_active, params.midpoint, params.steepness)
+    if isinstance(eta, float):
+        # One eta: 1 + eta / z over the S + 1 counts, then read by count.
+        mu = eta / z
+        mu += _ONE
+        return mu.take(count)
     eta = np.asarray(eta, dtype=np.float64)[..., None, None]
-    # 1 + eta / z, formed in place.
-    z = _z_table(num_active, params.midpoint, params.steepness).take(count)
+    # 1 + eta / z per unit, formed in place.
+    z = z.take(count)
     np.divide(eta, z, out=z)
     z += _ONE
     return z
@@ -536,14 +550,17 @@ def apply_learning(
     pass it, or a scenario's block (B, P, Q*K) with ``code`` (B, Q), where
     model b learns code b.  ``active`` holds the S row indices and ``rows``
     (..., S, Q*K) those rows as gathered for the trial.  Each code becomes
-    a one-hot mask over the Q*K units, which is ORed into ``rows`` in
-    place, and the rows are then written back to ``bits``; no other weight
-    is written.  An index that repeats in ``active`` is written with the
-    same bits from each of its copies.  Idempotent: re-applying the same
-    (pattern, code) changes nothing.  Weights are only ever raised.
+    a one-hot mask over the Q*K units, written by index as a 1 at each
+    winner's flat unit ``q * K + code[q]`` of a zero (..., 1, Q*K) row.
+    The mask is ORed into ``rows`` in place, and the rows are then written
+    back to ``bits``; no other weight is written.  An index that repeats
+    in ``active`` is written with the same bits from each of its copies.
+    Idempotent: re-applying the same (pattern, code) changes nothing.
+    Weights are only ever raised.
     """
-    one_hot = np.arange(geometry.units_per_cm) == code[..., None]
-    rows |= one_hot.view(np.uint8).reshape(*code.shape[:-1], 1, geometry.num_units)
+    mask = np.zeros((*code.shape[:-1], 1, geometry.num_units), np.uint8)
+    mask.put(code + _cm_starts(code.shape, geometry.units_per_cm), 1)
+    rows |= mask
     bits[..., active, :] = rows
 
 

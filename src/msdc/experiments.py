@@ -646,7 +646,8 @@ def emit_results(
     out_dir: str | Path,
     formats: Sequence[str] = ("csv", "json"),
 ) -> list[Path]:
-    """Write trial rows, aggregates, and the resolved scenario config.
+    """Write trial rows, aggregates, and the resolved scenario config, as
+    UTF-8 text whatever the locale.
 
     ``records`` must be ``run_scenario(spec)``'s result, and ``formats`` a
     non-empty collection of "csv" and "json"; otherwise ``ScheduleError`` or
@@ -682,5 +683,5 @@ def emit_results(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
     return [out_dir / name for name in texts]

@@ -222,7 +222,9 @@ def _select_codes(
     ``learn`` ``apply_learning`` ORs the code into that same gather and
     writes it back.  Each CM's max count is read once, at its argmax, and
     serves both G and a hard pick.  U is formed only for those Q maxima: a
-    soft draw reads mu's sigmoid from ``_z_table`` by each unit's count.
+    soft draw reads mu's sigmoid from ``_z_table`` by each unit's count,
+    and a plane's one float eta lets it form mu over the table's S + 1
+    entries before that read.
 
     Without ``learn``, a plane or a one-row block takes any number N of
     uniform rows (N, Q): its one count chart broadcasts against them, and
@@ -328,7 +330,7 @@ class MemoryModel:
             label = f"item-{self.num_stored + 1}"
         if label is not None:
             _check_label(label)
-        active = np.asarray(pattern.active, dtype=np.intp)
+        active = np.fromiter(pattern.active, np.intp, len(pattern.active))
         code, trace = self._run(active, "soft", None, learn=True)
         self.num_stored += 1
         if self._entries is not None:
@@ -375,7 +377,8 @@ class MemoryModel:
         _check_mode(mode)
         if rng is not None and not isinstance(rng, np.random.Generator):
             raise GeometryError(f"rng must be a numpy Generator or None, got {rng!r}")
-        return self._run(np.asarray(pattern.active, dtype=np.intp), mode, rng, learn=False)
+        active = np.fromiter(pattern.active, np.intp, len(pattern.active))
+        return self._run(active, mode, rng, learn=False)
 
     def belief_update(
         self,

@@ -26,6 +26,7 @@ import msdc
 from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
 from msdc.cli import build_parser, main, read_pattern_file
 from msdc.core import PAPER_GEOMETRY
+from msdc.experiments import emit_results, load_scenario, run_scenario
 from msdc.snapshot import encode_model
 
 # sha256 of the file `msdc init` writes with no flags, and of the --trace
@@ -215,10 +216,11 @@ class HalfWriter:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def fail_step(monkeypatch, step, nth=1):
-    """Make the nth call of one step of a snapshot write fail as a full disk
-    would: ``os.<step>``, or for ``write`` the temporary file's write.
-    Returns the calls seen, so that a test can check the fault fired."""
+def fail_step(monkeypatch, step, nth=1, code=errno.ENOSPC):
+    """Make the nth call of one step of a snapshot write fail with errno
+    ``code``, a full disk by default: ``os.<step>``, or for ``write`` the
+    temporary file's write, which fails as a full disk would.  Returns the
+    calls seen, so that a test can check the fault fired."""
     name = "fdopen" if step == "write" else step
     real, calls = getattr(os, name), []
 
@@ -228,7 +230,7 @@ def fail_step(monkeypatch, step, nth=1):
             return real(*args, **kwargs)
         if step == "write":
             return HalfWriter(real(*args, **kwargs))
-        raise OSError(errno.ENOSPC, "No space left on device")
+        raise OSError(code, os.strerror(code))
 
     monkeypatch.setattr(os, name, failing)
     return calls
@@ -258,24 +260,28 @@ def test_a_failed_snapshot_write_leaves_the_target_as_it_was(
 
 
 @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="directories cannot be opened")
-@pytest.mark.parametrize("step", ["open", "fsync"])
+@pytest.mark.parametrize("step, code", [
+    pytest.param(step, code, id=step if code == errno.ENOSPC else f"{step}-ENOENT")
+    for code in (errno.ENOSPC, errno.ENOENT) for step in ("open", "fsync")
+])
 @pytest.mark.parametrize("command", ["init", "store"])
 def test_a_failed_directory_flush_fails_with_the_new_model_in_place(
-    tmp_path, grid_pattern, monkeypatch, capsys, command, step
+    tmp_path, grid_pattern, monkeypatch, capsys, command, step, code
 ):
     # The directory is flushed after the rename, so the command fails with
     # the complete new model already in place, as an unfailed run leaves it.
+    # ENOENT re-raised makes a FileNotFoundError that names no file.
     path, twin = tmp_path / "m.msdc", tmp_path / "twin.msdc"
     if command == "store":
         assert main(["init", str(path)]) == 0
         twin.write_bytes(path.read_bytes())
     assert main(snapshot_command(command, twin, grid_pattern)) == 0
-    calls = fail_step(monkeypatch, step, nth=2)
+    calls = fail_step(monkeypatch, step, nth=2, code=code)
     assert main(snapshot_command(command, path, grid_pattern)) == 4
     err = capsys.readouterr().err
-    assert len(calls) == 2 and "No space left on device" in err
+    assert len(calls) == 2 and "no such file" not in err
     # The message says the model was written, so that no caller retries it.
-    assert f"{path} was written, but flushing its directory failed: No space" in err
+    assert f"{path} was written, but flushing its directory failed: {os.strerror(code)}" in err
     assert path.read_bytes() == twin.read_bytes()
     assert list(tmp_path.glob(".m.msdc.*")) == []
 
@@ -494,6 +500,34 @@ def test_experiment_negative_seed_offset_keeps_seeds_non_negative(tmp_path, caps
     assert json.loads((out / "scenario.json").read_text())["seeds"] == [0, 1, 2]
     assert main(["experiment", str(spec_path), str(tmp_path / "o2"), "--seed", "-6"]) == 3
     assert "non-negative" in capsys.readouterr().err
+
+
+def test_experiment_writes_utf8_files_under_a_non_utf8_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, the locale's encoding is
+    # ASCII; the result files must still hold a non-ASCII probe label, byte
+    # for byte as an in-process run writes them.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "name": "tiny",
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [{"label": "\u03a9-probe", "overlaps": [5, 4, 2, 1, 0, 0]}],
+        "seeds": [0, 1, 2],
+    }))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "msdc", "experiment", str(spec_path), str(out)],
+        env={**_src_env(), "PYTHONUTF8": "0", "LC_ALL": "C"},
+        capture_output=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    spec = load_scenario(spec_path)
+    want = emit_results(run_scenario(spec), spec, tmp_path / "want")
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want)
+    for path in want:
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    assert "\u03a9-probe".encode() in (out / "trials.csv").read_bytes()
 
 
 def test_experiment_missing_spec_file_is_io_error(tmp_path, capsys):

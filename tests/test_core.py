@@ -360,13 +360,15 @@ def _fancy_index_learning(bits, active, code, geometry):
     bits[np.arange(len(bits))[:, None, None], active[None, :, None], cols[:, None, :]] = 1
 
 
-# The golden trace's three geometries.
+# The golden trace's three geometries, and CMs of one unit, where every
+# unit wins.
 @pytest.mark.parametrize(
     "geometry",
     (
         ModelGeometry(12, 12, 12, 24, 8),
         ModelGeometry(20, 20, 30, 40, 5),
         ModelGeometry(64, 64, 64, 128, 16),
+        ModelGeometry(4, 4, 3, 5, 1),
     ),
     ids=str,
 )

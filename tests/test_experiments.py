@@ -199,7 +199,7 @@ def reference_emit(records, spec, out_dir):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([fmt(row[c]) for c in columns])
-        path.write_text(buf.getvalue())
+        path.write_text(buf.getvalue(), encoding="utf-8")
 
     out_dir.mkdir()
     aggregates = aggregate_records(records, spec)

@@ -190,6 +190,13 @@ def test_mu_from_u_is_the_clipped_sigmoid_bit_for_bit(block, steepness, midpoint
             got = mu_from_u(count.astype(dtype), eta, params, s)
             assert np.array_equal(got, want)
             assert np.array_equal(got, reference_mu_from_u(u_norm, eta, params))
+            # One model's (Q, K) chart with one float eta, as a model and a
+            # trace pass it, reads mu from the table of its S + 1 values.
+            for b, one in enumerate(eta):
+                for value in (one, np.float64(one)):
+                    got = mu_from_u(count[b].astype(dtype), value, params, s)
+                    assert np.array_equal(got, want[b])
+                    assert np.array_equal(got, reference_mu_from_u(u_norm[b], value, params))
 
 
 @given(st.integers(1, 300), st.floats(0.0, 1.0), st.floats(0.0, 1e6, exclude_min=True))

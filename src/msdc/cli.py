@@ -15,6 +15,9 @@ supply geometry, params, ``seed`` and ``ledger`` defaults; explicit flags
 win over the config file.  It may also hold ``w_max``, which must be 127,
 the fixed weight quantum.  ``store`` and ``query`` take ``--trace``.  A flag
 a command does not read is a usage error.
+
+Each file reader checks only its file's shape; the values go as they are to
+the types they build, which check them once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
     W_MAX,
     _GEOMETRY_KEYS,
     _PARAM_KEYS,
-    _as_int,
     _check_w_max,
     _config_object,
     _parse_json,
@@ -68,44 +70,39 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolved_config(args) -> dict:
-    """Merge built-in defaults, --config file, and explicit flags."""
+def _resolved_config(args) -> tuple[ModelGeometry, CsaParams, object, bool]:
+    """The built geometry and params, the seed and the ledger flag: explicit
+    flags over --config file values over built-in defaults."""
     file_cfg = _load_config_file(args.config)
-    geometry = asdict(PAPER_GEOMETRY)
-    geometry.update(file_cfg.get("geometry", {}))
-    params = asdict(CsaParams())
-    params.update(file_cfg.get("params", {}))
-    cfg = {
-        "geometry": geometry,
-        "params": params,
-        "seed": file_cfg.get("seed", 0),
-        "ledger": file_cfg.get("ledger", True),
-    }
-    for section, keys in (("geometry", _GEOMETRY_KEYS), ("params", _PARAM_KEYS)):
-        for key in keys:
-            value = getattr(args, key, None)
-            if value is not None:
-                cfg[section][key] = value
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "ledger", None) is not None:
-        cfg["ledger"] = args.ledger
-    return cfg
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+
+    def layered(section: str, keys: tuple[str, ...]) -> dict:
+        return {**file_cfg.get(section, {}), **{key: flags[key] for key in keys if key in flags}}
+
+    return (
+        replace(PAPER_GEOMETRY, **layered("geometry", _GEOMETRY_KEYS)),
+        replace(CsaParams(), **layered("params", _PARAM_KEYS)),
+        flags.get("seed", file_cfg.get("seed", 0)),
+        flags.get("ledger", file_cfg.get("ledger", True)),
+    )
 
 
 def read_pattern_file(path: str | Path) -> InputPattern:
-    """Grid of 0/1 characters, or JSON (a list of active pixel indices,
-    optionally wrapped as {"active_pixels": [...]})."""
+    """Grid of 0/1 characters, or JSON: a list of active pixel indices,
+    optionally wrapped as {"active_pixels": [...]}, an object with no other
+    key.  The file's shape is checked here, its indices by ``InputPattern``."""
     text = _read_text(path, PatternError)
     stripped = text.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         data = _parse_json(text, "pattern file", PatternError)
         if isinstance(data, dict):
-            data = data.get("active_pixels")
+            if set(data) != {"active_pixels"}:
+                raise PatternError(
+                    f"JSON pattern object must hold only active_pixels, got keys {sorted(data)}"
+                )
+            data = data["active_pixels"]
         if not isinstance(data, list):
             raise PatternError("JSON pattern must be a list of active pixel indices")
-        for i in data:
-            _as_int(i, "pixel index in pattern file", PatternError)
         return InputPattern.from_indices(data)
     return InputPattern.from_grid(text)
 
@@ -129,10 +126,8 @@ def _dump_trace(args, model, trace, extra: dict) -> None:
 
 
 def cmd_init(args) -> int:
-    cfg = _resolved_config(args)
-    geometry = ModelGeometry(**cfg["geometry"])
-    params = CsaParams(**cfg["params"])
-    model = MemoryModel(geometry, params, seed=cfg["seed"], enable_ledger=cfg["ledger"])
+    geometry, params, seed, ledger = _resolved_config(args)
+    model = MemoryModel(geometry, params, seed=seed, enable_ledger=ledger)
     save_model(model, args.model_path)
     print(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
           f"{geometry.units_per_cm} units, {geometry.input_width}x"
@@ -197,13 +192,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _resolved_config(args)
+    geometry, params, seed, _ = _resolved_config(args)
     report = bench_mod.run_scaling_bench(
-        geometry=ModelGeometry(**cfg["geometry"]),
-        params=CsaParams(**cfg["params"]),
-        checkpoints=args.checkpoints,
-        trials_per_checkpoint=args.trials,
-        seed=cfg["seed"],
+        geometry=geometry, params=params, checkpoints=args.checkpoints,
+        trials_per_checkpoint=args.trials, seed=seed,
     )
     bench_mod.save_report(report, args.out_path)
     flag = "equal" if report["csa_ops_equal"] else "UNEQUAL"

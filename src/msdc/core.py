@@ -220,13 +220,14 @@ class InputPattern:
             cells = tuple(sorted(map(operator.index, active)))
         except TypeError as exc:
             raise PatternError(f"pixel indices must be integers: {exc}") from None
+        # operator.index turns a bool into 0 or 1, so only then can one hide;
+        # checked first, so that True beside a 1 is not called a duplicate.
+        if cells and cells[0] <= 1 and bool in map(type, active):
+            raise PatternError("pixel indices must be integers, not bools")
         if len(set(cells)) != len(cells):
             raise PatternError("duplicate pixel indices in pattern")
         if cells and cells[0] < 0:
             raise PatternError("negative pixel index in pattern")
-        # operator.index turns a bool into 0 or 1, so only then can one hide.
-        if cells and cells[0] <= 1 and bool in map(type, active):
-            raise PatternError("pixel indices must be integers, not bools")
         object.__setattr__(self, "active", cells)
 
     @classmethod

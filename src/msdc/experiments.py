@@ -581,14 +581,17 @@ _SCENARIO_KEYS = (
     "name", "geometry", "params", "w_max", "num_stored", "probes", "seeds", "mode", "store_order"
 )
 _SCENARIO_REQUIRED = ("geometry", "num_stored", "probes", "seeds")
+_PROBE_KEYS = ("label", "overlaps")
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    """Parse a scenario config, rejecting any shape but the documented one.
+    """Parse a scenario config, checking only its shape.
 
-    A wrong shape (not an object, an unknown or missing key, a section of
-    the wrong JSON type) raises ``ConfigError``, as does a ``w_max`` other
-    than 127; the spec types then check the values.
+    A wrong shape raises ``ConfigError``: not an object, an unknown or
+    missing key, a ``w_max`` other than 127, a seeds object other than
+    ``{"start", "count"}``, probes not a list of ``{"label", "overlaps"}``
+    objects, or a store_order that is not a list (the spec would read an
+    object as its keys).  The spec types check every value.
     """
     data = _config_object(data, "scenario", _SCENARIO_KEYS, _SCENARIO_REQUIRED)
     if "w_max" in data:
@@ -600,20 +603,11 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         count = _as_int(seeds["count"], "seeds count", ScheduleError)
         # A range, which ScenarioSpec counts against its cap before building.
         seeds = range(start, start + count)
-    elif not isinstance(seeds, list):
-        raise ConfigError(f"scenario seeds must be a list or an object, got {seeds!r}")
     probes = data["probes"]
     if not isinstance(probes, list):
         raise ConfigError(f"scenario probes must be a list, got {probes!r}")
-    for i, p in enumerate(probes):
-        where = f"scenario probe {i}"
-        _config_object(p, where, ("label", "overlaps"), ("label", "overlaps"))
-        if not (isinstance(p["label"], str) and isinstance(p["overlaps"], list)):
-            raise ConfigError(f"{where} needs a string label and a list of overlaps")
     store_order = data.get("store_order")
-    if store_order is not None and not (
-        isinstance(store_order, list) and all(isinstance(x, str) for x in store_order)
-    ):
+    if store_order is not None and not isinstance(store_order, list):
         raise ConfigError(f"scenario store_order must be a list of labels, got {store_order!r}")
     return ScenarioSpec(
         name=data.get("name", "scenario"),
@@ -622,10 +616,13 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         ),
         params=CsaParams(**_config_object(data.get("params", {}), "scenario params", _PARAM_KEYS)),
         num_stored=data["num_stored"],
-        probes=tuple(ProbeSpec(p["label"], tuple(p["overlaps"])) for p in probes),
+        probes=[
+            ProbeSpec(**_config_object(p, f"scenario probe {i}", _PROBE_KEYS, _PROBE_KEYS))
+            for i, p in enumerate(probes)
+        ],
         seeds=seeds,
         mode=data.get("mode", "soft"),
-        store_order=tuple(store_order) if store_order is not None else None,
+        store_order=store_order,
     )
 
 

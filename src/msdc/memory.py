@@ -279,8 +279,9 @@ class MemoryModel:
             self._codes = np.empty((g.num_cms, 0), np.min_scalar_type(g.units_per_cm - 1))
             self._pixels = np.empty((g.num_active, 0), np.min_scalar_type(g.num_pixels - 1))
         self.op_counter = OpCounter()
-        # Made now, so that no verb's call builds it.
+        # Made now, so that no verb's call builds them.
         _z_table(geometry.num_active, self.params.midpoint, self.params.steepness)
+        _count_dtype(geometry.num_cms)
         self.num_stored = 0
 
     @property

@@ -29,9 +29,10 @@ saved one for the same inputs.  Loading never yields a partial model.  It
 checks, in order, the magic, version, truncation, trailing bytes and
 checksum, reading only the counts that size the sections; so a corrupted
 byte anywhere raises a ``SnapshotError``.  Only then are the fields read: a
-checksum-valid blob with invalid geometry or params, a ``w_max`` other than
-127, or a ledger entry that does not fit the geometry (S pixels inside the
-grid, Q winners below K, a UTF-8 label) raises ``SnapshotFormatError``.
+checksum-valid blob with a reserved field other than 0, a ledger flag other
+than 0 or 1, invalid geometry or params, a ``w_max`` other than 127, or a
+ledger entry that does not fit the geometry (S pixels inside the grid, Q
+winners below K, a UTF-8 label) raises ``SnapshotFormatError``.
 """
 
 from __future__ import annotations
@@ -111,9 +112,8 @@ def decode_model(blob: bytes) -> MemoryModel:
     # that no field is interpreted before the checksum holds.
     try:
         head = _HEADER.unpack_from(blob)
-        dims, w_max, param_values, state, inc, has_uint32, uinteger, num_stored, has_ledger = (
-            head[3:8], head[8], head[9:14], *head[14:]
-        )
+        reserved, dims, w_max, param_values = head[2], head[3:8], head[8], head[9:14]
+        state, inc, has_uint32, uinteger, num_stored, has_ledger = head[14:]
         num_bits = dims[0] * dims[1] * dims[3] * dims[4]  # pixels x units
         weight_bytes = -(-num_bits // 8)
         pos = _HEADER.size + weight_bytes
@@ -137,6 +137,10 @@ def decode_model(blob: bytes) -> MemoryModel:
         raise SnapshotFormatError(f"{len(blob) - pos - 4} trailing bytes after checksum")
     if zlib.crc32(blob[:pos]) != stored_crc:
         raise SnapshotIntegrityError("snapshot checksum mismatch")
+    if reserved != 0:
+        raise SnapshotFormatError(f"snapshot reserved field must be 0, got {reserved}")
+    if has_ledger > 1:
+        raise SnapshotFormatError(f"snapshot ledger flag must be 0 or 1, got {has_ledger}")
 
     try:
         geometry = ModelGeometry(*dims)

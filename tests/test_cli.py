@@ -26,7 +26,9 @@ import msdc
 from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
 from msdc.cli import build_parser, main, read_pattern_file
 from msdc.core import PAPER_GEOMETRY
-from msdc.experiments import emit_results, load_scenario, run_scenario
+from msdc.experiments import (
+    default_appendix_scenario, emit_results, load_scenario, run_scenario, scenario_to_dict,
+)
 from msdc.snapshot import encode_model
 
 # sha256 of the file `msdc init` writes with no flags, and of the --trace
@@ -628,12 +630,27 @@ def test_a_negative_seed_is_refused_before_the_model_is_read(
 
 
 def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path, capsys):
+    # InputPattern, not the file reader, refuses each index; True beside the
+    # 1 it equals is named as a bool, not as a duplicate.
     before = model_path.read_bytes()
-    for bad in ([1.5] + list(range(11)), [True] + list(range(1, 12)), ["3"] + list(range(11))):
+    for first in (1.5, True, "3", None, [1]):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
+        path.write_text(json.dumps([first] + list(range(1, 12))))
         assert main(["store", str(model_path), str(path)]) == 3
-        assert "must be an integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be integers" in err
+        assert "Traceback" not in err
+    assert model_path.read_bytes() == before
+
+
+def test_json_pattern_object_with_another_key_is_data_error(model_path, tmp_path, capsys):
+    before = model_path.read_bytes()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"active_pixels": list(range(12)), "weights": 5}))
+    assert main(["store", str(model_path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "active_pixels" in err
+    assert "Traceback" not in err
     assert model_path.read_bytes() == before
 
 
@@ -642,7 +659,7 @@ def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path,
     [
         ({"geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
                        "num_cms": 24, "units_per_cm": 8, "depth": 1}}, "unknown key"),
-        ({"seeds": None}, "must be a list or an object"),
+        ({"seeds": None}, "seeds must be a sequence"),
         ({"seeds": [0.5, 1.7]}, "seed must be an integer"),
         ({"seeds": [-1, 0]}, "non-negative"),
         ({"seeds": {"start": 0}}, "lacks required key"),
@@ -650,7 +667,7 @@ def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path,
         ({"probes": [{"label": "I7"}]}, "lacks required key"),
         ({"params": {"eta_max": "big"}}, "must be a number"),
         ({"num_stored": "6"}, "must be an integer"),
-        ({"store_order": [1, 2, 3, 4, 5, 6]}, "list of labels"),
+        ({"store_order": [1, 2, 3, 4, 5, 6]}, "store_order must hold labels"),
         ({"shuffle": True}, "unknown key"),
         ({"probes": []}, "scenario needs at least one probe"),
         # Counts whose seed tuple cannot be built are refused before any
@@ -675,6 +692,42 @@ def test_malformed_scenario_is_data_error(tmp_path, capsys, change, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"seeds": None}, "seed"),
+        ({"seeds": "01"}, "seed"),
+        ({"seeds": 5}, "seed"),
+        ({"seeds": True}, "seed"),
+        ({"probes": [{"label": 5, "overlaps": [5, 4, 2, 1, 0, 0]}]}, "label"),
+        ({"probes": [{"label": "I7", "overlaps": "542100"}]}, "overlap"),
+        ({"probes": [{"label": "I7", "overlaps": {"5": 1}}]}, "overlap"),
+        ({"probes": [{"label": "I7", "overlaps": 5}]}, "overlap"),
+        ({"store_order": [1, 2, 3, 4, 5, 6]}, "store_order"),
+        ({"store_order": {f"I{i}": 0 for i in (2, 1, 3, 4, 5, 6)}}, "store_order"),
+        ({"store_order": "I1I2I3"}, "store_order"),
+    ],
+)
+def test_scenario_value_of_the_wrong_type_is_data_error(tmp_path, capsys, change, field):
+    # The spec types refuse these values, and an object store_order, which
+    # they would read as its keys, is refused by the file's shape check.
+    spec = {
+        "geometry": {"input_width": 12, "input_height": 12, "num_active": 12,
+                     "num_cms": 24, "units_per_cm": 8},
+        "num_stored": 6,
+        "probes": [{"label": "I7", "overlaps": [5, 4, 2, 1, 0, 0]}],
+        "seeds": [0, 1],
+        **change,
+    }
+    spec_path, out = tmp_path / "spec.json", tmp_path / "o"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", str(spec_path), str(out)]) == 3
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_scenario_without_seeds_is_data_error(tmp_path, capsys):
@@ -849,6 +902,17 @@ _CONFIGS = st.fixed_dictionaries({}, optional={
     "seed": _JSON,
     "ledger": _JSON,
 }) | _JSON
+# The appendix scenario with 3 seeds; a drawn case redraws its geometry
+# fields as _CONFIGS does, and then any of its keys as a _JSON value, whose
+# lists hold at most 3 entries.
+_APPENDIX = scenario_to_dict(default_appendix_scenario(3))
+_APPENDIX_SCENARIOS = st.builds(
+    lambda geometry, changes: {
+        **_APPENDIX, "geometry": {**_APPENDIX["geometry"], **geometry}, **changes},
+    st.fixed_dictionaries({}, optional={
+        f.name: st.integers(-1, 24) | _NOT_INT for f in fields(ModelGeometry)}),
+    st.dictionaries(st.sampled_from(sorted({*_APPENDIX, "store_order"})), _JSON, max_size=2),
+)
 _PATTERN_BYTES = st.one_of(
     st.binary(max_size=64),
     st.text("01 2\n\r\t", max_size=200).map(str.encode),
@@ -878,10 +942,12 @@ def _label_fits(label: str) -> bool:
     st.tuples(st.just("init"), _CONFIGS),
     st.tuples(st.just("label"), _LABELS),
     st.tuples(st.just("snapshot"), _SNAPSHOT_EDITS),
+    st.tuples(st.just("experiment"), _APPENDIX_SCENARIOS),
 ))
 def test_cli_maps_malformed_input_to_a_documented_exit_code(case):
     # Every call returns 0, or 3 for bad data, and raises nothing; a failed
-    # command leaves the model file as it was.
+    # command leaves the model file as it was, and a refused scenario writes
+    # no output.
     kind, value = case
     model = MemoryModel(PAPER_GEOMETRY, enable_ledger=True)
     gen = np.random.default_rng(0)
@@ -912,6 +978,12 @@ def test_cli_maps_malformed_input_to_a_documented_exit_code(case):
             path.write_bytes(bytes(edited))
             rc = main(["query", str(path), str(pattern)])
             assert rc == 3
+        elif kind == "experiment":
+            scenario, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+            scenario.write_text(json.dumps(value))
+            rc = main(["experiment", str(scenario), str(out)])
+            assert rc in (0, 3)
+            assert out.exists() == (rc == 0)
         else:
             config, out = Path(tmp) / "cfg.json", Path(tmp) / "new.msdc"
             config.write_text(json.dumps(value))

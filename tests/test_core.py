@@ -591,7 +591,7 @@ def test_params_reject_non_numbers(bad):
         CsaParams(eta_max=bad)
 
 
-@pytest.mark.parametrize("indices", [(True, 2), (False, 5), (3, 4, True), [True]])
+@pytest.mark.parametrize("indices", [(True, 2), (False, 5), (3, 4, True), [True], (True, 1, 2)])
 def test_pattern_rejects_bool_indices(indices):
     with pytest.raises(PatternError, match="not bools"):
         InputPattern(indices)

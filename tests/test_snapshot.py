@@ -333,8 +333,10 @@ def test_header_fields_sit_at_their_documented_offsets():
     [
         (16, "<I", 0, "snapshot header: num_active"),
         (32, "<d", float("nan"), "snapshot header: eta_max must be finite"),
+        (6, "<H", 7, "reserved field must be 0, got 7"),
+        (116, "<B", 2, "ledger flag must be 0 or 1, got 2"),
     ],
-    ids=["num-active", "eta-max"],
+    ids=["num-active", "eta-max", "reserved", "ledger-flag"],
 )
 def test_checksum_valid_header_with_bad_field_is_format_error(
     geometry, offset, fmt, value, message

@@ -69,10 +69,12 @@ def run_scaling_bench(
     checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS,
     trials_per_checkpoint: int = 50,
     seed: int = 0,
+    enable_ledger: bool = False,
 ) -> dict:
     """The report as the JSON-ready dict ``save_report`` writes:
     ``schema``; ``config`` (geometry, params, ``w_max``, seed,
-    ``trials_per_checkpoint``); ``csa_ops_equal``; and ``checkpoints``, one
+    ``trials_per_checkpoint``, and ``ledger: true`` if the model records a
+    ledger); ``csa_ops_equal``; and ``checkpoints``, one
     ``{stored_items, store_ns, retrieve_ns, csa_ops}`` per checkpoint, whose
     latencies are ``{median_ns, p95_ns, trials}``."""
     if geometry is None:
@@ -99,7 +101,7 @@ def run_scaling_bench(
             f"input space too small to draw {needed} distinct patterns"
         )
 
-    model = MemoryModel(geometry, params, seed=seed)
+    model = MemoryModel(geometry, params, seed=seed, enable_ledger=enable_ledger)
     patterns = _PatternStream(geometry, np.random.default_rng((seed, 1)))
 
     # Phase 1: grow the model, snapshotting it at every checkpoint.
@@ -140,15 +142,18 @@ def run_scaling_bench(
             retrieve_times[checkpoint].append(time.perf_counter_ns() - t0)
 
     first = op_counts[checkpoints[0]]
+    config = {
+        "geometry": asdict(geometry),
+        "params": asdict(params),
+        "w_max": W_MAX,
+        "seed": seed,
+        "trials_per_checkpoint": trials_per_checkpoint,
+    }
+    if enable_ledger:
+        config["ledger"] = True
     return {
         "schema": BENCH_SCHEMA,
-        "config": {
-            "geometry": asdict(geometry),
-            "params": asdict(params),
-            "w_max": W_MAX,
-            "seed": seed,
-            "trials_per_checkpoint": trials_per_checkpoint,
-        },
+        "config": config,
         "csa_ops_equal": all(ops == first for ops in op_counts.values()),
         "checkpoints": [
             {

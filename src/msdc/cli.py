@@ -13,8 +13,9 @@ scenario's seed list (a negative offset is fine while every seed stays
 non-negative).  On ``init`` and ``bench``, a JSON ``--config`` file may
 supply geometry, params, ``seed`` and ``ledger`` defaults; explicit flags
 win over the config file.  It may also hold ``w_max``, which must be 127,
-the fixed weight quantum.  ``store`` and ``query`` take ``--trace``.  A flag
-a command does not read is a usage error.
+the fixed weight quantum.  The ledger is on by default for ``init`` and off
+for ``bench``.  ``store`` and ``query`` take ``--trace``.  A flag a command
+does not read is a usage error.
 
 Each file reader checks only its file's shape; the values go as they are to
 the types they build, which check them once.
@@ -70,9 +71,10 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolved_config(args) -> tuple[ModelGeometry, CsaParams, object, bool]:
+def _resolved_config(args, ledger: bool) -> tuple[ModelGeometry, CsaParams, object, bool]:
     """The built geometry and params, the seed and the ledger flag: explicit
-    flags over --config file values over built-in defaults."""
+    flags over --config file values over built-in defaults, ``ledger`` the
+    command's own."""
     file_cfg = _load_config_file(args.config)
     flags = {key: value for key, value in vars(args).items() if value is not None}
 
@@ -83,7 +85,7 @@ def _resolved_config(args) -> tuple[ModelGeometry, CsaParams, object, bool]:
         replace(PAPER_GEOMETRY, **layered("geometry", _GEOMETRY_KEYS)),
         replace(CsaParams(), **layered("params", _PARAM_KEYS)),
         flags.get("seed", file_cfg.get("seed", 0)),
-        flags.get("ledger", file_cfg.get("ledger", True)),
+        flags.get("ledger", file_cfg.get("ledger", ledger)),
     )
 
 
@@ -126,7 +128,7 @@ def _dump_trace(args, model, trace, extra: dict) -> None:
 
 
 def cmd_init(args) -> int:
-    geometry, params, seed, ledger = _resolved_config(args)
+    geometry, params, seed, ledger = _resolved_config(args, ledger=True)
     model = MemoryModel(geometry, params, seed=seed, enable_ledger=ledger)
     save_model(model, args.model_path)
     print(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
@@ -192,10 +194,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    geometry, params, seed, _ = _resolved_config(args)
+    geometry, params, seed, ledger = _resolved_config(args, ledger=False)
     report = bench_mod.run_scaling_bench(
         geometry=geometry, params=params, checkpoints=args.checkpoints,
-        trials_per_checkpoint=args.trials, seed=seed,
+        trials_per_checkpoint=args.trials, seed=seed, enable_ledger=ledger,
     )
     bench_mod.save_report(report, args.out_path)
     flag = "equal" if report["csa_ops_equal"] else "UNEQUAL"
@@ -277,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated stored-item counts")
     p.add_argument("--trials", type=int, default=50,
                    help="timing trials per checkpoint")
+    p.add_argument("--ledger", action=argparse.BooleanOptionalAction, default=None,
+                   help="record a ledger on the timed model (default off)")
     p.set_defaults(func=cmd_bench)
     return parser
 

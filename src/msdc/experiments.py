@@ -37,7 +37,10 @@ block, writing into the result's arrays, which are allocated once.  Each
 seed's own model-RNG stream, with no model built for it, supplies its Q
 uniforms per step in the single-model order (stores in store order, then
 probes), so every record is the one a seed-by-seed loop over
-``MemoryModel.store`` and ``belief_update`` would give, bit for bit.
+``MemoryModel.store`` and ``belief_update`` would give, bit for bit.  One
+vectorised pass per run, ``memory._pcg64_states``, computes the PCG64 state
+that ``default_rng(seed)`` would set for every seed; each seed's row is then
+drawn after setting its state on one reused generator.
 
 ``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
@@ -66,7 +69,7 @@ from .core import (
     _check_w_max, _config_object, _parse_json, _read_text, _zeros,
 )
 from .errors import ConfigError, GeometryError, ScheduleError
-from .memory import MemoryModel, _check_mode, _seeded_rng, _select_codes
+from .memory import MemoryModel, _check_mode, _pcg64_states, _select_codes
 
 # Seeds per block, sized as if each seed held a full (P, Q*K) weight plane
 # of 1 MiB in all: 37 seeds at the appendix geometry.  A block's per-item
@@ -92,17 +95,13 @@ AGGREGATE_COLUMNS = (
 )
 
 
-def _counted(seeds) -> tuple[Sequence, int]:
-    """``seeds`` and how many it holds.  A sized value is counted without
-    being iterated, a range even beyond ``sys.maxsize``; any other iterable
-    is built into a tuple first."""
+def _count(seeds: Sequence) -> int:
+    """How many seeds ``seeds`` holds, counted without iterating it, a range
+    even beyond ``sys.maxsize``."""
     try:
-        return seeds, len(seeds)
+        return len(seeds)
     except OverflowError:  # a range too long for len()
-        return seeds, (seeds[-1] - seeds[0]) // seeds.step + 1
-    except TypeError:  # no length
-        seeds = _as_tuple(seeds, "seeds")
-        return seeds, len(seeds)
+        return (seeds[-1] - seeds[0]) // seeds.step + 1
 
 
 def _result_bytes(num_seeds: int, probes, num_cms: int, num_stored: int) -> int:
@@ -115,12 +114,20 @@ def _result_bytes(num_seeds: int, probes, num_cms: int, num_stored: int) -> int:
     return num_seeds * (values + labels)
 
 
-def _as_tuple(values, name: str) -> tuple:
-    """``values`` as a tuple; ``ScheduleError`` if they cannot be iterated."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ScheduleError(f"{name} must be a sequence, got {values!r}") from None
+def _sequence(values, name: str) -> Sequence:
+    """``values`` if it is an ordered, sized sequence: a list, a tuple, a
+    range or a 1-d integer ndarray, such as ``np.arange(n)`` seeds.  Anything
+    else, such as a set, a mapping, a ``str``, ``bytes``, an iterator or a
+    float array, is a ``ScheduleError`` naming the field ``name``, rather
+    than read in some order of its own."""
+    if isinstance(values, (list, tuple, range)) or (
+        isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+    ):
+        return values
+    raise ScheduleError(
+        f"{name} must be a sequence (a list, a tuple, a range or a 1-d integer array), "
+        f"got {values!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class ProbeSpec:
         if not isinstance(self.label, str):
             raise ScheduleError(f"probe label must be a string, got {self.label!r}")
         where = f"probe {self.label!r} overlap"
-        overlaps = tuple(_as_int(o, where, ScheduleError) for o in _as_tuple(self.overlaps, where))
+        overlaps = tuple(_as_int(o, where, ScheduleError) for o in _sequence(self.overlaps, where))
         object.__setattr__(self, "overlaps", overlaps)
 
 
@@ -156,7 +163,7 @@ class ScenarioSpec:
             raise GeometryError(f"geometry must be a ModelGeometry, got {self.geometry!r}")
         if not isinstance(self.params, CsaParams):
             raise GeometryError(f"params must be a CsaParams, got {self.params!r}")
-        object.__setattr__(self, "probes", _as_tuple(self.probes, "probes"))
+        object.__setattr__(self, "probes", tuple(_sequence(self.probes, "probes")))
         seen = set()
         for probe in self.probes:
             if not isinstance(probe, ProbeSpec):
@@ -200,20 +207,21 @@ class ScenarioSpec:
                     f"{free} are free"
                 )
         # Counted, and held to the cap, before a seed is built.
-        seeds, count = _counted(self.seeds)
+        seeds = _sequence(self.seeds, "seeds")
+        count = _count(seeds)
         if _result_bytes(count, self.probes, g.num_cms, n) > MAX_RESULT_BYTES:
             raise ScheduleError(
                 f"scenario seeds count {count} is too large: its results would need more "
                 f"than the {MAX_RESULT_BYTES}-byte cap"
             )
-        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in _as_tuple(seeds, "seeds"))
+        seeds = tuple(_as_int(s, "seed", ScheduleError) for s in seeds)
         object.__setattr__(self, "seeds", seeds)
         if not seeds:
             raise ScheduleError("scenario needs at least one seed")
         if min(seeds) < 0:
             raise ScheduleError(f"seeds must be non-negative, got {min(seeds)}")
         if self.store_order is not None:
-            order = _as_tuple(self.store_order, "store_order")
+            order = tuple(_sequence(self.store_order, "store_order"))
             object.__setattr__(self, "store_order", order)
             if not all(isinstance(label, str) for label in order):
                 raise ScheduleError(f"store_order must hold labels, got {list(order)}")
@@ -362,13 +370,22 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     familiarity, eta = (_zeros((n, m), np.float64, f"{n} x {m} scenario {x}") for x in ("G", "eta"))
     intersections = _zeros((n, m, len(stored)), np.intp, f"{n} x {m} x {len(stored)} intersections")
     uniforms = _zeros((min(block, n), num_draws), np.float64, f"{num_draws} uniforms per seed")
+    # Every seed's model-RNG state, set in turn on one generator.
+    states = _pcg64_states(spec.seeds)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     for first in range(0, len(spec.seeds), block):
         at = slice(first, first + block)
         seeds = spec.seeds[at]
         # Each seed's model RNG stream, drawn into its row and read as (steps, B, Q):
         # Q uniforms per step, stores first, then probes.
-        for row, seed in zip(uniforms, seeds):
-            _seeded_rng(seed).random(out=row)
+        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(uniforms, states[at].tolist()):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            rng.random(out=row)
         draws = uniforms[: len(seeds)].reshape(len(seeds), -1, g.num_cms).transpose(1, 0, 2)
         # build_appendix_corpus stores pairwise-disjoint items, so each store
         # reads only weight rows that no earlier store wrote: G is 0 and the
@@ -589,9 +606,8 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
 
     A wrong shape raises ``ConfigError``: not an object, an unknown or
     missing key, a ``w_max`` other than 127, a seeds object other than
-    ``{"start", "count"}``, probes not a list of ``{"label", "overlaps"}``
-    objects, or a store_order that is not a list (the spec would read an
-    object as its keys).  The spec types check every value.
+    ``{"start", "count"}``, or probes not a list of ``{"label", "overlaps"}``
+    objects.  The spec types check every value.
     """
     data = _config_object(data, "scenario", _SCENARIO_KEYS, _SCENARIO_REQUIRED)
     if "w_max" in data:
@@ -606,9 +622,6 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     probes = data["probes"]
     if not isinstance(probes, list):
         raise ConfigError(f"scenario probes must be a list, got {probes!r}")
-    store_order = data.get("store_order")
-    if store_order is not None and not isinstance(store_order, list):
-        raise ConfigError(f"scenario store_order must be a list of labels, got {store_order!r}")
     return ScenarioSpec(
         name=data.get("name", "scenario"),
         geometry=ModelGeometry(
@@ -622,7 +635,7 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         ],
         seeds=seeds,
         mode=data.get("mode", "soft"),
-        store_order=store_order,
+        store_order=data.get("store_order"),
     )
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import msdc.bench
 from msdc import GeometryError, MemoryModel, ModelGeometry
 from msdc.bench import (
     BENCH_SCHEMA,
@@ -47,6 +48,35 @@ def test_report_schema(small_report, tmp_path):
     out = tmp_path / "bench.json"
     save_report(small_report, out)
     assert out.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_default_report_keeps_its_config_keys(small_report):
+    assert list(small_report["config"]) == [
+        "geometry", "params", "w_max", "seed", "trials_per_checkpoint"
+    ]
+
+
+@pytest.mark.parametrize("enable_ledger", [False, True])
+def test_bench_model_records_a_ledger_only_when_asked(monkeypatch, enable_ledger):
+    # The grown model keeps one entry per store with the ledger on, and
+    # none with it off; only a ledger-on report names the ledger.
+    models = []
+
+    class Recorded(MemoryModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(msdc.bench, "MemoryModel", Recorded)
+    report = run_scaling_bench(
+        checkpoints=(1, 4), trials_per_checkpoint=2, enable_ledger=enable_ledger
+    )
+    assert len(models) == 1
+    assert (models[0].ledger is not None) is enable_ledger
+    if enable_ledger:
+        assert len(models[0].ledger) == 4
+    assert report["config"].get("ledger", False) is enable_ledger
+    assert report["csa_ops_equal"]
 
 
 def test_checkpoints_must_ascend():

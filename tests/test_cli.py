@@ -504,6 +504,49 @@ def test_experiment_negative_seed_offset_keeps_seeds_non_negative(tmp_path, caps
     assert "non-negative" in capsys.readouterr().err
 
 
+# Runs each command line given as a JSON list, in one process, and prints
+# each one's exit code after its output.
+_COMMANDS = """
+import json, sys
+from msdc.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("exit", main(argv), flush=True)
+"""
+
+
+def test_commands_write_the_same_bytes_under_any_hash_seed(tmp_path, grid_pattern):
+    # A set or dict order leaking into a result would differ between two
+    # processes with different str hashing, where it cannot show within one.
+    spec = {**scenario_to_dict(default_appendix_scenario(6)),
+            "store_order": ["I4", "I1", "I6", "I2", "I5", "I3"]}
+    commands = [
+        ["experiment", "spec.json", "out"],
+        ["init", "m.msdc"],
+        ["store", "m.msdc", "a.txt"],
+        ["store", "m.msdc", "b.json", "--label", "second", "--trace", "store.json"],
+        ["query", "m.msdc", "a.txt", "--trace", "query.json"],
+        ["query", "m.msdc", "b.json", "--mode", "hard", "--seed", "3"],
+    ]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        work = tmp_path / hash_seed
+        work.mkdir()
+        (work / "spec.json").write_text(json.dumps(spec))
+        (work / "a.txt").write_bytes(grid_pattern.read_bytes())
+        (work / "b.json").write_text(json.dumps(list(range(100, 112))))
+        result = subprocess.run(
+            [sys.executable, "-c", _COMMANDS, json.dumps(commands)], cwd=work,
+            env={**_src_env(), "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        assert result.stdout.count(b"exit 0\n") == len(commands), result.stdout
+        files = {p.relative_to(work).as_posix(): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+        assert {"out/results.json", "m.msdc", "store.json", "query.json"} <= set(files)
+        outputs.append((result.stdout, files))
+    assert outputs[0] == outputs[1]
+
+
 def test_experiment_writes_utf8_files_under_a_non_utf8_locale(tmp_path):
     # Under the C locale with UTF-8 mode off, the locale's encoding is
     # ASCII; the result files must still hold a non-ASCII probe label, byte
@@ -556,6 +599,30 @@ def test_bench_writes_schema_valid_report(tmp_path, capsys):
     assert data["schema"] == "msdc-scaling-bench-v1"
     assert data["csa_ops_equal"] is True
     assert [cp["stored_items"] for cp in data["checkpoints"]] == [1, 5, 20]
+
+
+@pytest.mark.parametrize(
+    "config, flags, ledger",
+    [
+        ({}, [], False),
+        ({"ledger": False}, [], False),
+        ({"ledger": True}, [], True),
+        ({}, ["--ledger"], True),
+        ({"ledger": False}, ["--ledger"], True),
+        ({"ledger": True}, ["--no-ledger"], False),
+    ],
+)
+def test_bench_reads_the_ledger_flags_and_config(tmp_path, capsys, config, flags, ledger):
+    # Flags over the config file over bench's own default, ledger off; the
+    # default report names no ledger, as before bench read one.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "bench.json"
+    argv = ["bench", str(out), "--config", str(cfg), "--checkpoints", "1,2", "--trials", "1"]
+    assert main([*argv, *flags]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"].get("ledger", False) is ledger
+    assert ("ledger" in report["config"]) is ledger
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])
@@ -831,7 +898,7 @@ def test_each_command_takes_only_the_flags_it_reads():
         "store": {"--seed", "--trace", "--label"},
         "query": {"--seed", "--trace", "--mode"},
         "experiment": {"--seed", "--format"},
-        "bench": configured | {"--checkpoints", "--trials"},
+        "bench": configured | {"--checkpoints", "--trials", "--ledger", "--no-ledger"},
     }
 
 

@@ -540,15 +540,17 @@ def test_scenario_name_must_be_a_string(name, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+NOT_A_SEQUENCE = "must be a sequence (a list, a tuple, a range or a 1-d integer array), got"
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda base: ProbeSpec("P", 5), "probe 'P' overlap must be a sequence, got 5"),
-        (lambda base: ProbeSpec("P", None), "probe 'P' overlap must be a sequence, got None"),
-        (lambda base: dataclasses.replace(base, probes=5), "probes must be a sequence, got 5"),
-        (lambda base: dataclasses.replace(base, seeds=5), "seeds must be a sequence, got 5"),
-        (lambda base: dataclasses.replace(base, store_order=5),
-         "store_order must be a sequence, got 5"),
+        (lambda base: ProbeSpec("P", 5), f"probe 'P' overlap {NOT_A_SEQUENCE} 5"),
+        (lambda base: ProbeSpec("P", None), f"probe 'P' overlap {NOT_A_SEQUENCE} None"),
+        (lambda base: dataclasses.replace(base, probes=5), f"probes {NOT_A_SEQUENCE} 5"),
+        (lambda base: dataclasses.replace(base, seeds=5), f"seeds {NOT_A_SEQUENCE} 5"),
+        (lambda base: dataclasses.replace(base, store_order=5), f"store_order {NOT_A_SEQUENCE} 5"),
         (lambda base: dataclasses.replace(base, probes=("x",)),
          "probes must be ProbeSpecs, got 'x'"),
         (lambda base: default_appendix_scenario(1.5), "num_seeds must be an integer, got 1.5"),
@@ -637,6 +639,74 @@ def test_scenario_spec_accepts_numpy_integer_seeds():
     spec = dataclasses.replace(base, seeds=np.arange(3))
     assert spec == base
     assert all(type(s) is int for s in spec.seeds)
+
+
+def with_field(field):
+    return lambda value: dataclasses.replace(default_appendix_scenario(1), **{field: value})
+
+
+SEQUENCE_FIELDS = {
+    # Each field's accepted value, and the spec built with a value in its place.
+    "overlaps": ((5, 4, 2, 1, 0, 0), lambda value: ProbeSpec("P", value)),
+    "probes": (default_appendix_scenario(1).probes, with_field("probes")),
+    "seeds": ((2, 0, 1), with_field("seeds")),
+    "store_order": (("I6", "I1", "I5", "I2", "I4", "I3"), with_field("store_order")),
+}
+FIELD_NAMES = {"overlaps": "probe 'P' overlap"}
+
+UNORDERED = {
+    "set": set, "frozenset": frozenset, "dict": dict.fromkeys,
+    "keys": lambda v: dict.fromkeys(v).keys(), "str": lambda v: "".join(map(str, v)),
+    "bytes": lambda v: bytes(range(len(v))), "iterator": iter,
+    "generator": lambda v: (x for x in v), "2-d array": lambda v: np.array(v, dtype=object)[None],
+    "0-d array": lambda v: np.array(v[0], dtype=object), "float array": lambda v: np.ones(len(v)),
+    "object array": lambda v: np.array(v, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", list(UNORDERED))
+@pytest.mark.parametrize("field", list(SEQUENCE_FIELDS))
+def test_sequence_fields_refuse_unordered_and_unsized_input(field, kind):
+    # A set or a mapping would be read in an order of its own (a set of str
+    # in the order of str hashing), bytes or a str as their items, and an
+    # iterator would be used up; each is a ScheduleError naming the field.
+    valid, build = SEQUENCE_FIELDS[field]
+    value = UNORDERED[kind](valid)
+    with pytest.raises(ScheduleError) as raised:
+        build(value)
+    name = FIELD_NAMES.get(field, field)
+    assert str(raised.value) == f"{name} {NOT_A_SEQUENCE} {value!r}"
+
+
+@pytest.mark.parametrize("field", list(SEQUENCE_FIELDS))
+def test_sequence_fields_take_lists_tuples_ranges_and_1d_integer_arrays(field):
+    valid, build = SEQUENCE_FIELDS[field]
+    cases = [(list(valid), valid), (tuple(valid), valid)]
+    if field in ("overlaps", "seeds"):
+        # An integer array's items become Python ints.
+        cases += [(np.array(valid), valid), (np.array(valid, dtype=np.uint8), valid)]
+    if field == "seeds":
+        cases.append((range(3), (0, 1, 2)))
+    for value, want in cases:
+        got = getattr(build(value), field)
+        assert got == tuple(want)
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def test_scenario_from_dict_leaves_a_store_order_object_to_the_spec(tmp_path, capsys):
+    # The reader no longer checks store_order's type; the spec refuses an
+    # object, which it would otherwise read as its keys.
+    data = scenario_to_dict(default_appendix_scenario(2))
+    data["store_order"] = {label: 0 for label in ("I6", "I1", "I5", "I2", "I4", "I3")}
+    message = f"store_order {NOT_A_SEQUENCE} {data['store_order']!r}"
+    with pytest.raises(ScheduleError) as raised:
+        scenario_from_dict(data)
+    assert str(raised.value) == message
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    assert main(["experiment", str(path), str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_spec_rejects_duplicate_probe_labels():

@@ -24,7 +24,7 @@ from msdc.experiments import (
     emit_results,
     run_scenario,
 )
-from msdc.memory import _select_codes
+from msdc.memory import _pcg64_states, _seeded_rng, _select_codes
 
 from oracle import extreme_params
 
@@ -368,6 +368,86 @@ def test_a_200_seed_run_peaks_under_2_mib():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def drawn_uniform_rows(spec):
+    """``run_scenario(spec)``'s uniforms as the kernel reads them: per seed,
+    one row of Q per step, stores in store order, then probes."""
+    calls = []
+    original = msdc.experiments._select_codes
+
+    def recording(bits, active, geometry, params, mode, r, *rest):
+        calls.append(r.copy())
+        return original(bits, active, geometry, params, mode, r, *rest)
+
+    with mock.patch.object(msdc.experiments, "_select_codes", recording):
+        run_scenario(spec)
+    q, probes = spec.geometry.num_cms, len(spec.probes)
+    rows = []
+    # Per block, one store call over (stores * B, Q), then one per probe.
+    for at in range(0, len(calls), 1 + probes):
+        stores, *probe_steps = calls[at : at + 1 + probes]
+        steps = np.concatenate([stores.reshape(spec.num_stored, -1, q), np.stack(probe_steps)])
+        rows.extend(steps.transpose(1, 0, 2).reshape(steps.shape[1], -1))
+    return rows
+
+
+def assert_own_streams(seeds):
+    """Each seed's PCG64 state from ``_pcg64_states``, and its row of the
+    scenario's uniforms, are those of ``_seeded_rng(seed)``, bit for bit."""
+    states = _pcg64_states(seeds)
+    assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+    for (state_hi, state_lo, inc_hi, inc_lo), seed in zip(states.tolist(), seeds):
+        want = _seeded_rng(seed).bit_generator.state["state"]
+        assert {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo} == want
+    rows = drawn_uniform_rows(appendix(seeds))
+    assert len(rows) == len(seeds)
+    for row, seed in zip(rows, seeds):
+        assert row.tobytes() == _seeded_rng(seed).random(row.size).tobytes()
+
+
+# Seeds of any width in 32-bit words, from 1 to 10, so that one block holds
+# seeds of one word and of several.
+any_width_seeds = st.integers(0, 300).flatmap(lambda bits: st.integers(0, 2**bits - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(any_width_seeds, min_size=1, max_size=8))
+def test_each_seed_draws_its_own_model_stream(seeds):
+    assert_own_streams(seeds)
+
+
+def test_edge_seeds_draw_their_own_model_streams():
+    # The word-count edges of SeedSequence's entropy, 1 to 5 words, and a
+    # 10-word seed, all in one block.
+    seeds = [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128, 2**300, 5]
+    assert len(seeds) < BLOCK
+    assert_own_streams(seeds)
+    assert_matches_reference(appendix(seeds))
+
+
+def test_model_rng_states_are_built_once_per_call(monkeypatch):
+    # One vectorised pass gives every seed's state, for all of a 200-seed
+    # run's six blocks.
+    calls = []
+    kernel_calls = 0
+
+    def counting(seeds):
+        calls.append(tuple(seeds))
+        return _pcg64_states(seeds)
+
+    def kernel_counting(*args):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return _select_codes(*args)
+
+    monkeypatch.setattr(msdc.experiments, "_pcg64_states", counting)
+    monkeypatch.setattr(msdc.experiments, "_select_codes", kernel_counting)
+    spec = default_appendix_scenario(200)
+    run_scenario(spec)
+    assert calls == [spec.seeds]
+    # One store call and one call per probe, in each block.
+    assert kernel_calls == 6 * (1 + len(spec.probes)) and -(-200 // BLOCK) == 6
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])

@@ -127,11 +127,19 @@ def _dump_trace(args, model, trace, extra: dict) -> None:
         Path(args.trace).write_text(text)
 
 
+def _echo(text: str) -> None:
+    """Print ``text``, as backslash escapes where stdout cannot encode it."""
+    try:
+        print(text)
+    except UnicodeEncodeError:
+        print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
+
+
 def cmd_init(args) -> int:
     geometry, params, seed, ledger = _resolved_config(args, ledger=True)
     model = MemoryModel(geometry, params, seed=seed, enable_ledger=ledger)
     save_model(model, args.model_path)
-    print(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
+    _echo(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
           f"{geometry.units_per_cm} units, {geometry.input_width}x"
           f"{geometry.input_height} input, S={geometry.num_active}")
     return EXIT_OK
@@ -151,7 +159,7 @@ def cmd_store(args) -> int:
     if args.trace != "-":
         _dump_trace(args, model, trace, extra)
     save_model(model, args.model_path)
-    print(f"stored {label}: G={trace.familiarity} code={' '.join(map(str, code))}")
+    _echo(f"stored {label}: G={trace.familiarity} code={' '.join(map(str, code))}")
     if args.trace == "-":
         _dump_trace(args, model, trace, extra)
     return EXIT_OK
@@ -162,15 +170,14 @@ def cmd_query(args) -> int:
     model = load_model(args.model_path)
     pattern = read_pattern_file(args.pattern_path)
     report = model.belief_update(pattern, mode=args.mode, rng=rng)
-    print(f"code: {' '.join(str(int(c)) for c in report.code)}")
-    print(f"G={report.familiarity}")
     q = model.geometry.num_cms
-    for entry in report.entries:
-        print(
-            f"{entry.label}: similarity={entry.input_similarity:.4f} "
-            f"intersection={entry.code_intersection}/{q} "
-            f"likelihood={entry.likelihood:.4f}"
-        )
+    lines = [f"code: {' '.join(str(int(c)) for c in report.code)}", f"G={report.familiarity}"]
+    lines += [
+        f"{entry.label}: similarity={entry.input_similarity:.4f} "
+        f"intersection={entry.code_intersection}/{q} likelihood={entry.likelihood:.4f}"
+        for entry in report.entries
+    ]
+    _echo("\n".join(lines))
     _dump_trace(args, model, report.trace, {"command": "query", "mode": args.mode,
                                      "code": [int(c) for c in report.code]})
     return EXIT_OK
@@ -189,7 +196,7 @@ def cmd_experiment(args) -> int:
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     written = exp_mod.emit_results(records, spec, args.out_dir, formats=formats)
     for path in written:
-        print(path)
+        _echo(str(path))
     return EXIT_OK
 
 
@@ -201,7 +208,7 @@ def cmd_bench(args) -> int:
     )
     bench_mod.save_report(report, args.out_path)
     flag = "equal" if report["csa_ops_equal"] else "UNEQUAL"
-    print(f"wrote {args.out_path}; CSA op counts {flag} across checkpoints")
+    _echo(f"wrote {args.out_path}; CSA op counts {flag} across checkpoints")
     return EXIT_OK
 
 

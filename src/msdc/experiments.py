@@ -38,9 +38,9 @@ seed's own model-RNG stream, with no model built for it, supplies its Q
 uniforms per step in the single-model order (stores in store order, then
 probes), so every record is the one a seed-by-seed loop over
 ``MemoryModel.store`` and ``belief_update`` would give, bit for bit.  One
-vectorised pass per run, ``memory._pcg64_states``, computes the PCG64 state
-that ``default_rng(seed)`` would set for every seed; each seed's row is then
-drawn after setting its state on one reused generator.
+call per run, ``memory._pcg64_states``, gives each seed's ``default_rng``
+state: SeedSequence's hashes as arrays, numpy's for a seed over 128 bits, and
+PCG64's step on Python ints.  Each row is drawn from it on one generator.
 
 ``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
@@ -379,10 +379,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         seeds = spec.seeds[at]
         # Each seed's model RNG stream, drawn into its row and read as (steps, B, Q):
         # Q uniforms per step, stores first, then probes.
-        for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(uniforms, states[at].tolist()):
+        for row, (state, inc) in zip(uniforms, states[at]):
             bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                 "has_uint32": 0, "uinteger": 0,
             }
             rng.random(out=row)

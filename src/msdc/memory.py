@@ -190,8 +190,8 @@ def _check_mode(mode: str, error: type[Exception] = GeometryError) -> None:
 def _seeded_rng(seed: int) -> np.random.Generator:
     """A model RNG for ``seed``, which must be a non-negative integer.
 
-    ``_pcg64_states`` gives the PCG64 state that this sets, for many seeds at
-    once."""
+    ``_pcg64_states`` gives the PCG64 state that this sets for many seeds at
+    once: arrays hash the seeds of at most 128 bits, numpy a wider one."""
     seed = _as_int(seed, "seed", GeometryError)
     if seed < 0:
         raise GeometryError(f"seed must be non-negative, got {seed}")
@@ -201,22 +201,11 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 # numpy's SeedSequence (numpy/random/bit_generator.pyx), pool size 4: the
 # start and step of the constant that its hashmix (A) and generate_state (B)
 # hashes use, and the multipliers of its mix.  Then PCG64's 128-bit LCG
-# multiplier (numpy/random/src/pcg64/pcg64.h) in 64-bit halves, and its low
-# half's 32-bit halves.
+# multiplier (numpy/random/src/pcg64/pcg64.h).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK_32, _SHIFT_32 = np.uint64(0xFFFFFFFF), np.uint64(32)
-_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
-_PCG_MULT_B0, _PCG_MULT_B1 = _PCG_MULT_LO & _MASK_32, _PCG_MULT_LO >> _SHIFT_32
-
-
-def _words(values, count: int) -> np.ndarray:
-    """The low ``count`` 32-bit words of each of ``values``, least
-    significant first, as a (count, n) uint32 array."""
-    mask = (1 << 32 * count) - 1
-    data = b"".join((value & mask).to_bytes(4 * count, "little") for value in values)
-    return np.frombuffer(data, "<u4").reshape(len(values), count).T.astype(np.uint32)
+_PCG_MULT, _MASK_128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,61 +232,40 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ mixed >> np.uint32(16)
 
 
-def _pcg64_states(seeds) -> np.ndarray:
-    """The PCG64 state that ``np.random.default_rng(seed)`` sets, for each of
-    ``seeds``, non-negative ints that the caller has checked, as an (n, 4)
-    uint64 array: the state's high and low 64 bits, then the increment's.
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``np.random.default_rng(seed)`` sets,
+    as Python ints, for each of ``seeds``: non-negative ints, already checked.
 
-    The steps of numpy's ``SeedSequence(seed).generate_state(4, np.uint64)``
-    and ``pcg64_set_seed`` are pure integer functions (O'Neill 2014, PCG,
-    HMC-CS-2014-0905), so they run over all seeds at once in uint32 and
-    uint64 arrays, and no generator is built per seed."""
+    numpy's ``SeedSequence(seed).generate_state(4, np.uint64)`` is pure
+    uint32 arithmetic, so its hashes run as arrays over every seed of at most
+    128 bits, and no generator is built.  A wider seed takes its mixed pool
+    from numpy's ``SeedSequence(seed).pool``.  PCG64's seeding step (O'Neill
+    2014, PCG, HMC-CS-2014-0905) then runs per seed on Python ints."""
     xor, mul = _HASH_A
-    # mix_entropy: hash each seed's first four words, a missing word as 0, ...
-    pool = _hash(_words(seeds, 4), xor[:4], mul[:4])
-    # ... mix each pool word's hash into the three others, ...
+    # mix_entropy: hash each seed's low four 32-bit words, a missing word as
+    # 0, then mix each pool word's hash into the three others.
+    data = b"".join((seed & _MASK_128).to_bytes(16, "little") for seed in seeds)
+    words = np.frombuffer(data, "<u4").reshape(len(seeds), 4).T.astype(np.uint32)
+    pool = _hash(words, xor[:4], mul[:4])
     for src in range(4):
         at = slice(4 + 3 * src, 7 + 3 * src)
         others = [dst for dst in range(4) if dst != src]
         pool[others] = _mix(pool[others], _hash(pool[src], xor[at], mul[at]))
-    # ... then each further word's into all four, for the seeds that hold it:
-    # only seeds of more than four words, each up to its own word count.
-    wide = [i for i, seed in enumerate(seeds) if seed >> 128]
-    if wide:
-        rest = [seeds[i] >> 128 for i in wide]
-        held = np.array([4 + -(-value.bit_length() // 32) for value in rest])
-        width = int(held.max())
-        words = _words(rest, width - 4)
-        xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * width)
-        mixed = pool[:, wide]
-        for j in range(4, width):
-            at = slice(4 * j, 4 * j + 4)
-            mixed = np.where(held > j, _mix(mixed, _hash(words[j - 4], xor[at], mul[at])), mixed)
-        pool[:, wide] = mixed
+    # A seed of more than four words: numpy mixes its further words in.
+    for i, seed in enumerate(seeds):
+        if seed >> 128:
+            pool[:, i] = np.random.SeedSequence(seed).pool
     # generate_state: eight hashes cycling over the pool, read as four
     # little-endian uint64 words: initstate's high and low, initseq's.
     xor, mul = _HASH_B
-    out = _hash(np.concatenate([pool, pool]), xor, mul).astype(np.uint64)
-    init_hi, init_lo, seq_hi, seq_lo = out[0::2] | out[1::2] << _SHIFT_32
-    # pcg_setseq_128_srandom_r, modulo 2**128 in 64-bit halves:
-    # inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc.
-    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
-    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
-    x_lo = inc_lo + init_lo
-    x_hi = inc_hi + init_hi + (x_lo < inc_lo)
-    # x * MULT: the full product of the low halves from 32-bit partial
-    # products, plus the low 64 bits of each cross product in the high half.
-    a0, a1 = x_lo & _MASK_32, x_lo >> _SHIFT_32
-    p00, p01, p10 = a0 * _PCG_MULT_B0, a0 * _PCG_MULT_B1, a1 * _PCG_MULT_B0
-    mid = (p00 >> _SHIFT_32) + (p01 & _MASK_32) + (p10 & _MASK_32)
-    lo = mid << _SHIFT_32 | p00 & _MASK_32
-    hi = (
-        a1 * _PCG_MULT_B1 + (p01 >> _SHIFT_32) + (p10 >> _SHIFT_32) + (mid >> _SHIFT_32)
-        + x_hi * _PCG_MULT_LO + x_lo * _PCG_MULT_HI
-    )
-    state_lo = lo + inc_lo
-    state_hi = hi + inc_hi + (state_lo < lo)
-    return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
+    out = np.ascontiguousarray(_hash(np.concatenate([pool, pool]), xor, mul).T, "<u4")
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in out.view("<u8").tolist():
+        # pcg_setseq_128_srandom_r
+        init, seq = init_hi << 64 | init_lo, seq_hi << 64 | seq_lo
+        inc = (seq << 1 | 1) & _MASK_128
+        states.append((((init + inc) * _PCG_MULT + inc) & _MASK_128, inc))
+    return states
 
 
 def _select_codes(

@@ -514,6 +514,13 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _run_commands(work, commands, **env):
+    return subprocess.run(
+        [sys.executable, "-c", _COMMANDS, json.dumps(commands)], cwd=work,
+        env={**_src_env(), **env}, capture_output=True, timeout=120,
+    )
+
+
 def test_commands_write_the_same_bytes_under_any_hash_seed(tmp_path, grid_pattern):
     # A set or dict order leaking into a result would differ between two
     # processes with different str hashing, where it cannot show within one.
@@ -523,7 +530,7 @@ def test_commands_write_the_same_bytes_under_any_hash_seed(tmp_path, grid_patter
         ["experiment", "spec.json", "out"],
         ["init", "m.msdc"],
         ["store", "m.msdc", "a.txt"],
-        ["store", "m.msdc", "b.json", "--label", "second", "--trace", "store.json"],
+        ["store", "m.msdc", "b.json", "--label", "\u03a9-second", "--trace", "store.json"],
         ["query", "m.msdc", "a.txt", "--trace", "query.json"],
         ["query", "m.msdc", "b.json", "--mode", "hard", "--seed", "3"],
     ]
@@ -534,10 +541,7 @@ def test_commands_write_the_same_bytes_under_any_hash_seed(tmp_path, grid_patter
         (work / "spec.json").write_text(json.dumps(spec))
         (work / "a.txt").write_bytes(grid_pattern.read_bytes())
         (work / "b.json").write_text(json.dumps(list(range(100, 112))))
-        result = subprocess.run(
-            [sys.executable, "-c", _COMMANDS, json.dumps(commands)], cwd=work,
-            env={**_src_env(), "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120,
-        )
+        result = _run_commands(work, commands, PYTHONHASHSEED=hash_seed)
         assert result.returncode == 0, result.stderr.decode(errors="replace")
         assert result.stdout.count(b"exit 0\n") == len(commands), result.stdout
         files = {p.relative_to(work).as_posix(): p.read_bytes()
@@ -545,6 +549,46 @@ def test_commands_write_the_same_bytes_under_any_hash_seed(tmp_path, grid_patter
         assert {"out/results.json", "m.msdc", "store.json", "query.json"} <= set(files)
         outputs.append((result.stdout, files))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "env", [{"PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONIOENCODING": "ascii"}]
+)
+def test_a_label_stdout_cannot_encode_is_printed_escaped(tmp_path, grid_pattern, env):
+    # store prints its summary after saving the model, so a crash there would
+    # exit 1 with the item already stored.  Each character stdout cannot
+    # encode is written as its backslash escape; the rest of each line is the
+    # same as under UTF-8.
+    commands = [["init", "m.msdc"], ["store", "m.msdc", "p.txt", "--label", "\u03a9"],
+                ["query", "m.msdc", "p.txt", "--seed", "1"]]
+    stdouts = []
+    for name, run_env in (("utf8", {"PYTHONIOENCODING": "utf-8"}), ("narrow", env)):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "p.txt").write_bytes(grid_pattern.read_bytes())
+        result = _run_commands(work, commands, **run_env)
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        assert result.stdout.count(b"exit 0\n") == len(commands), result.stdout
+        assert b"Traceback" not in result.stderr
+        assert [e.label for e in load_model(work / "m.msdc").ledger] == ["\u03a9"]
+        stdouts.append(result.stdout)
+    utf8, narrow = stdouts
+    escaped = b"\\u03a9"
+    assert escaped + b": similarity=" in narrow and narrow.count(escaped) == 2
+    assert narrow == utf8.replace("\u03a9".encode(), escaped)
+
+
+def test_paths_print_byte_for_byte_under_a_non_utf8_locale(tmp_path):
+    # Under the C locale a non-UTF-8 byte of a path decodes to a surrogate,
+    # which stdout writes back as the same byte, not as an escape.
+    name = os.fsencode(tmp_path) + b"/m\xff.msdc"
+    result = subprocess.run(
+        [sys.executable, "-m", "msdc", "init", name], capture_output=True, timeout=120,
+        env={**_src_env(), "PYTHONUTF8": "0", "LC_ALL": "C"},
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stdout.startswith(b"initialized " + name + b": ")
+    assert os.path.exists(name)
 
 
 def test_experiment_writes_utf8_files_under_a_non_utf8_locale(tmp_path):

@@ -1,12 +1,15 @@
 """Property tests for the pipeline's structural invariants."""
 
+import json
 import subprocess
 import sys
 import tempfile
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from msdc import (
@@ -18,6 +21,7 @@ from msdc import (
     random_pattern,
     save_model,
 )
+from msdc.cli import read_pattern_file
 from msdc.core import (
     _z_table,
     draw_winners,
@@ -28,6 +32,8 @@ from msdc.core import (
     normalize_u,
     rho_from_mu,
 )
+from msdc.errors import ConfigError, PatternError, ScheduleError
+from msdc.experiments import scenario_from_dict, scenario_to_dict
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import (
@@ -433,6 +439,103 @@ def test_copies_replay_exactly(case):
         assert np.array_equal(twin.store(pattern)[0], code)
     draws = [m.rng.random(4).tolist() for m in (model, *copies)]
     assert all(d == draws[0] for d in draws)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A feasible scenario as a reader takes it, and as ``scenario_to_dict``
+    writes it back: the same but for its documented normalisations, each
+    omitted default filled in and a ``{"start", "count"}`` seeds object
+    written as a list.  Sequence fields come as JSON lists or as tuples."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    s = draw(st.integers(1, width * height))
+    n = draw(st.integers(1, width * height // s))
+    free = width * height - n * s
+    geometry = {"input_width": width, "input_height": height, "num_active": s,
+                "num_cms": draw(st.integers(1, 6)), "units_per_cm": draw(st.integers(1, 6))}
+    probes = []
+    for label in draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True)):
+        left = draw(st.integers(max(0, s - free), s))
+        overlaps = []
+        for _ in range(n - 1):
+            overlaps.append(draw(st.integers(0, left)))
+            left -= overlaps[-1]
+        probes.append({"label": label, "overlaps": draw(st.permutations(overlaps + [left]))})
+    params = asdict(draw(st.just(CsaParams()) | extreme_params()))
+    chosen = {k: params[k] for k in draw(st.lists(st.sampled_from(sorted(params)), unique=True))}
+    want = {"name": "scenario", "geometry": geometry, "params": {**asdict(CsaParams()), **chosen},
+            "w_max": 127, "num_stored": n, "probes": probes, "mode": "soft"}
+    data = {"geometry": geometry, "num_stored": n, "probes": probes}
+    if chosen or draw(st.booleans()):
+        data["params"] = chosen
+    if draw(st.booleans()):
+        data["w_max"] = 127
+    for key, values in [("name", st.text(max_size=6)), ("mode", st.sampled_from(["soft", "hard"])),
+                        ("store_order", st.permutations([f"I{i + 1}" for i in range(n)]))]:
+        if draw(st.booleans()):
+            data[key] = want[key] = draw(values)
+    if draw(st.booleans()):
+        start, count = draw(st.integers(0, 2**70)), draw(st.integers(1, 5))
+        data["seeds"] = {"start": start, "count": count}
+        want["seeds"] = list(range(start, start + count))
+    else:
+        seeds = draw(st.lists(st.integers(0, 2**70), min_size=1, max_size=5))
+        data["seeds"] = want["seeds"] = seeds
+    if draw(st.booleans()):
+        data = {**data, "probes": [{**p, "overlaps": tuple(p["overlaps"])} for p in probes]}
+        for key in ("seeds", "store_order"):
+            if isinstance(data.get(key), list):
+                data[key] = tuple(data[key])
+    return data, want
+
+
+# Every key a scenario, probe or pattern object names.
+_NAMED_KEYS = {"name", "geometry", "params", "w_max", "num_stored", "probes", "seeds", "mode",
+               "store_order", "label", "overlaps", "active_pixels"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scenario_dicts(),
+    st.sampled_from([None, "seeds", "store_order", "overlaps", "scenario key", "probe key"]),
+    st.lists(st.integers(0, 10**6), unique=True, max_size=8),
+    st.sampled_from(["list", "object", "object with another key"]),
+    st.text(min_size=1).filter(lambda key: key not in _NAMED_KEYS),
+)
+def test_accepted_input_reads_back_and_other_input_is_refused(
+    case, fault, indices, pattern_form, other_key
+):
+    # A field given as a set, which has no order of its own, is refused by
+    # its type, and an object key that no reader names by the reader.
+    data, want = case
+    probes = data["probes"]
+    if fault == "overlaps":
+        data = {**data, "probes": [{**p, "overlaps": set(p["overlaps"])} for p in probes]}
+    elif fault in ("seeds", "store_order") and isinstance(data.get(fault), (list, tuple)):
+        data = {**data, fault: set(data[fault])}
+    elif fault == "scenario key":
+        data = {**data, other_key: 1}
+    elif fault == "probe key":
+        data = {**data, "probes": [{**probes[0], other_key: 1}, *probes[1:]]}
+    else:
+        fault = None
+    if fault is None:
+        assert scenario_to_dict(scenario_from_dict(data)) == want
+        assert scenario_to_dict(scenario_from_dict(want)) == want
+    else:
+        with pytest.raises(ConfigError if fault.endswith("key") else ScheduleError):
+            scenario_from_dict(data)
+
+    value = {"list": indices, "object": {"active_pixels": indices},
+             "object with another key": {"active_pixels": indices, other_key: indices}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(value[pattern_form]))
+        if pattern_form == "object with another key":
+            with pytest.raises(PatternError):
+                read_pattern_file(path)
+        else:
+            assert read_pattern_file(path).active == tuple(sorted(indices))
 
 
 def test_belief_update_counts_past_255():

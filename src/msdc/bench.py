@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, W_MAX, _as_int, random_pattern,
+    CsaParams, InputPattern, ModelGeometry, PAPER_GEOMETRY, _as_int, _model_record, random_pattern,
 )
 from .errors import GeometryError
 from .memory import MemoryModel
@@ -37,21 +36,18 @@ DEFAULT_CHECKPOINTS = (1, 10, 100, 1000, 5000)
 BENCH_SCHEMA = "msdc-scaling-bench-v1"
 
 
-class _PatternStream:
+def _distinct_patterns(geometry: ModelGeometry, rng: np.random.Generator) -> Iterator[InputPattern]:
     """Distinct random patterns from one seeded stream."""
-
-    def __init__(self, geometry: ModelGeometry, rng: np.random.Generator):
-        self.geometry = geometry
-        self.rng = rng
-        self.seen: set[tuple[int, ...]] = set()
-
-    def next(self) -> InputPattern:
+    seen: set[tuple[int, ...]] = set()
+    while True:
         for _ in range(1000):
-            pattern = random_pattern(self.geometry, self.rng)
-            if pattern.active not in self.seen:
-                self.seen.add(pattern.active)
-                return pattern
-        raise GeometryError("could not draw a fresh distinct pattern")
+            pattern = random_pattern(geometry, rng)
+            if pattern.active not in seen:
+                break
+        else:
+            raise GeometryError("could not draw a fresh distinct pattern")
+        seen.add(pattern.active)
+        yield pattern
 
 
 def _summarize(times_ns: list[int]) -> dict:
@@ -102,14 +98,14 @@ def run_scaling_bench(
         )
 
     model = MemoryModel(geometry, params, seed=seed, enable_ledger=enable_ledger)
-    patterns = _PatternStream(geometry, np.random.default_rng((seed, 1)))
+    patterns = _distinct_patterns(geometry, np.random.default_rng((seed, 1)))
 
     # Phase 1: grow the model, snapshotting it at every checkpoint.
     snapshots = []
     stored = 0
     for checkpoint in checkpoints:
         while stored < checkpoint:
-            model.store(patterns.next())
+            model.store(next(patterns))
             stored += 1
         snapshots.append((checkpoint, model.clone()))
 
@@ -125,27 +121,25 @@ def run_scaling_bench(
     for checkpoint, snapshot in snapshots:  # warm code paths and caches
         warm = snapshot.clone()
         before = warm.op_counter.as_dict()
-        warm.store(patterns.next())
+        warm.store(next(patterns))
         after = warm.op_counter.as_dict()
         op_counts[checkpoint] = {k: after[k] - before[k] for k in after}
-        snapshot.retrieve(patterns.next(), mode="hard", rng=retrieve_rng)
+        snapshot.retrieve(next(patterns), mode="hard", rng=retrieve_rng)
     for _ in range(trials_per_checkpoint):
         for checkpoint, snapshot in snapshots:
             scratch = snapshot.clone()
-            pattern = patterns.next()
+            pattern = next(patterns)
             t0 = time.perf_counter_ns()
             scratch.store(pattern)
             store_times[checkpoint].append(time.perf_counter_ns() - t0)
-            pattern = patterns.next()
+            pattern = next(patterns)
             t0 = time.perf_counter_ns()
             snapshot.retrieve(pattern, mode="hard", rng=retrieve_rng)
             retrieve_times[checkpoint].append(time.perf_counter_ns() - t0)
 
     first = op_counts[checkpoints[0]]
     config = {
-        "geometry": asdict(geometry),
-        "params": asdict(params),
-        "w_max": W_MAX,
+        **_model_record(geometry, params),
         "seed": seed,
         "trials_per_checkpoint": trials_per_checkpoint,
     }

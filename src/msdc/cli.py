@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -35,11 +35,11 @@ from .core import (
     InputPattern,
     ModelGeometry,
     PAPER_GEOMETRY,
-    W_MAX,
     _GEOMETRY_KEYS,
     _PARAM_KEYS,
     _check_w_max,
     _config_object,
+    _model_record,
     _parse_json,
     _read_text,
 )
@@ -94,8 +94,7 @@ def read_pattern_file(path: str | Path) -> InputPattern:
     optionally wrapped as {"active_pixels": [...]}, an object with no other
     key.  The file's shape is checked here, its indices by ``InputPattern``."""
     text = _read_text(path, PatternError)
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
+    if text.lstrip().startswith(("{", "[")):
         data = _parse_json(text, "pattern file", PatternError)
         if isinstance(data, dict):
             if set(data) != {"active_pixels"}:
@@ -112,14 +111,8 @@ def read_pattern_file(path: str | Path) -> InputPattern:
 def _dump_trace(args, model, trace, extra: dict) -> None:
     if args.trace is None:
         return
-    payload = dict(extra)
-    # Echo the resolved model configuration for provenance.
-    payload["model"] = {
-        "geometry": asdict(model.geometry),
-        "params": asdict(model.params),
-        "w_max": W_MAX,
-    }
-    payload["trace"] = trace.to_json_dict()
+    payload = {**extra, "model": _model_record(model.geometry, model.params),
+               "trace": trace.to_json_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.trace == "-":
         sys.stdout.write(text)
@@ -214,7 +207,7 @@ def cmd_bench(args) -> int:
 
 def _checkpoint_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}") from exc
 

@@ -60,7 +60,7 @@ import json
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
@@ -252,10 +252,6 @@ class InputPattern:
                     raise PatternError(f"invalid character {ch!r} in pattern grid")
         return cls(tuple(active))
 
-    def overlap(self, other: "InputPattern") -> int:
-        """Number of active pixels shared with ``other``."""
-        return len(set(self.active) & set(other.active))
-
 
 def _zeros(shape, dtype, what: str) -> np.ndarray:
     """``np.zeros(shape, dtype)``; ``GeometryError``, naming ``what``, if it
@@ -345,6 +341,11 @@ _GEOMETRY_KEYS = tuple(f.name for f in fields(ModelGeometry))
 _PARAM_KEYS = tuple(f.name for f in fields(CsaParams))
 
 
+def _model_record(geometry: ModelGeometry, params: CsaParams) -> dict:
+    """The model configuration that every output echoes for provenance."""
+    return {"geometry": asdict(geometry), "params": asdict(params), "w_max": W_MAX}
+
+
 @dataclass
 class OpCounter:
     """Tally of the elementary work done by a model's selection pipeline.
@@ -368,21 +369,13 @@ class OpCounter:
     weight_writes: int = 0
 
     def total(self) -> int:
-        return (
-            self.weight_reads
-            + self.element_ops
-            + self.sigmoid_evals
-            + self.rng_draws
-            + self.weight_writes
-        )
+        return sum(astuple(self))
 
     def as_dict(self) -> dict[str, int]:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["total"] = self.total()
-        return d
+        return {**asdict(self), "total": self.total()}
 
     def copy(self) -> "OpCounter":
-        return OpCounter(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return replace(self)
 
 
 # The narrowest dtype that holds counts up to its argument, made once per value.

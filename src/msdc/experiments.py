@@ -55,7 +55,7 @@ import csv
 import io
 import json
 from collections import abc
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -65,8 +65,8 @@ import numpy as np
 
 from . import memory
 from .core import (
-    CsaParams, InputPattern, ModelGeometry, W_MAX, _GEOMETRY_KEYS, _PARAM_KEYS, _as_int,
-    _check_w_max, _config_object, _parse_json, _read_text, _zeros,
+    CsaParams, InputPattern, ModelGeometry, _GEOMETRY_KEYS, _PARAM_KEYS, _as_int, _check_w_max,
+    _config_object, _model_record, _parse_json, _read_text, _zeros,
 )
 from .errors import ConfigError, GeometryError, ScheduleError
 from .memory import MemoryModel, _check_mode, _pcg64_states, _select_codes
@@ -254,8 +254,8 @@ def build_appendix_corpus(
     """
     s = spec.geometry.num_active
     stored = [
-        (f"I{i + 1}", InputPattern.from_indices(range(i * s, (i + 1) * s)))
-        for i in range(spec.num_stored)
+        (label, InputPattern.from_indices(range(i * s, (i + 1) * s)))
+        for i, label in enumerate(spec.stored_labels())
     ]
 
     free_base = spec.num_stored * s
@@ -580,9 +580,7 @@ def _trial_json_text(result: ScenarioResult) -> str:
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
     data = {
         "name": spec.name,
-        "geometry": asdict(spec.geometry),
-        "params": asdict(spec.params),
-        "w_max": W_MAX,
+        **_model_record(spec.geometry, spec.params),
         "num_stored": spec.num_stored,
         "probes": [{"label": p.label, "overlaps": list(p.overlaps)} for p in spec.probes],
         "seeds": list(spec.seeds),
@@ -669,7 +667,7 @@ def emit_results(
     distinct value once.
     """
     try:
-        chosen = set() if isinstance(formats, str) else set(formats)
+        chosen = set(formats)
     except TypeError:  # not iterable, or holding an unhashable value
         chosen = set()
     if not chosen or not chosen <= {"csv", "json"}:

@@ -28,11 +28,13 @@ Round-trips are bit-exact: a loaded model produces traces identical to the
 saved one for the same inputs.  Loading never yields a partial model.  It
 checks, in order, the magic, version, truncation, trailing bytes and
 checksum, reading only the counts that size the sections; so a corrupted
-byte anywhere raises a ``SnapshotError``.  Only then are the fields read: a
-checksum-valid blob with a reserved field other than 0, a ledger flag other
-than 0 or 1, invalid geometry or params, a ``w_max`` other than 127, or a
-ledger entry that does not fit the geometry (S pixels inside the grid, Q
-winners below K, a UTF-8 label) raises ``SnapshotFormatError``.
+byte anywhere raises a ``SnapshotError``.  Only then are the fields read,
+and a blob loads only if ``encode_model`` would write it back byte for
+byte: a reserved field other than 0, a ledger or ``has_uint32`` flag other
+than 0 or 1, a set padding bit after the weights, invalid geometry or
+params, a ``w_max`` other than 127, or a ledger entry that does not fit the
+geometry (S ascending pixels inside the grid, Q winners below K, a UTF-8
+label) raises ``SnapshotFormatError``.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CsaParams,
-    InputPattern,
-    ModelGeometry,
-    W_MAX,
-    _check_w_max,
-)
+from .core import CsaParams, InputPattern, ModelGeometry, W_MAX, _check_w_max
 from .errors import (
     GeometryError,
     PatternError,
@@ -139,8 +135,11 @@ def decode_model(blob: bytes) -> MemoryModel:
         raise SnapshotIntegrityError("snapshot checksum mismatch")
     if reserved != 0:
         raise SnapshotFormatError(f"snapshot reserved field must be 0, got {reserved}")
-    if has_ledger > 1:
-        raise SnapshotFormatError(f"snapshot ledger flag must be 0 or 1, got {has_ledger}")
+    for name, flag in (("ledger flag", has_ledger), ("RNG has_uint32 flag", has_uint32)):
+        if flag > 1:
+            raise SnapshotFormatError(f"snapshot {name} must be 0 or 1, got {flag}")
+    if num_bits % 8 and blob[_HEADER.size + weight_bytes - 1] >> num_bits % 8:
+        raise SnapshotFormatError("snapshot weight padding bits must be 0")
 
     try:
         geometry = ModelGeometry(*dims)
@@ -188,6 +187,8 @@ def _ledger_entry(
         geometry.validate_pattern(pattern)
     except PatternError as exc:
         raise SnapshotFormatError(f"{where}: {exc}") from exc
+    if pattern.active != pixels:  # InputPattern would sort them
+        raise SnapshotFormatError(f"{where} pixels are not in ascending order")
     if len(winners) != geometry.num_cms:
         raise SnapshotFormatError(
             f"{where} has {len(winners)} winners, expected {geometry.num_cms}"

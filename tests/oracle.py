@@ -1,8 +1,9 @@
 """Brute-force reference checks, independent of the model's weights.
 
 These operate only on raw patterns and codes, never on a weight matrix, so
-they can arbitrate what the memory *should* report.  ``oracle_similarity``
-is the ground-truth pixel overlap; ``oracle_nearest`` the exhaustive
+they can arbitrate what the memory *should* report.  ``pixel_overlap``
+counts the active pixels two patterns share; ``oracle_similarity`` is the
+ground-truth pixel overlap fraction; ``oracle_nearest`` the exhaustive
 best-match; ``oracle_expected_uniform_intersection`` the Monte-Carlo chance
 level for code intersections (Q/K for Q CMs of K units);
 ``code_intersection`` the number of CMs two codes share.
@@ -63,6 +64,11 @@ def code_intersection(a: np.ndarray, b: np.ndarray) -> int:
     return int((a == b).sum())
 
 
+def pixel_overlap(a: InputPattern, b: InputPattern) -> int:
+    """Number of active pixels ``a`` and ``b`` share."""
+    return len(set(a.active) & set(b.active))
+
+
 def oracle_similarity(a: InputPattern, b: InputPattern) -> float:
     """Pixel overlap fraction |a ∩ b| / S for two same-weight patterns."""
     if len(a.active) != len(b.active):
@@ -71,7 +77,7 @@ def oracle_similarity(a: InputPattern, b: InputPattern) -> float:
         )
     if not a.active:
         raise PatternError("patterns must have at least one active pixel")
-    return a.overlap(b) / len(a.active)
+    return pixel_overlap(a, b) / len(a.active)
 
 
 def oracle_nearest(
@@ -88,7 +94,7 @@ def oracle_nearest(
     for label, pattern in corpus:
         if len(pattern.active) != len(query.active):
             raise PatternError(f"corpus item {label!r} has a different active count")
-        overlaps.append((label, query.overlap(pattern)))
+        overlaps.append((label, pixel_overlap(query, pattern)))
     best = max(count for _, count in overlaps)
     return [label for label, count in overlaps if count == best]
 

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import msdc.bench
 from msdc import GeometryError, MemoryModel, ModelGeometry
 from msdc.bench import (
     BENCH_SCHEMA,
+    _distinct_patterns,
     run_scaling_bench,
     save_report,
 )
@@ -121,3 +123,11 @@ def test_tiny_input_space_is_rejected():
             checkpoints=(1, 5),
             trials_per_checkpoint=5,
         )
+
+
+def test_pattern_stream_raises_once_no_fresh_pattern_is_drawn():
+    # 3 pixels choose 2 = 3 patterns: each once, then 1000 draws of seen ones.
+    patterns = _distinct_patterns(ModelGeometry(3, 1, 2, 1, 1), np.random.default_rng(0))
+    assert sorted(next(patterns).active for _ in range(3)) == [(0, 1), (0, 2), (1, 2)]
+    with pytest.raises(GeometryError, match="could not draw a fresh distinct pattern"):
+        next(patterns)

@@ -669,6 +669,19 @@ def test_bench_reads_the_ledger_flags_and_config(tmp_path, capsys, config, flags
     assert ("ledger" in report["config"]) is ledger
 
 
+@pytest.mark.parametrize("checkpoints", ["1,,2", "", ",", "1,2,", "a", "1,x"])
+def test_bench_checkpoint_list_with_an_empty_or_non_integer_field_is_usage_error(
+    tmp_path, capsys, checkpoints
+):
+    # An empty field is not skipped: "1,,2" would otherwise run [1, 2].
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", str(out), f"--checkpoints={checkpoints}", "--trials", "1"])
+    assert exc.value.code == 2
+    assert f"bad checkpoint list {checkpoints!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_bench_with_fewer_than_one_trial_is_data_error(tmp_path, capsys, trials):
     out = tmp_path / "bench.json"
@@ -761,6 +774,18 @@ def test_json_pattern_object_with_another_key_is_data_error(model_path, tmp_path
     assert main(["store", str(model_path), str(path)]) == 3
     err = capsys.readouterr().err
     assert "active_pixels" in err
+    assert "Traceback" not in err
+    assert model_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("value", [5, {"0": 1}, None, "0,1"])
+def test_json_pattern_object_without_a_list_is_data_error(model_path, tmp_path, capsys, value):
+    before = model_path.read_bytes()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"active_pixels": value}))
+    assert main(["store", str(model_path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "JSON pattern must be a list of active pixel indices" in err
     assert "Traceback" not in err
     assert model_path.read_bytes() == before
 
@@ -866,6 +891,21 @@ def test_query_on_snapshot_with_off_geometry_ledger_entry_is_data_error(
     assert main(["query", str(model_path), str(grid_pattern)]) == 3
     err = capsys.readouterr().err
     assert "ledger entry 0 has 2 winners, expected 24" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("has_uint32", [2, 2**31, 2**32 - 1])
+def test_query_on_snapshot_with_rng_flag_above_1_is_data_error(
+    model_path, grid_pattern, capsys, has_uint32
+):
+    # A CRC-valid snapshot whose RNG has_uint32 flag, the u32 at byte 104,
+    # is neither 0 nor 1; from 2**31 numpy's state setter used to overflow.
+    blob = bytearray(model_path.read_bytes()[:-4])
+    struct.pack_into("<I", blob, 104, has_uint32)
+    model_path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    assert main(["query", str(model_path), str(grid_pattern)]) == 3
+    err = capsys.readouterr().err
+    assert f"snapshot RNG has_uint32 flag must be 0 or 1, got {has_uint32}" in err
     assert "Traceback" not in err
 
 

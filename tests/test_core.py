@@ -515,13 +515,14 @@ def test_public_names_are_pinned():
 
 
 def test_the_package_ships_no_brute_force_reference():
-    # The oracle and code_intersection live in tests/oracle.py; the package
+    # The oracle, code_intersection and pixel_overlap live in tests/oracle.py; the package
     # keeps only the model, with one name for the paper's geometry.
     import msdc.experiments
 
     assert importlib.util.find_spec("msdc.oracle") is None
     assert not hasattr(msdc.core, "code_intersection")
     assert not hasattr(msdc.experiments, "APPENDIX_GEOMETRY")
+    assert not hasattr(InputPattern, "overlap")
 
 
 def test_pattern_from_grid_reads_row_major_indices():

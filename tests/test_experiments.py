@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from msdc.experiments import (
     similarity_rank_correlation,
 )
 
-from oracle import code_intersection, oracle_nearest, oracle_similarity
+from oracle import code_intersection, oracle_nearest, oracle_similarity, pixel_overlap
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +59,11 @@ def test_corpus_satisfies_every_overlap_constraint():
     # Stored patterns are pairwise disjoint.
     for i, (_, a) in enumerate(stored):
         for _, b in stored[i + 1 :]:
-            assert a.overlap(b) == 0
+            assert pixel_overlap(a, b) == 0
     by_label = dict(probes)
     # I7 ramps down the schedule; I9 splits between I3 and I6.
     i7 = by_label["I7"]
-    assert [i7.overlap(p) for _, p in stored] == [5, 4, 2, 1, 0, 0]
+    assert [pixel_overlap(i7, p) for _, p in stored] == [5, 4, 2, 1, 0, 0]
     assert oracle_similarity(i7, stored[0][1]) == pytest.approx(5 / 12)
     i9 = by_label["I9"]
     assert oracle_similarity(i9, stored[2][1]) == 0.5
@@ -585,6 +586,25 @@ def test_store_order_must_hold_labels(order):
 )
 def test_scenario_spec_rejects_non_integral_values(change, error, message):
     with pytest.raises(error, match=message):
+        dataclasses.replace(default_appendix_scenario(2), **change)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"probes": (ProbeSpec("P", (-1, 0, 0, 0, 0, 0)),)}, "probe 'P' overlap outside [0, 12]"),
+        ({"probes": (ProbeSpec("P", (13, 0, 0, 0, 0, 0)),)}, "probe 'P' overlap outside [0, 12]"),
+        # 3 items of 4 pixels leave 2 of 14 pixels free for a probe's filler.
+        ({"geometry": msdc.ModelGeometry(7, 2, 4, 2, 2), "num_stored": 3,
+          "probes": (ProbeSpec("P", (1, 0, 0)),)},
+         "probe 'P' needs 3 filler pixels but only 2 are free"),
+        ({"seeds": ()}, "scenario needs at least one seed"),
+        ({"seeds": range(5, 5)}, "scenario needs at least one seed"),
+    ],
+    ids=["overlap-below-0", "overlap-above-s", "filler", "no-seeds", "empty-seed-range"],
+)
+def test_scenario_spec_rejects_an_unrunnable_schedule(change, message):
+    with pytest.raises(ScheduleError, match=re.escape(message)):
         dataclasses.replace(default_appendix_scenario(2), **change)
 
 

@@ -34,7 +34,7 @@ from msdc.experiments import (
 )
 from msdc.snapshot import decode_model, encode_model
 
-from oracle import code_intersection
+from oracle import code_intersection, pixel_overlap
 
 
 def make_model(geometry, seed=0, ledger=True):
@@ -694,7 +694,7 @@ def test_ledger_columns_hold_every_entry_across_a_snapshot(geometry, winner_dtyp
     assert [e.label for e in report.entries] == [e.label for e in ledger]
     for got, entry in zip(report.entries, ledger):
         assert got.code_intersection == code_intersection(report.code, np.array(entry.code))
-        assert got.input_similarity == probe.overlap(entry.pattern) / geometry.num_active
+        assert got.input_similarity == pixel_overlap(probe, entry.pattern) / geometry.num_active
 
 
 def test_auto_labels_count_up(geometry, rng):
@@ -741,6 +741,103 @@ def test_caller_rng_retrieve_runs_a_pinned_number_of_python_frames(python_calls)
     probe, reader = random_pattern(PAPER_GEOMETRY, gen), np.random.default_rng(5)
     counts = {mode: python_calls(model.retrieve, probe, mode, reader) for mode in ("soft", "hard")}
     assert counts == {"soft": 14, "hard": 12}
+
+
+def _touch(stand_in, count: int) -> None:
+    touched = getattr(stand_in, "touched", None)
+    if touched is not None:  # a view of a stand-in records nothing itself
+        touched.append(count)
+
+
+def _scan(name: str):
+    """The list method ``name``, recording that it reads every item."""
+    def method(self, *args):
+        _touch(self, len(self))
+        return getattr(list, name)(self, *args)
+    return method
+
+
+class _TouchedList(list):
+    """A ledger list that records the items each iteration, copy, slice,
+    search, comparison or sort of it reads."""
+
+    def __init__(self, items, touched: list):
+        super().__init__(items)
+        self.touched = touched
+
+    __iter__, __reversed__, __contains__, __eq__, __add__, __mul__ = map(
+        _scan, ("__iter__", "__reversed__", "__contains__", "__eq__", "__add__", "__mul__"))
+    copy, index, count, sort = map(_scan, ("copy", "index", "count", "sort"))
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        _touch(self, len(item) if isinstance(index, slice) else 1)
+        return item
+
+
+class _TouchedArray(np.ndarray):
+    """A ledger column array that records the element count of each view or
+    copy it hands out, of each ufunc operand it is, and of each region
+    written into it."""
+
+    def __array_finalize__(self, source):
+        _touch(source, self.size)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def plain(x):
+            if isinstance(x, _TouchedArray):
+                _touch(x, x.size)
+                return x.view(np.ndarray)
+            return x
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(plain, kwargs["out"]))
+        return getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+
+    def __setitem__(self, index, value):
+        plain = self.view(np.ndarray)
+        _touch(self, plain[index].size)
+        plain[index] = value
+
+
+def _ledger_touches(model, call) -> int:
+    """The ledger elements ``call()`` reads or writes, counted by stand-ins
+    for the model's four ledger parts that hold the same items."""
+    touched = []
+    model._entries = _TouchedList(model._entries, touched)
+    model._labels = _TouchedList(model._labels, touched)
+    for name in ("_codes", "_pixels"):
+        column = getattr(model, name).view(_TouchedArray)
+        column.touched = touched
+        setattr(model, name, column)
+    call()
+    return sum(touched)
+
+
+def test_verbs_touch_a_fixed_number_of_ledger_elements(geometry):
+    # Fixed time over the ledger's data, which the frame pins cannot see: a
+    # C call that reads every stored item enters no Python frame.  A
+    # retrieve reads no ledger element, and a store writes its item's one
+    # column of winners and of pixels, whether the model holds 10 items or
+    # 3000.  The belief readout is documented as O(N): per item, at most its
+    # Q winners, S pixels and label.
+    q, s = geometry.num_cms, geometry.num_active
+    for n in (10, 3000):
+        gen = np.random.default_rng(n)
+        model = make_model(geometry, seed=n)
+        for _ in range(n):
+            model.store(random_pattern(geometry, gen))
+        # Capacities 16 and 4096: no store here grows the columns, which
+        # would replace the stand-ins with plain arrays.
+        assert model._codes.shape[1] > n + 1
+        probe = random_pattern(geometry, gen)
+        for mode in ("soft", "hard"):
+            for rng in (np.random.default_rng(n), None):
+                assert _ledger_touches(model, lambda: model.retrieve(probe, mode, rng)) == 0
+            reader = np.random.default_rng(n)
+            touches = _ledger_touches(model, lambda: model.belief_update(probe, mode, reader))
+            assert 0 < touches <= (q + s + 1) * n
+        new = random_pattern(geometry, gen)
+        assert _ledger_touches(model, lambda: model.store(new, "new")) == q + s
 
 
 # Tiny, so that each example costs little: a 3x3 grid, S=2, Q=3, K=2.

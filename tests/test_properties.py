@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,9 @@ from msdc import (
     random_pattern,
     save_model,
 )
-from msdc.cli import read_pattern_file
+from msdc.cli import _resolved_config, build_parser, read_pattern_file
 from msdc.core import (
+    PAPER_GEOMETRY,
     _z_table,
     draw_winners,
     eta_for_familiarity,
@@ -33,7 +34,7 @@ from msdc.core import (
     rho_from_mu,
 )
 from msdc.errors import ConfigError, PatternError, ScheduleError
-from msdc.experiments import scenario_from_dict, scenario_to_dict
+from msdc.experiments import ProbeSpec, ScenarioSpec, scenario_from_dict, scenario_to_dict
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import (
@@ -42,6 +43,7 @@ from oracle import (
     edged,
     extreme_params,
     kernel_cm_max,
+    pixel_overlap,
     reference_draw_winners,
     reference_familiarity,
     reference_hard_max_winners,
@@ -344,7 +346,7 @@ def belief_reference(model, pattern, code):
     entries = []
     for entry in model.ledger:
         inter = code_intersection(code, np.asarray(entry.code))
-        entries.append(BeliefEntry(entry.label, pattern.overlap(entry.pattern) / s,
+        entries.append(BeliefEntry(entry.label, pixel_overlap(pattern, entry.pattern) / s,
                                    inter, inter / q))
     return tuple(entries)
 
@@ -536,6 +538,133 @@ def test_accepted_input_reads_back_and_other_input_is_refused(
                 read_pattern_file(path)
         else:
             assert read_pattern_file(path).active == tuple(sorted(indices))
+
+
+@st.composite
+def config_files(draw):
+    """A ``--config`` object that the reader accepts, and the geometry and
+    params fields, seed and ledger flag it sets: each section optional,
+    present or empty, with geometry that fits over the paper's."""
+    geometry = draw(st.fixed_dictionaries({}, optional={
+        key: st.integers(1, 24) for key in ("input_width", "input_height", "num_cms",
+                                            "units_per_cm")}))
+    pixels = geometry.get("input_width", 12) * geometry.get("input_height", 12)
+    if pixels < 12 or draw(st.booleans()):
+        geometry["num_active"] = draw(st.integers(1, pixels))
+    params = asdict(draw(st.just(CsaParams()) | extreme_params()))
+    params = {k: params[k] for k in draw(st.lists(st.sampled_from(sorted(params)), unique=True))}
+    data = {}
+    for key, value in (("geometry", geometry), ("params", params)):
+        if value or draw(st.booleans()):
+            data[key] = value
+    optional = {"seed": st.integers(0, 2**70), "ledger": st.booleans(), "w_max": st.just(127)}
+    data.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    return data, geometry, params
+
+
+_CONFIG_NAMES = {"geometry", "params", "w_max", "seed", "ledger",
+                 *(f.name for f in fields(ModelGeometry)), *(f.name for f in fields(CsaParams))}
+_NOT_OBJECT = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+               | st.text(max_size=4) | st.lists(st.integers(), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config_files(),
+    st.sampled_from([None, "top key", "geometry key", "params key", "geometry section",
+                     "params section", "ledger", "w_max"]),
+    st.text(min_size=1).filter(lambda key: key not in _CONFIG_NAMES),
+    _NOT_OBJECT,
+    st.sampled_from([("init", True), ("bench", False)]),
+)
+def test_accepted_config_resolves_and_other_config_is_refused(
+    case, fault, other_key, not_object, command
+):
+    # An accepted file resolves to its own values over the defaults; a file
+    # with a key no section names, a section that is not an object, a
+    # non-bool ledger or a w_max other than 127 is a ConfigError, never a
+    # TypeError from the types the values build.
+    data, geometry, params = case
+    if fault == "top key":
+        data = {**data, other_key: 1}
+    elif fault in ("geometry key", "params key"):
+        section = fault.split()[0]
+        data = {**data, section: {**data.get(section, {}), other_key: 1}}
+    elif fault in ("geometry section", "params section"):
+        data = {**data, fault.split()[0]: not_object}
+    elif fault == "ledger":
+        data = {**data, "ledger": not_object}
+        if isinstance(not_object, bool):
+            fault = None
+    elif fault == "w_max":
+        data = {**data, "w_max": not_object}
+        if not_object == 127 and type(not_object) is int:
+            fault = None
+    name, default_ledger = command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(data))
+        args = build_parser().parse_args([name, str(Path(tmp) / "out"), "--config", str(path)])
+        if fault is None:
+            assert _resolved_config(args, default_ledger) == (
+                replace(PAPER_GEOMETRY, **geometry), replace(CsaParams(), **params),
+                data.get("seed", 0), data.get("ledger", default_ledger),
+            )
+        else:
+            with pytest.raises(ConfigError):
+                _resolved_config(args, default_ledger)
+
+
+def _int_sequence_forms(values: list[int]) -> list:
+    """``values`` as a list, a tuple, a range if they step by 1, and an array
+    of each integer dtype that holds them all."""
+    forms = [list(values), tuple(values)]
+    if values == list(range(values[0], values[0] + len(values))):
+        forms.append(range(values[0], values[0] + len(values)))
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64):
+        if all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
+            forms.append(np.array(values, dtype=dtype))
+    return forms
+
+
+def assert_int_items(got, given) -> None:
+    """``got`` is a tuple equal to ``tuple(given)`` item by item, each item a
+    Python int."""
+    assert type(got) is tuple and len(got) == len(given)
+    for item, want in zip(got, tuple(given)):
+        assert type(item) is int and item == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_dicts(), st.data())
+def test_public_constructors_keep_each_sequence_item_in_order_as_an_int(case, data):
+    # Each sequence field is the tuple of its input, item by item: integer
+    # items as Python ints, also from an integer array, and the probes and
+    # labels as given.
+    _, want = case
+
+    def form(values):
+        return data.draw(st.sampled_from(_int_sequence_forms(values)))
+
+    overlaps = [form(p["overlaps"]) for p in want["probes"]]
+    probes = [ProbeSpec(p["label"], given) for p, given in zip(want["probes"], overlaps)]
+    for probe, given in zip(probes, overlaps):
+        assert_int_items(probe.overlaps, given)
+    seeds, n = form(want["seeds"]), want["num_stored"]
+    order = want.get("store_order")
+    order = order if order is None else data.draw(st.sampled_from([list(order), tuple(order)]))
+    spec = ScenarioSpec(
+        want["name"], ModelGeometry(**want["geometry"]), CsaParams(**want["params"]),
+        data.draw(st.sampled_from([n, np.int64(n), np.uint8(n)])),
+        data.draw(st.sampled_from([list(probes), tuple(probes)])), seeds, want["mode"], order,
+    )
+    assert_int_items(spec.seeds, seeds)
+    assert type(spec.num_stored) is int and spec.num_stored == n
+    assert type(spec.probes) is tuple and len(spec.probes) == len(probes)
+    assert all(got is given for got, given in zip(spec.probes, probes))
+    if order is not None:
+        assert spec.store_order == tuple(order)
+        assert all(type(label) is str for label in spec.store_order)
 
 
 def test_belief_update_counts_past_255():

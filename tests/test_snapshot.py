@@ -6,7 +6,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from msdc import (
     CsaParams,
@@ -94,6 +94,7 @@ def test_encoded_model_is_pinned(geometry):
     blob = encode_model(model)
     assert hashlib.sha256(blob).hexdigest() == MODEL_SHA256
     assert struct.unpack_from("<I", blob, 28) == (127,)
+    assert encode_model(decode_model(blob)) == blob
 
 
 def test_save_then_retrieve_matches_presave(geometry, tmp_path, rng):
@@ -210,8 +211,11 @@ def encode_with_entry(geometry, label, active, code):
         (range(11), (0,) * 24, "11 active pixels, expected exactly 12"),
         (list(range(11)) + [144], (0,) * 24, "pixel index 144 outside"),
         ([0] + list(range(11)), (0,) * 24, "duplicate pixel"),
+        (range(11, -1, -1), (0,) * 24, "ledger entry 2 pixels are not in ascending order"),
+        ([1, 0] + list(range(2, 12)), (0,) * 24, "ledger entry 2 pixels are not in ascending"),
     ],
-    ids=["winner-count", "winner-range", "pixel-count", "pixel-range", "pixel-duplicate"],
+    ids=["winner-count", "winner-range", "pixel-count", "pixel-range", "pixel-duplicate",
+         "pixels-descending", "pixels-swapped"],
 )
 def test_ledger_entry_off_geometry_is_format_error(geometry, active, code, message):
     blob = encode_with_entry(geometry, "bad", active, code)
@@ -273,27 +277,91 @@ _SNAPSHOT_ERRORS = (
 _FUZZ_BLOB = encode_model(populated_model(ModelGeometry(12, 12, 12, 24, 8), n=3, seed=2038))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    st.tuples(st.just("flip"), st.integers(0, len(_FUZZ_BLOB) - 1), st.integers(1, 255)),
-    st.tuples(st.just("truncate"), st.integers(0, len(_FUZZ_BLOB) - 1)),
-    st.tuples(st.just("insert"), st.integers(0, len(_FUZZ_BLOB)),
-              st.binary(min_size=1, max_size=16)),
-))
-def test_any_single_edit_of_a_snapshot_is_a_snapshot_error(edit):
-    # Never a bare GeometryError, PatternError, struct.error or IndexError:
-    # each edit is one of the four documented snapshot errors.
+def single_edits(size: int, at=None) -> st.SearchStrategy[tuple]:
+    """One edit of a ``size``-byte blob: a byte xored with 1 to 255, a
+    truncation, or 1 to 16 bytes inserted; at offsets drawn from ``at``, or
+    anywhere."""
+    at = st.integers(0, size - 1) if at is None else at
+    return st.one_of(
+        st.tuples(st.just("flip"), at, st.integers(1, 255)),
+        st.tuples(st.just("truncate"), at),
+        st.tuples(st.just("insert"), at | st.just(size), st.binary(min_size=1, max_size=16)),
+    )
+
+
+def edited(blob: bytes, edit: tuple) -> bytes:
     kind, at, *rest = edit
-    blob = bytearray(_FUZZ_BLOB)
+    blob = bytearray(blob)
     if kind == "flip":
         blob[at] ^= rest[0]
     elif kind == "truncate":
         del blob[at:]
     else:
         blob[at:at] = rest[0]
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_edits(len(_FUZZ_BLOB)))
+def test_any_single_edit_of_a_snapshot_is_a_snapshot_error(edit):
+    # Never a bare GeometryError, PatternError, struct.error or IndexError:
+    # each edit is one of the four documented snapshot errors.
     with pytest.raises(SnapshotError) as exc:
-        decode_model(bytes(blob))
+        decode_model(edited(_FUZZ_BLOB, edit))
     assert type(exc.value) in _SNAPSHOT_ERRORS
+
+
+# A ledger snapshot whose 9 x 9 weight bits leave 7 padding bits in their
+# last byte, with 3 items of 3 pixels, without its checksum.
+_PADDED = ModelGeometry(3, 3, 3, 3, 3)
+_PADDED_BODY = encode_model(populated_model(_PADDED, n=3, seed=83))[:-CRC_BYTES]
+_PADDING_AT = HEADER_BYTES + 81 // 8
+# The first ledger entry's pixels (u32 each), after its count, label length,
+# 5-byte label and pixel count.
+_PIXELS_AT = _PADDING_AT + 1 + 4 + 2 + 5 + 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_edits(len(_PADDED_BODY), st.integers(0, len(_PADDED_BODY) - 1)
+                    | st.integers(100, HEADER_BYTES) | st.integers(_PADDING_AT, _PIXELS_AT + 12)))
+# has_uint32 set to 2**31, a set padding bit, and the first entry's pixels
+# (2, 4, 5) made (6, 4, 5): each crashed or loaded, to re-encode otherwise,
+# before the checks that refuse them.
+@example(("flip", 107, 0x80))
+@example(("flip", _PADDING_AT, 0x80))
+@example(("flip", _PIXELS_AT, 0x04))
+def test_any_single_checksummed_edit_is_refused_or_round_trips(edit):
+    # With the checksum recomputed, each edit reaches the field checks: a
+    # blob loads only if it re-encodes to itself, so nothing is coerced.
+    blob = with_crc(edited(_PADDED_BODY, edit))
+    try:
+        model = decode_model(blob)
+    except SnapshotError as exc:
+        assert type(exc) in _SNAPSHOT_ERRORS
+    else:
+        assert encode_model(model) == blob
+
+
+def test_a_set_padding_bit_is_format_error():
+    # 9 weight bits fill 2 bytes, so the second holds 7 padding bits.
+    geometry = ModelGeometry(3, 3, 1, 1, 1)
+    body = encode_model(populated_model(geometry, n=2))[:-CRC_BYTES]
+    assert len(body) == HEADER_BYTES + 2 + 4 + 2 * (2 + 5 + 4 + 4 + 4 + 2)
+    assert encode_model(decode_model(with_crc(body))) == with_crc(body)
+    for bit in range(1, 8):
+        padded = bytearray(body)
+        padded[HEADER_BYTES + 1] |= 1 << bit
+        with pytest.raises(SnapshotFormatError, match="snapshot weight padding bits must be 0"):
+            decode_model(with_crc(bytes(padded)))
+
+
+def test_encoding_a_model_whose_rng_is_not_pcg64_is_format_error(geometry):
+    model = MemoryModel(geometry)
+    model.rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(
+        SnapshotFormatError, match="only PCG64 generators can be snapshotted, got MT19937"
+    ):
+        encode_model(model)
 
 
 def test_header_fields_sit_at_their_documented_offsets():
@@ -335,8 +403,12 @@ def test_header_fields_sit_at_their_documented_offsets():
         (32, "<d", float("nan"), "snapshot header: eta_max must be finite"),
         (6, "<H", 7, "reserved field must be 0, got 7"),
         (116, "<B", 2, "ledger flag must be 0 or 1, got 2"),
+        (104, "<I", 2, "RNG has_uint32 flag must be 0 or 1, got 2"),
+        (104, "<I", 2**31, "RNG has_uint32 flag must be 0 or 1, got 2147483648"),
+        (104, "<I", 2**32 - 1, "RNG has_uint32 flag must be 0 or 1, got 4294967295"),
     ],
-    ids=["num-active", "eta-max", "reserved", "ledger-flag"],
+    ids=["num-active", "eta-max", "reserved", "ledger-flag", "has-uint32-2", "has-uint32-2**31",
+         "has-uint32-max"],
 )
 def test_checksum_valid_header_with_bad_field_is_format_error(
     geometry, offset, fmt, value, message

@@ -212,6 +212,15 @@ def _checkpoint_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}") from exc
 
 
+class _Label(argparse.Action):
+    """Stores ``--label``'s text as given.  Python 3.11's argparse drops a
+    value that is exactly "--", so ``--label=--`` arrives as an empty list;
+    that is the label "--"."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Each command takes only the flags it reads: --seed everywhere, --config
     # and the geometry flags on init and bench, --trace on store and query.
@@ -251,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="store a pattern into a model snapshot")
     p.add_argument("model_path")
     p.add_argument("pattern_path")
-    p.add_argument("--label", help="ledger label (default: pattern file stem)")
+    p.add_argument("--label", action=_Label, help="ledger label (default: pattern file stem)")
     p.set_defaults(func=cmd_store)
 
     p = sub.add_parser("query", parents=[traced],

@@ -21,8 +21,10 @@ Code selection runs a fixed sequence of array steps:
 ``mu``    per-unit relative win weight, a sigmoid of ``U`` with floor 1 and
           ceiling ``1 + eta`` (flat when ``eta`` is 0)
 ``rho``   per-CM win probabilities (``mu`` normalized within each CM)
-draw      one winner per CM: a categorical draw from ``rho`` (soft) or the
-          argmax of ``c`` with uniform random tie-break (hard)
+draw      one winner per CM: a categorical draw from ``rho`` (soft), by
+          cumulative sums for one model's uniforms and by a running count
+          for many models', or the argmax of ``c`` with uniform random
+          tie-break (hard)
 
 Low familiarity therefore flattens the win distributions (novel inputs get
 nearly random codes) and high familiarity sharpens them (familiar inputs
@@ -500,12 +502,29 @@ def draw_winners(rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     winner is the number of the CM's cumulative probabilities at or below
     its uniform, capped at K - 1 for a total that rounds below it.  ``rho`` is
     trusted: the kernel's always sums to 1 per CM, so it is not checked.
+
+    Two paths give that count, chosen by the shape of ``r``.  One model's
+    uniforms (Q,), as every verb draws them, take ``cumsum`` and the
+    ``argmax`` of the first total above ``r``, the fastest form for one
+    (Q, K) chart.  Many models' uniforms, a scenario block's (B, Q) against
+    its (B, Q, K) charts or (N, Q) rows against one (Q, K) chart, take a
+    running total over units 0 .. K - 2 and count the totals at or below
+    ``r``, one vector add and one compare per unit over all rows, with no
+    (..., K) array of them.  ``cumsum`` forms the same totals by the same
+    sequential adds, so both paths give the same winners, bit for bit.
     """
-    cum = rho.cumsum(axis=-1)
-    # cum is non-decreasing, so the first entry above r is at the count of
-    # those at or below it; an infinite last entry caps that count at K - 1.
-    cum[..., -1] = np.inf
-    return (cum > r[..., None]).argmax(axis=-1)
+    if r.ndim == 1:
+        cum = rho.cumsum(axis=-1)
+        # cum is non-decreasing, so the first entry above r is at the count of
+        # those at or below it; an infinite last entry caps that count at K - 1.
+        cum[..., -1] = np.inf
+        return (cum > r[..., None]).argmax(axis=-1)
+    count = np.zeros(np.broadcast_shapes(rho.shape[:-1], r.shape), np.intp)
+    total = np.zeros(rho.shape[:-1])
+    for k in range(rho.shape[-1] - 1):
+        total += rho[..., k]
+        count += total <= r
+    return count
 
 
 def hard_max_winners(u: np.ndarray, top: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -42,11 +42,19 @@ call per run, ``memory._pcg64_states``, gives each seed's ``default_rng``
 state: SeedSequence's hashes as arrays, numpy's for a seed over 128 bits, and
 PCG64's step on Python ints.  Each row is drawn from it on one generator.
 
+The store draw and each soft probe step hold many models' uniforms, so the
+soft draw takes its running count over them, not one model's ``cumsum``
+(see ``core.draw_winners``).
+
 ``run_scenario(spec)`` returns a ``ScenarioResult`` that names ``spec`` and
 builds a ``TrialRecord`` only when one is read.  The aggregates and the
 trial writers take only a result of their own spec, and read its arrays;
-the writers format each distinct value once, and each cell carries the
-layout that follows it, so each trial section is one join.
+the result forms the per-series means and stds that the aggregates, the
+rank correlations and ``emit_results`` read once, when first read.  The
+writers format each value once: a dense integer column, such as codes or
+intersections, by its offset in a table of its range, and a likelihood by
+its intersection count; each cell carries the layout that follows it, so
+each trial section is one join.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ import io
 import json
 from collections import abc
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -292,7 +301,8 @@ class ScenarioResult(abc.Sequence):
     holds the item indices in the order they were stored.  Record ``i``, seed
     ``i // len(probes)`` under probe ``i % len(probes)``, is built when read,
     with the mapping order and leaf types of a seed-by-seed run.  A result
-    equals a list of the same records.
+    equals a list of the same records.  Its arrays are not changed once it
+    is built, so its per-series statistics are formed once, when first read.
     """
 
     spec: ScenarioSpec
@@ -326,6 +336,18 @@ class ScenarioResult(abc.Sequence):
         if isinstance(other, (ScenarioResult, list)):
             return list(self) == list(other)
         return NotImplemented
+
+    @cached_property
+    def _series_stats(self) -> tuple[list, list, list, list]:
+        """Per (probe, item), over the seeds: the mean and std of the code
+        intersections, then of the likelihoods, each as nested lists
+        (probes, items) of floats.  ``aggregate_records``,
+        ``similarity_rank_correlation`` and ``emit_results`` all read them."""
+        # (probes, items, seeds): each series is one contiguous row, as in a 1-D
+        # array of it, so numpy's pairwise sums give each mean and std its bits.
+        inter = self.intersections.transpose(1, 2, 0).astype(np.float64, order="C")
+        series = (inter, inter / self.codes.shape[-1])
+        return tuple(f(a, axis=-1).tolist() for a in series for f in (np.mean, np.std))
 
 
 def _seed_block_size(geometry: ModelGeometry) -> int:
@@ -425,21 +447,16 @@ def _result_of(records: ScenarioResult, spec: ScenarioSpec) -> ScenarioResult:
 
 def aggregate_records(records: ScenarioResult, spec: ScenarioSpec) -> list[dict]:
     """Per (probe, stored item): mean and stddev of intersection/likelihood."""
-    result = _result_of(records, spec)
-    return _aggregates(result, range(len(result.probes)))
+    return _aggregates(_result_of(records, spec))
 
 
-def _aggregates(result: ScenarioResult, probes: Sequence[int]) -> list[dict]:
-    """``aggregate_records``'s rows for the probe indices ``probes``."""
-    # (probes, items, seeds): each series is one contiguous row, as in a 1-D
-    # array of it, so numpy's pairwise sums give each mean and std its bits.
-    inter = result.intersections[:, probes].transpose(1, 2, 0).astype(np.float64, order="C")
-    series = (inter, inter / result.codes.shape[-1])
-    stats = [f(a, axis=-1).tolist() for a in series for f in (np.mean, np.std)]
+def _aggregates(result: ScenarioResult) -> list[dict]:
+    """``aggregate_records``'s rows, read from ``result._series_stats``."""
+    stats = result._series_stats
     return [
-        dict(zip(AGGREGATE_COLUMNS, (result.probes[p], *row, len(result.spec.seeds))))
-        for k, p in enumerate(probes)
-        for row in zip(result.items, result.similarities[p].tolist(), *(s[k] for s in stats))
+        dict(zip(AGGREGATE_COLUMNS, (label, *row, len(result.spec.seeds))))
+        for p, label in enumerate(result.probes)
+        for row in zip(result.items, result.similarities[p].tolist(), *(s[p] for s in stats))
     ]
 
 
@@ -454,8 +471,8 @@ def similarity_rank_correlation(
     result = _result_of(records, spec)
     if probe_label not in result.probes:
         return float("nan")
-    rows = _aggregates(result, [result.probes.index(probe_label)])
-    sims, inter = ([r[k] for r in rows] for k in ("input_similarity", "mean_intersection"))
+    p = result.probes.index(probe_label)
+    sims, inter = result.similarities[p], result._series_stats[0][p]
     # Spearman is undefined when either side is constant: NaN, with no warning.
     with np.errstate(invalid="ignore", divide="ignore"):
         return float(np.corrcoef(_average_ranks(sims), _average_ranks(inter))[1, 0])
@@ -479,13 +496,26 @@ def _fmt(value) -> str:
 def _texts(values: np.ndarray, fmt, tails: Sequence[str] = ("",)) -> np.ndarray:
     """``fmt`` of each entry followed by its column's tail, ``tails[j]`` at
     ``[..., j]`` or else the one tail, as an object array of ``values``'s
-    shape, each distinct value formatted once.  Floats are keyed by their
-    bits, so -0.0 keeps a text of its own and every NaN finds one."""
+    shape, each value formatted once.  An integer column whose values span
+    no more than its size, such as codes or intersections, finds its text
+    by ``value - lo`` in a table of every value from its least, ``lo``, to
+    its greatest; any other is sorted into its distinct values.  Floats are
+    keyed by their bits, so -0.0 keeps a text of its own and every NaN
+    finds one."""
     keys = values.ravel()
-    distinct, index = np.unique(
-        keys.view(np.uint64) if keys.dtype == np.float64 else keys, return_inverse=True
-    )
-    texts = [fmt(v) for v in distinct.view(keys.dtype).tolist()]
+    span = keys.size
+    if keys.dtype.kind in "iu":
+        lo, hi = int(keys.min()), int(keys.max())
+        span = hi - lo
+    if span < keys.size:
+        index = keys - lo
+        distinct = range(lo, hi + 1)
+    else:
+        distinct, index = np.unique(
+            keys.view(np.uint64) if keys.dtype == np.float64 else keys, return_inverse=True
+        )
+        distinct = distinct.view(keys.dtype).tolist()
+    texts = [fmt(v) for v in distinct]
     table = np.array([[text + tail for text in texts] for tail in tails], dtype=object)
     return table[np.arange(len(tails)), index.reshape(values.shape)]
 
@@ -517,7 +547,9 @@ def _csv_lines(rows) -> str:
 
 def _trial_csv_text(result: ScenarioResult) -> str:
     """trials.csv's rows, one per record and stored item: what
-    ``csv.writer`` writes for ``_fmt``-formatted cells."""
+    ``csv.writer`` writes for ``_fmt``-formatted cells.  A likelihood is
+    keyed by its intersection count c and written as ``c / Q``."""
+    q = result.codes.shape[-1]
     # A probe label as csv.writer writes it within a row, quoted if need be.
     return _fill(",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n", [
         (np.array(result.spec.seeds, dtype=object)[:, None, None, None], _fmt),
@@ -525,7 +557,7 @@ def _trial_csv_text(result: ScenarioResult) -> str:
          lambda p: _csv_lines([(p, "")])[:-2]),
         (np.array(result.items, dtype=object)[:, None], str),
         (result.similarities[..., None], _fmt), (result.intersections[..., None], _fmt),
-        ((result.intersections / result.codes.shape[-1])[..., None], _fmt),
+        (result.intersections[..., None], lambda c: _fmt(c / q)),
         (result.familiarity[..., None, None], _fmt),
     ])
 
@@ -551,14 +583,16 @@ def _trial_json_text(result: ScenarioResult) -> str:
     """The records of the "trials" array of results.json, as
     ``json.dumps(indent=2, sort_keys=True)`` writes them at depth two: one
     ``_fill`` layout per record, keys sorted as strings, and each leaf
-    encoded as ``json.encoder`` encodes a Python int or float."""
+    encoded as ``json.encoder`` encodes a Python int or float.  A likelihood
+    is keyed by its intersection count c and written as ``c / Q``."""
+    q = result.codes.shape[-1]
     items = result.items
     order = sorted(range(len(items)), key=items.__getitem__)
     mapping = _json_block("{", [encode_basestring_ascii(items[i]) + ": %s" for i in order], "}", 6)
     template = _json_block(
         "{",
         [
-            '"code": ' + _json_block("[", ["%s"] * result.codes.shape[-1], "]", 6),
+            '"code": ' + _json_block("[", ["%s"] * q, "]", 6),
             '"eta": %s', '"familiarity": %s',
             '"intersections": ' + mapping, '"likelihoods": ' + mapping,
             '"probe": %s', '"seed": %s', '"similarities": ' + mapping,
@@ -570,7 +604,7 @@ def _trial_json_text(result: ScenarioResult) -> str:
     return _fill(template, [
         (result.codes, int.__repr__), (result.eta[..., None], _json_float),
         (result.familiarity[..., None], _json_float), (inter, int.__repr__),
-        (inter / result.codes.shape[-1], _json_float),
+        (inter, lambda c: _json_float(c / q)),
         (np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
         (np.array(result.spec.seeds, dtype=object)[:, None, None], int.__repr__),
         (result.similarities[:, order], _json_float),
@@ -657,30 +691,31 @@ def emit_results(
     UTF-8 text whatever the locale.
 
     ``records`` must be ``run_scenario(spec)``'s result, and ``formats`` a
-    non-empty collection of "csv" and "json"; otherwise ``ScheduleError`` or
-    ``ConfigError`` is raised before a file is written.  Identical runs
-    produce byte-identical files: ``results.json`` is the ``json.dumps(
-    payload, indent=2, sort_keys=True)`` text of ``{"aggregates", "scenario",
-    "trials"}``, and the CSVs are what ``csv.writer`` writes for
-    ``_fmt``-formatted cells.  The trial sections come from the result's
-    arrays, building no record, through value tables that format each
-    distinct value once.
+    non-empty list, tuple, set or frozenset of "csv" and "json"; otherwise
+    ``ScheduleError`` or ``ConfigError`` is raised before a file is written.
+    Identical runs produce byte-identical files: ``results.json`` is the
+    ``json.dumps(payload, indent=2, sort_keys=True)`` text of
+    ``{"aggregates", "scenario", "trials"}``, and the CSVs are what
+    ``csv.writer`` writes for ``_fmt``-formatted cells.  The trial sections
+    come from the result's arrays, building no record, through value tables
+    that format each distinct value once.
     """
-    try:
-        chosen = set(formats)
-    except TypeError:  # not iterable, or holding an unhashable value
-        chosen = set()
-    if not chosen or not chosen <= {"csv", "json"}:
+    # A mapping, a string or an iterator is refused, not read as its keys,
+    # characters or items.
+    if not (
+        isinstance(formats, (list, tuple, set, frozenset))
+        and formats and all(isinstance(f, str) and f in ("csv", "json") for f in formats)
+    ):
         raise ConfigError(f"formats must be some of 'csv' and 'json', got {formats!r}")
     result = _result_of(records, spec)
-    aggregates = _aggregates(result, range(len(result.probes)))
+    aggregates = _aggregates(result)
     scenario = scenario_to_dict(spec)
     texts = {}
-    if "csv" in chosen:
+    if "csv" in formats:
         texts["trials.csv"] = _csv_lines([TRIAL_COLUMNS]) + _trial_csv_text(result)
         rows = ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates)
         texts["aggregate.csv"] = _csv_lines([AGGREGATE_COLUMNS, *rows])
-    if "json" in chosen:
+    if "json" in formats:
         payload = {"aggregates": aggregates, "scenario": scenario}
         head = json.dumps(payload, indent=2, sort_keys=True)
         trial_text = _trial_json_text(result)

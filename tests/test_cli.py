@@ -174,6 +174,12 @@ def test_store_overlong_label_is_data_error(model_path, grid_pattern, capsys):
     assert model_path.read_bytes() == before
 
 
+def test_a_label_of_two_dashes_is_stored_as_given(model_path, grid_pattern):
+    # Python 3.11's argparse drops an option value that is exactly "--".
+    assert main(["store", str(model_path), str(grid_pattern), "--label=--"]) == 0
+    assert load_model(model_path).ledger[-1].label == "--"
+
+
 def test_init_and_store_keep_the_model_file_mode(model_path, grid_pattern):
     # Each write replaces the file with a new one, which takes the old
     # file's permission bits rather than those the umask would give it.

@@ -156,6 +156,23 @@ def test_rank_correlation_matches_the_full_aggregate(spec_40, records_40):
     assert math.isnan(similarity_rank_correlation(records_40, spec_40, "nope"))
 
 
+def test_aggregates_do_not_depend_on_which_reader_came_first(spec_40, tmp_path):
+    # A result forms its series statistics once, for whichever reader comes
+    # first; the aggregate rows are the same in each order.
+    first = {
+        "aggregate_records": lambda result: None,
+        "similarity_rank_correlation":
+            lambda result: similarity_rank_correlation(result, spec_40, "I8"),
+        "emit_results": lambda result: emit_results(result, spec_40, tmp_path / "out"),
+    }
+    rows = []
+    for read in first.values():
+        result = run_scenario(spec_40)
+        read(result)
+        rows.append(aggregate_records(result, spec_40))
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_zero_overlap_items_sit_at_chance(spec_40, records_40):
     # For every probe, a stored item with zero pixel overlap should have
     # mean likelihood within 3 binomial sigma of 1/K.
@@ -290,14 +307,28 @@ def single_trials():
     return spec, run_scenario(spec)
 
 
+def wide_code_trials():
+    # Q = 3 winners of K = 4096 units: the code column spans more values
+    # than it has entries, so its texts come from its sorted distinct values
+    # rather than from a table of every value in its range.
+    spec = ScenarioSpec(
+        name="wide codes", geometry=msdc.ModelGeometry(12, 12, 12, 3, 4096),
+        params=default_appendix_scenario(1).params,
+        num_stored=1, probes=(ProbeSpec("I7", (5,)),), seeds=(4,),
+    )
+    result = run_scenario(spec)
+    assert np.ptp(result.codes) >= result.codes.size
+    return spec, result
+
+
 @pytest.mark.parametrize(
-    "case", ["hand-built", "appendix", "store_order", "wide_seeds", "single"]
+    "case", ["hand-built", "appendix", "store_order", "wide_seeds", "single", "wide_codes"]
 )
 def test_emitted_files_match_the_generic_encoders(spec_40, records_40, tmp_path, case):
     spec, records = {
         "hand-built": hand_built_trials, "store_order": store_order_trials,
         "wide_seeds": wide_seed_trials, "single": single_trials,
-        "appendix": lambda: (spec_40, records_40),
+        "wide_codes": wide_code_trials, "appendix": lambda: (spec_40, records_40),
     }[case]()
     reference_emit(records, spec, tmp_path / "reference")
     want = files_of(tmp_path / "reference")
@@ -380,8 +411,10 @@ def test_value_tables_keep_signed_zeros_and_every_nan():
 
 @pytest.mark.parametrize(
     "formats",
-    # The last four are not iterable, or hold an unhashable value.
-    ["jsonl", "csv", (), set(), ("xml",), ["csv", "xml"], 5, None, [["csv"]], object()],
+    # Then some that are not iterable, or hold an unhashable value, and
+    # some that are iterable but not a list, tuple, set or frozenset.
+    ["jsonl", "csv", (), set(), ("xml",), ["csv", "xml"], 5, None, [["csv"]], object(),
+     {"csv": "no", "json": False}, iter(["json"]), (f for f in ["csv"])],
 )
 def test_emit_rejects_formats_other_than_csv_and_json(spec_40, records_40, tmp_path, formats):
     out = tmp_path / "out"

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msdc import (
     BeliefEntry,
@@ -338,6 +339,48 @@ def test_argmax_picks_equal_the_reduction_references(case):
     want = outcome(reference_hard_max_winners, u_norm, r)
     assert outcome(hard_max_winners, u_norm, top, r) == want
     assert outcome(draw_winners, rho, r) == outcome(reference_draw_winners, rho, r)
+
+
+@st.composite
+def many_model_draws(draw):
+    """Soft charts and uniform rows for the many-model draw, in either of
+    its shapes: a (B, Q, K) block of charts with (B, Q) uniforms, or one
+    (Q, K) chart with (N, Q) rows.  Units may weigh 0 (a CM that weighs 0
+    in all is made flat).  Each uniform is free, 0, just below 1, one of
+    its CM's own cumulative probabilities, or just below 1 above a total
+    scaled to round below it."""
+    block = draw(st.booleans())
+    n, q, k = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    mu = draw(arrays(np.float64, (n, q, k) if block else (q, k),
+                     elements=st.just(0.0) | st.floats(1.0, 1e6)))
+    mu[(mu == 0.0).all(axis=-1)] = 1.0
+    rho = rho_from_mu(mu)
+    cum, short = -1.0, -2.0  # stand-ins, replaced below
+    r = draw(arrays(np.float64, (n, q), elements=st.floats(0.0, 1.0, exclude_max=True)
+                    | st.sampled_from((0.0, 1.0 - 2**-53, cum, short))))
+    at = draw(arrays(np.intp, (n, q, 1), elements=st.integers(0, k - 1)))
+    rho[r == short if block else (r == short).any(axis=0)] *= 1.0 - 1e-12
+    on_cum = np.take_along_axis(np.broadcast_to(rho.cumsum(axis=-1), (n, q, k)), at, -1)
+    r = np.where(r == cum, on_cum[..., 0], r)
+    r[r == short] = 1.0 - 2**-53
+    return rho, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(many_model_draws())
+@example((np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [0.0]])))  # K = 1
+@example((np.array([[0.5, 0.5]]) * (1.0 - 1e-12),  # K = 2, the total rounds below r
+          np.array([[1.0 - 2**-53], [0.5]])))
+@example((np.array([[0.0, 1.0, 0.0]]), np.array([[0.0], [1.0 - 2**-53]])))  # zero weights
+def test_many_model_draws_equal_one_model_draws_row_by_row(case):
+    # Many models' uniforms take the running count, one model's take
+    # cumsum and argmax: row n of the former is the latter's draw for it.
+    rho, r = case
+    charts = rho if rho.ndim == 3 else [rho] * len(r)
+    want = np.stack([draw_winners(chart, row) for chart, row in zip(charts, r)])
+    got = draw_winners(rho, r)
+    assert got.dtype == want.dtype == np.intp
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def belief_reference(model, pattern, code):

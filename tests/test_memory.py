@@ -2,10 +2,13 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import math
 import sys
 import tempfile
+import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -155,6 +158,9 @@ def test_caller_rng_readers_run_concurrently_as_they_run_serially(small_geometry
     assert model.op_counter == ops
     assert vars(model).keys() == attrs.keys()
     assert all(vars(model)[name] is value for name, value in attrs.items())
+    # Each readout pauses the collector for its build; interleaved pauses
+    # must not leave it off.
+    assert gc.isenabled()
 
 
 def test_ledger_is_a_read_only_tuple(geometry, rng):
@@ -611,6 +617,136 @@ def test_belief_update_requires_ledger(geometry, rng):
     empty = make_model(geometry, ledger=True)
     with pytest.raises(LedgerUnavailableError):
         empty.belief_update(random_pattern(geometry, rng))
+
+
+def test_belief_entries_share_their_geometrys_readout_floats(geometry, rng):
+    # Each entry's similarity and likelihood are read from tables of the
+    # S + 1 values c / S and the Q + 1 values c / Q: the same floats that
+    # dividing the count gives, shared by every entry rather than made anew.
+    s_table, q_table = map(msdc.memory._fraction_table, (12, 24))
+    for n, table in ((12, s_table), (24, q_table)):
+        assert not table.flags.writeable
+        assert list(table) == [c / n for c in range(n + 1)]
+        assert all(type(value) is float for value in table)
+    model = make_model(geometry)
+    for _ in range(20):
+        model.store(random_pattern(geometry, rng))
+    for mode in ("soft", "hard"):
+        for entry in model.belief_update(random_pattern(geometry, rng), mode).entries:
+            assert entry.likelihood is q_table[entry.code_intersection]
+            assert any(entry.input_similarity is value for value in s_table)
+
+
+@pytest.fixture
+def collector():
+    """Turns the cyclic collector on for the test, and after it restores the
+    collector's state and callbacks as they were."""
+    collecting, callbacks = gc.isenabled(), list(gc.callbacks)
+    gc.enable()
+    yield
+    gc.callbacks[:] = callbacks
+    (gc.enable if collecting else gc.disable)()
+
+
+def test_belief_readout_runs_one_young_collector_pass_per_call(collector):
+    # Every entry is a tuple subclass, which the collector tracks and never
+    # untracks.  Built with the collector running, the 3000 entries of each
+    # call below ran 8 young collections over the two calls on Python 3.11,
+    # and their survivors fed older ones; paused for the build, the
+    # collector runs once a call, at the report's own allocation.
+    gen = np.random.default_rng(3000)
+    model = make_model(PAPER_GEOMETRY, seed=3)
+    for _ in range(3000):
+        model.store(random_pattern(PAPER_GEOMETRY, gen))
+    probe, reader = random_pattern(PAPER_GEOMETRY, gen), np.random.default_rng(3)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    reports = [model.belief_update(probe, mode, reader) for mode in ("soft", "hard")]
+    gc.callbacks.remove(record)
+    assert [len(report.entries) for report in reports] == [3000, 3000]
+    assert starts.count(0) <= 2 and set(starts) <= {0}, starts
+
+
+def test_a_belief_readout_leaves_the_collector_off_if_it_was_off(geometry, rng, collector):
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng))
+    gc.disable()
+    model.belief_update(random_pattern(geometry, rng))
+    assert not gc.isenabled()
+
+
+def test_readouts_whose_collector_pauses_interleave_leave_it_on(
+    small_geometry, rng, monkeypatch, collector
+):
+    # Two readers' pauses, driven into the one order that could leave the
+    # collector off: the second finds it off inside the first's pause, then
+    # turns it off after the first turned it back on.  The readout's lock
+    # holds the second back until the first's pause ends, so the first
+    # waits for it in vain and the second then finds the collector on.
+    model = make_model(small_geometry)
+    model.store(random_pattern(small_geometry, rng))
+    probe = random_pattern(small_geometry, rng)
+    first_paused, second_read, first_resumed = (threading.Event() for _ in range(3))
+
+    def isenabled():
+        enabled = gc.isenabled()
+        if threading.current_thread().name == "second":
+            second_read.set()
+        return enabled
+
+    def disable():
+        if threading.current_thread().name == "first":
+            gc.disable()
+            first_paused.set()
+            second_read.wait(0.2)
+        else:
+            first_resumed.wait(0.2)
+            gc.disable()
+
+    def enable():
+        gc.enable()
+        if threading.current_thread().name == "first":
+            first_resumed.set()
+
+    monkeypatch.setattr(msdc.memory, "gc", types.SimpleNamespace(
+        isenabled=isenabled, disable=disable, enable=enable))
+    reports = []
+
+    def read(after=None):
+        if after is not None:
+            after.wait(5)
+        reports.append(model.belief_update(probe, "hard", np.random.default_rng(0)))
+
+    threads = [threading.Thread(target=read, name="first"),
+               threading.Thread(target=read, args=(first_paused,), name="second")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert len(reports) == 2
+    assert gc.isenabled()
+
+
+class _UnreadableList(list):
+    """A ledger list whose iteration raises."""
+
+    def __iter__(self):
+        raise RuntimeError("unreadable ledger")
+
+
+def test_a_belief_readout_whose_build_raises_leaves_the_collector_on(geometry, rng, collector):
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng))
+    model._labels = _UnreadableList(model._labels)
+    with pytest.raises(RuntimeError, match="unreadable ledger"):
+        model.belief_update(random_pattern(geometry, rng))
+    assert gc.isenabled()
 
 
 def test_store_then_hard_retrieve_after_other_items(geometry):

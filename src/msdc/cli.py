@@ -5,7 +5,10 @@ Exit codes: 0 success, 2 usage error, 3 data error (bad pattern, geometry,
 config, schedule, or snapshot content), 4 I/O error.  Snapshot writes are atomic;
 a failed command never leaves a corrupt model behind, but a failed directory
 flush, which follows the rename, exits 4 with the complete new model in place
-and says that it was written.
+and says that it was written.  ``store`` and ``init`` hold the model's writer
+lock while they write it, so two stores into one file run one after the
+other; a store whose model another writer replaced after the load exits 4
+with nothing written.
 
 Every command is deterministic given its inputs and ``--seed``, a
 non-negative integer except on ``experiment``, where it offsets the
@@ -25,9 +28,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # no flock here; a store's re-stat still refuses a lost update
+    fcntl = None
 
 from . import bench as bench_mod
 from .core import (
@@ -128,10 +138,30 @@ def _echo(text: str) -> None:
         print(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
 
 
+@contextmanager
+def _writer_lock(model_path):
+    """Hold the model's writer lock: an exclusive ``flock`` on the file
+    ``.<name>-lock`` beside it, made if need be and left in place, since
+    deleting it would race with the next writer.  The model itself cannot
+    carry the lock, because each write renames a new file over it."""
+    path = Path(model_path)
+    with open(path.parent / f".{path.name}-lock", "ab") as fh:
+        if fcntl is not None:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        yield  # closing the file releases the lock
+
+
+def _file_identity(path) -> tuple[int, int, int, int]:
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def cmd_init(args) -> int:
     geometry, params, seed, ledger = _resolved_config(args, ledger=True)
     model = MemoryModel(geometry, params, seed=seed, enable_ledger=ledger)
-    save_model(model, args.model_path)
+    # An init over a model waits for a store that is writing it.
+    with _writer_lock(args.model_path):
+        save_model(model, args.model_path)
     _echo(f"initialized {args.model_path}: {geometry.num_cms} CMs x "
           f"{geometry.units_per_cm} units, {geometry.input_width}x"
           f"{geometry.input_height} input, S={geometry.num_active}")
@@ -140,18 +170,29 @@ def cmd_init(args) -> int:
 
 def cmd_store(args) -> int:
     rng = _seeded_rng(args.seed) if args.seed is not None else None
-    model = load_model(args.model_path)
-    pattern = read_pattern_file(args.pattern_path)
-    if rng is not None:
-        model.rng = rng
-    label = args.label if args.label is not None else Path(args.pattern_path).stem
-    code, trace = model.store(pattern, label)
-    extra = {"command": "store", "label": label, "code": [int(c) for c in code]}
-    # A trace file is written before the model, so a trace path that cannot
-    # be written fails the command with the model file unchanged.
-    if args.trace != "-":
-        _dump_trace(args, model, trace, extra)
-    save_model(model, args.model_path)
+    # A missing model is refused before a lock file is made beside it.
+    os.stat(args.model_path)
+    # From the load to the rename, so that no other locked write falls between.
+    with _writer_lock(args.model_path):
+        loaded = _file_identity(args.model_path)
+        model = load_model(args.model_path)
+        pattern = read_pattern_file(args.pattern_path)
+        if rng is not None:
+            model.rng = rng
+        label = args.label if args.label is not None else Path(args.pattern_path).stem
+        code, trace = model.store(pattern, label)
+        extra = {"command": "store", "label": label, "code": [int(c) for c in code]}
+        # A writer that takes no lock, such as a library save_model, may have
+        # replaced the model since the load; writing now would lose its item.
+        if _file_identity(args.model_path) != loaded:
+            raise OSError(
+                f"{args.model_path} was replaced while this store ran; nothing was written"
+            )
+        # A trace file is written before the model, so a trace path that cannot
+        # be written fails the command with the model file unchanged.
+        if args.trace != "-":
+            _dump_trace(args, model, trace, extra)
+        save_model(model, args.model_path)
     _echo(f"stored {label}: G={trace.familiarity} code={' '.join(map(str, code))}")
     if args.trace == "-":
         _dump_trace(args, model, trace, extra)

@@ -54,7 +54,12 @@ rank correlations and ``emit_results`` read once, when first read.  The
 writers format each value once: a dense integer column, such as codes or
 intersections, by its offset in a table of its range, and a likelihood by
 its intersection count; each cell carries the layout that follows it, so
-each trial section is one join.
+each trial section is one join.  A value fixed per probe or per count is
+one cell: trials.csv's probe, item and similarity are one text per (probe,
+item) and its intersection and likelihood one per count, and each probe's
+``similarities`` mapping in results.json is laid out once.  The scenario
+is encoded once, for scenario.json and, indented a level, for
+results.json, and each file is written from its parts, never joined.
 """
 
 from __future__ import annotations
@@ -479,12 +484,13 @@ def similarity_rank_correlation(
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks from 1, with tied values sharing the mean of their positions."""
-    _, group, counts = np.unique(
-        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
-    )
-    first = np.cumsum(counts) - counts
-    return (first + (counts + 1) / 2)[group]
+    """Ranks from 1, with tied values sharing the mean of their positions:
+    from the counts below each value and up to it in one sort, where every
+    NaN ties at the top and -0.0 ties 0.0."""
+    values = np.asarray(values, dtype=np.float64)
+    ordered = np.sort(values)
+    below = ordered.searchsorted(values, "left")
+    return (below + ordered.searchsorted(values, "right") + 1) / 2
 
 
 def _fmt(value) -> str:
@@ -547,17 +553,20 @@ def _csv_lines(rows) -> str:
 
 def _trial_csv_text(result: ScenarioResult) -> str:
     """trials.csv's rows, one per record and stored item: what
-    ``csv.writer`` writes for ``_fmt``-formatted cells.  A likelihood is
-    keyed by its intersection count c and written as ``c / Q``."""
+    ``csv.writer`` writes for ``_fmt``-formatted cells, in four cells a row.
+    The probe, item and similarity cells are one text per (probe, item), as
+    csv.writer writes them within a row, and the intersection and likelihood
+    cells one text per intersection count c, the likelihood as ``c / Q``."""
     q = result.codes.shape[-1]
-    # A probe label as csv.writer writes it within a row, quoted if need be.
-    return _fill(",".join(["%s"] * len(TRIAL_COLUMNS)) + "\n", [
+    pairs = [
+        _csv_lines([(label, item, _fmt(sim))])[:-1]
+        for label, sims in zip(result.probes, result.similarities.tolist())
+        for item, sim in zip(result.items, sims)
+    ]
+    return _fill("%s,%s,%s,%s\n", [
         (np.array(result.spec.seeds, dtype=object)[:, None, None, None], _fmt),
-        (np.array(result.probes, dtype=object)[:, None, None],
-         lambda p: _csv_lines([(p, "")])[:-2]),
-        (np.array(result.items, dtype=object)[:, None], str),
-        (result.similarities[..., None], _fmt), (result.intersections[..., None], _fmt),
-        (result.intersections[..., None], lambda c: _fmt(c / q)),
+        (np.arange(len(pairs)).reshape(*result.similarities.shape, 1), pairs.__getitem__),
+        (result.intersections[..., None], lambda c: f"{_fmt(c)},{_fmt(c / q)}"),
         (result.familiarity[..., None, None], _fmt),
     ])
 
@@ -584,18 +593,24 @@ def _trial_json_text(result: ScenarioResult) -> str:
     ``json.dumps(indent=2, sort_keys=True)`` writes them at depth two: one
     ``_fill`` layout per record, keys sorted as strings, and each leaf
     encoded as ``json.encoder`` encodes a Python int or float.  A likelihood
-    is keyed by its intersection count c and written as ``c / Q``."""
+    is keyed by its intersection count c and written as ``c / Q``; a probe's
+    ``similarities`` mapping, the same in every seed, is laid out once."""
     q = result.codes.shape[-1]
     items = result.items
     order = sorted(range(len(items)), key=items.__getitem__)
-    mapping = _json_block("{", [encode_basestring_ascii(items[i]) + ": %s" for i in order], "}", 6)
+    keys = [encode_basestring_ascii(items[i]) + ": " for i in order]
+    mapping = _json_block("{", [key + "%s" for key in keys], "}", 6)
+    similarities = [
+        _json_block("{", [key + _json_float(sim) for key, sim in zip(keys, sims)], "}", 6)
+        for sims in result.similarities[:, order].tolist()
+    ]
     template = _json_block(
         "{",
         [
             '"code": ' + _json_block("[", ["%s"] * q, "]", 6),
             '"eta": %s', '"familiarity": %s',
             '"intersections": ' + mapping, '"likelihoods": ' + mapping,
-            '"probe": %s', '"seed": %s', '"similarities": ' + mapping,
+            '"probe": %s', '"seed": %s', '"similarities": %s',
         ],
         "}",
         4,
@@ -607,7 +622,7 @@ def _trial_json_text(result: ScenarioResult) -> str:
         (inter, lambda c: _json_float(c / q)),
         (np.array(result.probes, dtype=object)[:, None], encode_basestring_ascii),
         (np.array(result.spec.seeds, dtype=object)[:, None, None], int.__repr__),
-        (result.similarities[:, order], _json_float),
+        (np.arange(len(similarities))[:, None], similarities.__getitem__),
     ], ",\n    ")
 
 
@@ -709,21 +724,26 @@ def emit_results(
         raise ConfigError(f"formats must be some of 'csv' and 'json', got {formats!r}")
     result = _result_of(records, spec)
     aggregates = _aggregates(result)
-    scenario = scenario_to_dict(spec)
-    texts = {}
+    scenario = json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True)
+    parts = {}
     if "csv" in formats:
-        texts["trials.csv"] = _csv_lines([TRIAL_COLUMNS]) + _trial_csv_text(result)
+        parts["trials.csv"] = [_csv_lines([TRIAL_COLUMNS]), _trial_csv_text(result)]
         rows = ([_fmt(row[c]) for c in AGGREGATE_COLUMNS] for row in aggregates)
-        texts["aggregate.csv"] = _csv_lines([AGGREGATE_COLUMNS, *rows])
+        parts["aggregate.csv"] = [_csv_lines([AGGREGATE_COLUMNS, *rows])]
     if "json" in formats:
-        payload = {"aggregates": aggregates, "scenario": scenario}
-        head = json.dumps(payload, indent=2, sort_keys=True)
-        trial_text = _trial_json_text(result)
-        # "trials" sorts last, so it goes where head's closing "\n}" was.
-        texts["results.json"] = f'{head[:-2]},\n  "trials": [\n    {trial_text}\n  ]\n}}\n'
-    texts["scenario.json"] = json.dumps(scenario, indent=2, sort_keys=True) + "\n"
+        # The keys sort "aggregates" < "scenario" < "trials", so the scenario
+        # and then the trials go where the aggregates' closing "\n}" was, the
+        # scenario one level deeper: no JSON string holds a raw newline.
+        head = json.dumps({"aggregates": aggregates}, indent=2, sort_keys=True)
+        parts["results.json"] = [
+            head[:-2], ',\n  "scenario": ', scenario.replace("\n", "\n  "),
+            ',\n  "trials": [\n    ', _trial_json_text(result), "\n  ]\n}\n",
+        ]
+    parts["scenario.json"] = [scenario, "\n"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
-    return [out_dir / name for name in texts]
+    for name, texts in parts.items():
+        # As write_text writes, with no copy of the parts joined.
+        with (out_dir / name).open("w", encoding="utf-8") as fh:
+            fh.writelines(texts)
+    return [out_dir / name for name in parts]

@@ -17,12 +17,20 @@ is the win-weight sigmoid formed per unit from U, which ``mu_from_u`` reads
 from a per-count table instead.  ``extreme_params`` draws valid
 ``CsaParams`` at and between their bounds, for the property tests.
 
+``reference_emit`` writes a scenario's four output files through the
+generic encoders, one ``json.dumps`` and one ``csv.writer`` row per row,
+and ``reference_average_ranks`` ranks by ``np.unique``'s groups; the
+scenario writers and ``_average_ranks`` must agree with them byte for byte.
+
 A helper module for the tests, not a test file: pytest puts ``tests/`` on
 ``sys.path``, so test files import it as ``from oracle import ...``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import sys
 from typing import Sequence
 
@@ -31,6 +39,9 @@ from hypothesis import strategies as st
 
 from msdc import CsaParams, GeometryError, InputPattern, PatternError
 from msdc.core import _cm_starts
+from msdc.experiments import (
+    AGGREGATE_COLUMNS, TRIAL_COLUMNS, aggregate_records, scenario_to_dict,
+)
 
 # The largest eta_max that keeps a 65536-unit CM's win weights summable.
 LARGEST_ETA_MAX = sys.float_info.max / 65536
@@ -167,3 +178,54 @@ def reference_mu_from_u(u_norm: np.ndarray, eta, params: CsaParams) -> np.ndarra
     np.divide(eta, z, out=z)
     z += 1.0
     return z
+
+
+def reference_emit(records, spec, out_dir):
+    """``emit_results`` through the generic encoders: one ``json.dumps`` of
+    the whole payload, and one ``csv.writer`` row of ``fmt`` cells per row."""
+    def fmt(value):
+        return format(value, ".10g") if isinstance(value, float) else str(value)
+
+    def write_csv(path, columns, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([fmt(row[c]) for c in columns])
+        path.write_text(buf.getvalue(), encoding="utf-8")
+
+    out_dir.mkdir()
+    aggregates = aggregate_records(records, spec)
+    items = spec.stored_labels()
+    write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, [
+        {"seed": r.seed, "probe": r.probe, "item": item,
+         "input_similarity": r.similarities[item],
+         "code_intersection": r.intersections[item],
+         "likelihood": r.likelihoods[item], "familiarity": r.familiarity}
+        for r in records for item in items
+    ])
+    write_csv(out_dir / "aggregate.csv", AGGREGATE_COLUMNS, aggregates)
+    payload = {
+        "scenario": scenario_to_dict(spec),
+        "trials": [
+            {"seed": r.seed, "probe": r.probe, "familiarity": r.familiarity, "eta": r.eta,
+             "code": list(r.code), "similarities": r.similarities,
+             "intersections": r.intersections, "likelihoods": r.likelihoods}
+            for r in records
+        ],
+        "aggregates": aggregates,
+    }
+    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out_dir / "scenario.json").write_text(
+        json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    )
+
+
+def reference_average_ranks(values) -> np.ndarray:
+    """Ranks from 1, tied values sharing the mean of their positions, by
+    ``np.unique``'s groups: every NaN in one group at the top, -0.0 with 0.0."""
+    _, group, counts = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    first = np.cumsum(counts) - counts
+    return (first + (counts + 1) / 2)[group]

@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import zlib
 from dataclasses import fields
@@ -23,13 +24,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import msdc
-from msdc import CsaParams, MemoryModel, ModelGeometry, load_model, random_pattern
+from msdc import CsaParams, MemoryModel, ModelGeometry, cli, load_model, random_pattern
 from msdc.cli import build_parser, main, read_pattern_file
 from msdc.core import PAPER_GEOMETRY
 from msdc.experiments import (
     default_appendix_scenario, emit_results, load_scenario, run_scenario, scenario_to_dict,
 )
-from msdc.snapshot import encode_model
+from msdc.snapshot import encode_model, save_model
 
 # sha256 of the file `msdc init` writes with no flags, and of the --trace
 # payload of test_store_trace_payload_is_pinned, as the program wrote them
@@ -351,6 +352,109 @@ def test_a_killed_store_leaves_a_committed_model(tmp_path, grid_pattern):
         assert path.read_bytes() == states[stored]
 
 
+def two_patterns(tmp_path):
+    """Two disjoint pattern files, labelled by their stems "a" and "b"."""
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, first in zip(paths, (0, 12)):
+        path.write_text(json.dumps(list(range(first, first + 12))))
+    return paths
+
+
+def test_two_stores_into_one_model_run_one_after_the_other(model_path, tmp_path, monkeypatch):
+    # The first store is held between its load and its write; the second
+    # must wait for the writer lock rather than load the same model, and
+    # the file must end with both items.
+    loaded, resume, loads, codes = threading.Event(), threading.Event(), [], {}
+    real_load = cli.load_model
+
+    def held_load(path):
+        name = threading.current_thread().name
+        loads.append(name)
+        model = real_load(path)
+        if name == "a":
+            loaded.set()
+            assert resume.wait(60)
+        return model
+
+    def store(pattern):
+        codes[pattern.stem] = main(["store", str(model_path), str(pattern)])
+
+    monkeypatch.setattr(cli, "load_model", held_load)
+    threads = [threading.Thread(target=store, args=(p,), name=p.stem) for p in two_patterns(tmp_path)]
+    try:
+        threads[0].start()
+        assert loaded.wait(60)
+        threads[1].start()
+        threads[1].join(0.5)
+        assert threads[1].is_alive() and loads == ["a"]
+    finally:
+        resume.set()
+        for thread in threads:
+            thread.join(60)
+    assert codes == {"a": 0, "b": 0} and loads == ["a", "b"]
+    assert [entry.label for entry in load_model(model_path).ledger] == ["a", "b"]
+
+
+def test_a_store_whose_model_was_replaced_after_its_load_writes_nothing(
+    model_path, grid_pattern, tmp_path, monkeypatch, capsys
+):
+    # A writer that takes no lock, here a library save_model, replaces the
+    # model between the store's load and its write: the store exits 4, and
+    # neither the model nor the trace is written.
+    other = MemoryModel(PAPER_GEOMETRY, seed=9, enable_ledger=True)
+    other.store(read_pattern_file(grid_pattern), "other")
+    real_load = cli.load_model
+
+    def load_then_replace(path):
+        model = real_load(path)
+        save_model(other, path)
+        return model
+
+    monkeypatch.setattr(cli, "load_model", load_then_replace)
+    trace = tmp_path / "t.json"
+    argv = ["store", str(model_path), str(grid_pattern), "--trace", str(trace)]
+    assert main(argv) == 4
+    assert f"{model_path} was replaced while this store ran" in capsys.readouterr().err
+    assert model_path.read_bytes() == encode_model(other)
+    assert not trace.exists()
+
+
+# A child that stores one pattern into one model file each time it reads a
+# line, and answers with the exit code; the stores' own output goes to the
+# null device.
+_STORE_ROUNDS = """
+import os, sys
+from msdc.cli import main
+answer = os.fdopen(os.dup(1), "w")
+sys.stdout = open(os.devnull, "w")
+for _ in sys.stdin:
+    answer.write(f"{main(['store', *sys.argv[1:]])}\\n")
+    answer.flush()
+"""
+
+
+def test_concurrent_store_processes_keep_every_item(model_path, tmp_path):
+    # Two processes, each told to store at once, five rounds over.
+    children = [
+        subprocess.Popen([sys.executable, "-c", _STORE_ROUNDS, str(model_path), str(pattern)],
+                         stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=_src_env())
+        for pattern in two_patterns(tmp_path)
+    ]
+    try:
+        for round in range(1, 6):
+            for child in children:
+                child.stdin.write(b"go\n")
+                child.stdin.flush()
+            assert [child.stdout.readline() for child in children] == [b"0\n", b"0\n"]
+            labels = [entry.label for entry in load_model(model_path).ledger]
+            assert sorted(labels) == sorted(["a", "b"] * round)
+    finally:
+        for child in children:
+            child.stdin.close()
+            child.wait(timeout=60)
+            child.stdout.close()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_init_gives_a_new_file_the_mode_the_umask_allows(tmp_path, umask, mode):
     path = tmp_path / "n.msdc"
@@ -374,6 +478,12 @@ def test_store_with_an_unwritable_trace_path_leaves_the_model_unchanged(
     assert "no such file" in capsys.readouterr().err
     assert model_path.read_bytes() == before
     assert load_model(model_path).ledger == ()
+
+
+def test_store_into_a_missing_model_names_it_and_makes_no_lock_file(grid_pattern, tmp_path, capsys):
+    assert main(["store", str(tmp_path / "nope.msdc"), str(grid_pattern)]) == 4
+    assert f"no such file: {tmp_path / 'nope.msdc'}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
 
 def test_store_missing_pattern_file_is_io_error(model_path, tmp_path, capsys):

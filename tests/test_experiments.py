@@ -1,8 +1,6 @@
 """Scenario harness: corpus construction, trial runs, emission."""
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import re
@@ -16,9 +14,7 @@ from msdc import ConfigError, GeometryError, ScheduleError
 from msdc.cli import main
 from msdc.core import PAPER_GEOMETRY
 from msdc.experiments import (
-    AGGREGATE_COLUMNS,
     MAX_RESULT_BYTES,
-    TRIAL_COLUMNS,
     ProbeSpec,
     ScenarioResult,
     ScenarioSpec,
@@ -39,7 +35,9 @@ from msdc.experiments import (
     similarity_rank_correlation,
 )
 
-from oracle import code_intersection, oracle_nearest, oracle_similarity, pixel_overlap
+from oracle import (
+    code_intersection, oracle_nearest, oracle_similarity, pixel_overlap, reference_emit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -203,47 +201,6 @@ def test_emitted_csv_layout(spec_40, records_40, tmp_path):
     # Sidecar provenance: the resolved scenario rides along with the CSVs.
     scenario = json.loads((tmp_path / "scenario.json").read_text())
     assert scenario == scenario_to_dict(spec_40)
-
-
-def reference_emit(records, spec, out_dir):
-    """``emit_results`` through the generic encoders: one ``json.dumps`` of
-    the whole payload, and one ``csv.writer`` row of ``fmt`` cells per row."""
-    def fmt(value):
-        return format(value, ".10g") if isinstance(value, float) else str(value)
-
-    def write_csv(path, columns, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt(row[c]) for c in columns])
-        path.write_text(buf.getvalue(), encoding="utf-8")
-
-    out_dir.mkdir()
-    aggregates = aggregate_records(records, spec)
-    items = spec.stored_labels()
-    write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, [
-        {"seed": r.seed, "probe": r.probe, "item": item,
-         "input_similarity": r.similarities[item],
-         "code_intersection": r.intersections[item],
-         "likelihood": r.likelihoods[item], "familiarity": r.familiarity}
-        for r in records for item in items
-    ])
-    write_csv(out_dir / "aggregate.csv", AGGREGATE_COLUMNS, aggregates)
-    payload = {
-        "scenario": scenario_to_dict(spec),
-        "trials": [
-            {"seed": r.seed, "probe": r.probe, "familiarity": r.familiarity, "eta": r.eta,
-             "code": list(r.code), "similarities": r.similarities,
-             "intersections": r.intersections, "likelihoods": r.likelihoods}
-            for r in records
-        ],
-        "aggregates": aggregates,
-    }
-    (out_dir / "results.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    (out_dir / "scenario.json").write_text(
-        json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n"
-    )
 
 
 def hand_built_trials():

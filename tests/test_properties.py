@@ -1,6 +1,7 @@
 """Property tests for the pipeline's structural invariants."""
 
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -35,7 +36,15 @@ from msdc.core import (
     rho_from_mu,
 )
 from msdc.errors import ConfigError, PatternError, ScheduleError
-from msdc.experiments import ProbeSpec, ScenarioSpec, scenario_from_dict, scenario_to_dict
+from msdc.experiments import (
+    ProbeSpec,
+    ScenarioResult,
+    ScenarioSpec,
+    _average_ranks,
+    emit_results,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from msdc.snapshot import decode_model, encode_model
 
 from oracle import (
@@ -45,7 +54,9 @@ from oracle import (
     extreme_params,
     kernel_cm_max,
     pixel_overlap,
+    reference_average_ranks,
     reference_draw_winners,
+    reference_emit,
     reference_familiarity,
     reference_hard_max_winners,
     reference_mu_from_u,
@@ -708,6 +719,90 @@ def test_public_constructors_keep_each_sequence_item_in_order_as_an_int(case, da
     if order is not None:
         assert spec.store_order == tuple(order)
         assert all(type(label) is str for label in spec.store_order)
+
+
+# Text that the writers must quote, escape or pass through as the generic
+# encoders do: quotes, separators, line breaks, a format directive and
+# non-ASCII characters, among any others.
+awkward_text = st.lists(
+    st.sampled_from(['"', "'", ",", "\n", "\r", "%s", " ", "\\", "ü", "✓", "I1"]) | st.characters(),
+    max_size=5,
+).map("".join)
+
+# Floats as familiarity, eta or similarity may hold them: every NaN sign,
+# the infinities, signed zeros and subnormals, among any others.
+awkward_floats = st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]
+) | st.floats()
+
+
+@st.composite
+def drawn_results(draw):
+    """A ``ScenarioSpec`` and a hand-built ``ScenarioResult`` of it: up to 11
+    stored items (so "I10" sorts before "I2"), a drawn store order, Q down to
+    1, seeds past 2**63, awkward probe labels and name, intersections in
+    0..Q and any floats.  The result's arrays need not be a run's."""
+    n, s = draw(st.integers(1, 11)), draw(st.integers(1, 3))
+    q, k = draw(st.just(1) | st.integers(1, 6)), draw(st.integers(2, 5000))
+    labels = [f"I{i + 1}" for i in range(n)]
+    probes = draw(st.lists(awkward_text, min_size=1, max_size=3, unique=True))
+    seeds = draw(st.lists(
+        st.integers(0, 2**70) | st.sampled_from([2**63 - 1, 2**63, 2**64 + 1]), min_size=1, max_size=4
+    ))
+    order = draw(st.none() | st.permutations(labels))
+    spec = ScenarioSpec(
+        draw(awkward_text), ModelGeometry((n + 1) * s, 1, s, q, k), CsaParams(), n,
+        tuple(ProbeSpec(p, (0,) * n) for p in probes), tuple(seeds),
+        draw(st.sampled_from(["soft", "hard"])), order,
+    )
+    ns, m = len(seeds), len(probes)
+
+    def array(dtype, shape, elements):  # each entry drawn on its own
+        return draw(arrays(dtype, shape, elements=elements, fill=st.nothing()))
+
+    result = ScenarioResult(
+        spec, tuple(probes), tuple(labels),
+        tuple(range(n)) if order is None else tuple(labels.index(label) for label in order),
+        array(np.intp, (ns, m, q), st.integers(0, k - 1)),
+        array(np.float64, (ns, m), awkward_floats), array(np.float64, (ns, m), awkward_floats),
+        array(np.intp, (ns, m, n), st.integers(0, q)), array(np.float64, (m, n), awkward_floats),
+    )
+    return spec, result
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn_results(), st.sampled_from([("csv",), ("json",), ("csv", "json"), {"json", "csv"}]))
+def test_emitted_files_equal_the_generic_encoders_on_drawn_results(case, formats):
+    spec, result = case
+    names = {"scenario.json"}
+    if "csv" in formats:
+        names |= {"trials.csv", "aggregate.csv"}
+    if "json" in formats:
+        names.add("results.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        reference_emit(result, spec, Path(tmp, "reference"))
+        written = emit_results(result, spec, Path(tmp, "out"), formats=formats)
+        assert sorted(path.name for path in written) == sorted(names)
+        assert {path.name: path.read_bytes() for path in written} == {
+            name: Path(tmp, "reference", name).read_bytes() for name in names
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, st.integers(0, 12), elements=awkward_floats | st.sampled_from([0.5, 1.0]))
+    | st.tuples(awkward_floats, st.integers(0, 12)).map(lambda c: np.full(c[1], c[0]))
+)
+@example(np.array([]))
+@example(np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 0.0, math.nan]))
+def test_average_ranks_equal_the_unique_formula(values):
+    # Empty, constant and tied arrays, with +-0.0, NaNs and infinities, as an
+    # array and as the list of floats a result's statistics hold.
+    want = reference_average_ranks(values)
+    for given in (values, values.tolist()):
+        got = _average_ranks(given)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tolist() == want.tolist()
 
 
 def test_belief_update_counts_past_255():

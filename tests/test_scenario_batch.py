@@ -370,6 +370,21 @@ def test_a_200_seed_run_peaks_under_2_mib():
     assert peak < 2 * 2**20
 
 
+def test_a_200_seed_emit_peaks_under_1_5_mib(tmp_path):
+    # After one warm call, which forms the result's statistics, emit_results
+    # holds about 6.4 KiB a seed at its peak, for 3.5 KiB of text written.
+    spec = default_appendix_scenario(200)
+    result = run_scenario(spec)
+    emit_results(result, spec, tmp_path)
+    tracemalloc.start()
+    try:
+        emit_results(result, spec, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def drawn_uniform_rows(spec):
     """``run_scenario(spec)``'s uniforms as the kernel reads them: per seed,
     one row of Q per step, stores in store order, then probes."""

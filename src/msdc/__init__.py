@@ -14,8 +14,6 @@ from .core import (
     CsaParams,
     InputPattern,
     ModelGeometry,
-    OpCounter,
-    WeightMatrix,
     random_pattern,
 )
 from .errors import (
@@ -51,7 +49,6 @@ __all__ = [
     "MemoryModel",
     "ModelGeometry",
     "MsdcError",
-    "OpCounter",
     "PatternError",
     "ScheduleError",
     "SnapshotError",
@@ -59,7 +56,6 @@ __all__ = [
     "SnapshotIntegrityError",
     "SnapshotTruncatedError",
     "SnapshotVersionError",
-    "WeightMatrix",
     "load_model",
     "random_pattern",
     "save_model",

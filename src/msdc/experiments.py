@@ -67,7 +67,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import abc
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib import resources
@@ -298,7 +297,7 @@ class TrialRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class ScenarioResult(abc.Sequence):
+class ScenarioResult:
     """``run_scenario(spec)``'s trials, read as records from the arrays that
     its seed blocks write into; ``spec`` is the scenario it ran.
 

@@ -48,13 +48,16 @@ serialized; ``retrieve`` and ``belief_update`` with a caller-supplied RNG
 write nothing on the model and may run concurrently with other readers.
 Readers pause the collector one at a time, under a module lock.  A caller
 that turns the collector off on another thread while a readout's pause is
-open may find it back on when the pause ends.
+open may find it back on when the pause ends.  A fork waits for an open
+pause to end, so the child starts with the lock free and the collector as
+it was before the pause.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
+import os
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -191,8 +194,15 @@ def _fraction_table(n: int) -> np.ndarray:
     return table
 
 
-# Held while a belief readout pauses the cyclic collector.
+# Held while a belief readout pauses the cyclic collector.  A fork waits for
+# an open pause, so that no child starts inside one.
 _COLLECTOR_PAUSE = threading.RLock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_COLLECTOR_PAUSE.acquire,
+        after_in_parent=_COLLECTOR_PAUSE.release,
+        after_in_child=_COLLECTOR_PAUSE.release,
+    )
 
 
 def _check_label(label: str) -> None:

@@ -16,7 +16,7 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +620,41 @@ def test_experiment_negative_seed_offset_keeps_seeds_non_negative(tmp_path, caps
     assert "non-negative" in capsys.readouterr().err
 
 
+# The files `msdc experiment` writes, each in place, in this order.
+_EXPERIMENT_FILES = ["trials.csv", "aggregate.csv", "results.json", "scenario.json"]
+
+
+@pytest.mark.parametrize("failing", _EXPERIMENT_FILES)
+def test_a_failed_experiment_write_keeps_the_files_written_before_it(
+    tmp_path, monkeypatch, capsys, failing
+):
+    # A write that fails exits 4 and leaves every file written before it
+    # complete.
+    spec_path = tmp_path / "spec.json"
+    spec = replace(default_appendix_scenario(), seeds=tuple(range(6)))
+    spec_path.write_text(json.dumps(scenario_to_dict(spec)))
+    clean = tmp_path / "clean"
+    assert main(["experiment", str(spec_path), str(clean)]) == 0
+    capsys.readouterr()
+    path_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        if self.name == failing and "w" in mode:
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    out = tmp_path / "out"
+    assert main(["experiment", str(spec_path), str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "No space left on device" in captured.err and failing in captured.err
+    assert captured.out == ""
+    earlier = _EXPERIMENT_FILES[:_EXPERIMENT_FILES.index(failing)]
+    assert sorted(path.name for path in out.iterdir()) == sorted(earlier)
+    for name in earlier:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
 # Runs each command line given as a JSON list, in one process, and prints
 # each one's exit code after its output.
 _COMMANDS = """
@@ -880,6 +915,20 @@ def test_json_pattern_with_non_integer_index_is_data_error(model_path, tmp_path,
         err = capsys.readouterr().err
         assert "must be integers" in err
         assert "Traceback" not in err
+    assert model_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["store", "query"])
+def test_json_pattern_with_a_negative_index_is_data_error(model_path, tmp_path, capsys, command):
+    # Without the refusal, the pixel would read and write the last pixel's
+    # weight row.
+    before = model_path.read_bytes()
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps(list(range(-1, 11))))
+    assert main([command, str(model_path), str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "negative pixel index" in err
+    assert "Traceback" not in err
     assert model_path.read_bytes() == before
 
 

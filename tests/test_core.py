@@ -18,13 +18,13 @@ from msdc import (
     InputPattern,
     MemoryModel,
     ModelGeometry,
-    OpCounter,
     PatternError,
-    WeightMatrix,
     random_pattern,
 )
 from msdc.core import (
     W_MAX,
+    OpCounter,
+    WeightMatrix,
     _check_w_max,
     _count_dtype,
     _z_table,
@@ -506,11 +506,11 @@ def test_public_names_are_pinned():
         "BeliefEntry", "BeliefReport", "ConfigError", "CsaParams", "CsaTrace",
         "GeometryError", "InputPattern", "LabelError", "LedgerEntry",
         "LedgerUnavailableError", "MemoryModel", "ModelGeometry", "MsdcError",
-        "OpCounter", "PatternError", "ScheduleError", "SnapshotError",
+        "PatternError", "ScheduleError", "SnapshotError",
         "SnapshotFormatError", "SnapshotIntegrityError", "SnapshotTruncatedError",
-        "SnapshotVersionError", "WeightMatrix", "load_model", "random_pattern", "save_model",
+        "SnapshotVersionError", "load_model", "random_pattern", "save_model",
     ]
-    assert len(msdc.__all__) == 25
+    assert len(msdc.__all__) == 23
     assert all(hasattr(msdc, name) for name in msdc.__all__)
 
 
@@ -605,6 +605,11 @@ def test_pattern_accepts_low_integer_indices():
     assert InputPattern((np.int64(0), 1)).active == (0, 1)
 
 
+def test_pattern_rejects_a_negative_index():
+    with pytest.raises(PatternError, match="negative pixel index"):
+        InputPattern((-1, *range(11)))
+
+
 def test_weight_allocation_failure_is_geometry_error(geometry, monkeypatch):
     def refuse(shape, dtype):
         raise MemoryError(f"Unable to allocate an array with shape {shape}")
@@ -626,6 +631,17 @@ def test_sigmoid_table_allocation_failure_is_geometry_error(monkeypatch):
     monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(GeometryError, match="cannot allocate a 9974-entry sigmoid table"):
         MemoryModel(geometry)
+
+
+def test_readout_table_allocation_failure_is_geometry_error(monkeypatch):
+    # A ledger-on model makes its readout tables when it is built.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate the table")
+
+    geometry = ModelGeometry(100, 100, 9967, 1, 2)  # an S no other test uses
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(GeometryError, match="cannot allocate a 9968-entry readout table"):
+        MemoryModel(geometry, enable_ledger=True)
 
 
 def test_weights_are_only_their_bit_plane(geometry):

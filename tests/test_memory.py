@@ -5,9 +5,11 @@ import functools
 import gc
 import hashlib
 import math
+import os
 import sys
 import tempfile
 import threading
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -747,6 +749,47 @@ def test_a_belief_readout_whose_build_raises_leaves_the_collector_on(geometry, r
     with pytest.raises(RuntimeError, match="unreadable ledger"):
         model.belief_update(random_pattern(geometry, rng))
     assert gc.isenabled()
+
+
+class _SlowList(list):
+    """A ledger list whose iteration signals ``started``, then stalls."""
+
+    def __init__(self, items, started):
+        super().__init__(items)
+        self.started = started
+
+    def __iter__(self):
+        self.started.set()
+        time.sleep(0.3)
+        return super().__iter__()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_fork_during_a_belief_readout_waits_for_its_collector_pause(geometry, rng, collector):
+    # A reader thread's entry build is held open inside the collector pause
+    # while the main thread forks.  Forked inside the pause, the child would
+    # hold a lock owned by a thread it does not have, with the collector off.
+    model = make_model(geometry)
+    model.store(random_pattern(geometry, rng))
+    started = threading.Event()
+    model._labels = _SlowList(model._labels, started)
+    reader = threading.Thread(
+        target=model.belief_update,
+        args=(random_pattern(geometry, rng), "hard", np.random.default_rng(0)),
+    )
+    reader.start()
+    assert started.wait(5)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            acquired = msdc.memory._COLLECTOR_PAUSE.acquire(timeout=1)
+            os._exit(0 if acquired and gc.isenabled() else 1)
+        finally:
+            os._exit(2)
+    reader.join(10)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_store_then_hard_retrieve_after_other_items(geometry):

@@ -1,5 +1,6 @@
 """The seed-blocked scenario run: pinned output and a per-seed reference."""
 
+import collections.abc
 import dataclasses
 import hashlib
 import tracemalloc
@@ -281,6 +282,16 @@ def test_the_result_reads_as_the_reference_record_list(mode, case):
     # Sequence equality against records, in either order, and against results.
     assert result == want and want == result and result == run_scenario(spec)
     assert result != want[:-1] and result != tuple(want)
+
+
+def test_the_result_reads_by_index_with_no_sequence_base():
+    # Iteration, `in` and `reversed` run on __len__ and __getitem__ alone.
+    spec = appendix([7, 8, 9])
+    result, want = run_scenario(spec), reference_run_scenario(spec)
+    assert not isinstance(result, collections.abc.Sequence)
+    assert not hasattr(result, "index") and not hasattr(result, "count")
+    assert list(reversed(result)) == want[::-1]
+    assert want[0] in result and want[-1] in result
 
 
 INVARIANT_CASES = {
